@@ -3,8 +3,8 @@
 Jump rates c_xy / mu(x) make the chain mu-symmetric; killing sends it to an
 explicit cemetery. Two classical identities tie the process back to the
 analytic side: hitting probabilities are harmonic extensions, and commute
-times equal R(x, y) mu(V). Results are a pure function of (seed, n), so
-worker counts cannot change a single bit.
+times equal R(x, y) mu(V). Results are a pure function of (seed, n): the
+same seed twice gives the same bits.
 """
 
 import numpy as np
@@ -49,7 +49,7 @@ res = simulate(build_generator(killed, AtomicMeasure([1.0])), 0, horizon=10.0, n
 print(f"\npure killing at rate 1, horizon 10: killed fraction {res.killed_fraction:.5f}"
       f" (analytic {1 - np.exp(-10):.5f})")
 
-# --- determinism across worker counts ------------------------------------------------
-a = commute_time(gen, 0, 2, n_traj=2000, seed=11, workers=1)
-b = commute_time(gen, 0, 2, n_traj=2000, seed=11, workers=4)
-print("\nworkers=1 and workers=4 agree bitwise:", a.value == b.value and a.stderr == b.stderr)
+# --- same seed twice, bitwise equal -------------------------------------------------
+a = commute_time(gen, 0, 2, n_traj=2000, seed=11)
+b = commute_time(gen, 0, 2, n_traj=2000, seed=11)
+print("\nseed 11 twice agrees bitwise:", a.value == b.value and a.stderr == b.stderr)

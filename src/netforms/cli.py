@@ -30,7 +30,7 @@ from .gelfand import (
     spectrum_closure_estimate,
     vanishes_nowhere,
 )
-from .network import AtomicMeasure, Network, assemble, form_to_csv, is_markov
+from .network import AtomicMeasure, Network, _is_number, assemble, form_to_csv, is_markov
 from .sequences import (
     build_dyadic_interval,
     build_sierpinski_gasket,
@@ -86,6 +86,9 @@ def _load_measure(path, n: int) -> AtomicMeasure:
         data = data["weights"]
     if not isinstance(data, list):
         raise ValidationError(f"measure file {path} must be a JSON list or an object with 'weights'")
+    for i, w in enumerate(data):
+        if not _is_number(w):
+            raise ValidationError(f"measure in {path}: weight #{i} must be a number, got {w!r}")
     w = np.asarray(data, dtype=float)
     if w.shape != (n,):
         raise ValidationError(f"measure in {path} has {w.size} weights, expected {n}")
@@ -292,15 +295,15 @@ def cmd_sim(args):
     gen = build_generator(A, mu)
     if args.sim_command == "hit":
         a, b = _parse_two(args.targets, "--targets")
-        est = hitting_probability(gen, a, b, args.start, args.n, args.seed, workers=args.workers)
+        est = hitting_probability(gen, a, b, args.start, args.n, args.seed)
         out = {"query": "hit", "a": a, "b": b, "start": args.start,
                "estimate": est.value, "stderr": est.stderr}
     elif args.sim_command == "commute":
         x, y = _parse_two(args.pair, "--pair")
-        est = commute_time(gen, x, y, args.n, args.seed, workers=args.workers)
+        est = commute_time(gen, x, y, args.n, args.seed)
         out = {"query": "commute", "x": x, "y": y, "estimate": est.value, "stderr": est.stderr}
     else:
-        res = occupation_check(gen, args.horizon, args.n, args.seed, x0=args.start, workers=args.workers)
+        res = occupation_check(gen, args.horizon, args.n, args.seed, x0=args.start)
         out = {
             "query": "occupy",
             "l1_distance": res.l1_distance,
@@ -442,7 +445,6 @@ def _build_parser() -> _Parser:
         s.add_argument("--mu", default=None)
         s.add_argument("--seed", type=int, required=True)
         s.add_argument("--n", type=int, required=True)
-        s.add_argument("--workers", type=int, default=1)
         s.add_argument("--output")
         if name == "hit":
             s.add_argument("--targets", required=True, help="a,b")
@@ -482,3 +484,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -46,6 +46,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _as_vector(values, n: int, what: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.shape != (n,):
@@ -157,15 +165,35 @@ class Network:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
+        """Network from its JSON object, with every field type-checked.
+
+        JSON booleans are not numbers here, and vertex indices must be
+        integers, so no value is silently coerced.
+        """
         if not isinstance(d, dict) or "vertices" not in d or "edges" not in d:
             raise ValidationError("network JSON must be an object with 'vertices' and 'edges'")
+        for key in ("vertices", "edges"):
+            if not isinstance(d[key], list):
+                raise ValidationError(f"network '{key}' must be a list, got {d[key]!r}")
         labels = tuple(tuple(x) if isinstance(x, list) else x for x in d["vertices"])
         edges = []
         for k, e in enumerate(d["edges"]):
             if not isinstance(e, dict) or not {"u", "v", "c"} <= set(e):
                 raise ValidationError(f"edge #{k}: expected an object with keys u, v, c")
+            for key in ("u", "v"):
+                if not _is_int(e[key]):
+                    raise ValidationError(f"edge #{k}: {key} must be an integer vertex index, got {e[key]!r}")
+            if not _is_number(e["c"]):
+                raise ValidationError(f"edge #{k}: conductance c must be a number, got {e['c']!r}")
             edges.append((e["u"], e["v"], e["c"]))
-        return cls(labels, edges, d.get("killing"))
+        killing = d.get("killing")
+        if killing is not None:
+            if not isinstance(killing, list):
+                raise ValidationError(f"network 'killing' must be a list, got {killing!r}")
+            for i, kap in enumerate(killing):
+                if not _is_number(kap):
+                    raise ValidationError(f"killing[{i}] must be a number, got {kap!r}")
+        return cls(labels, edges, killing)
 
 
 @dataclass(frozen=True, eq=False)

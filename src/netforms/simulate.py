@@ -8,15 +8,14 @@ exactly symmetric. Killing moves the trajectory to an explicit cemetery state
 that ends it.
 
 Reproducibility contract: every trajectory draws from its own counter-based
-stream keyed by (seed, trajectory index), and estimates are reduced in fixed
-trajectory order, so results are a pure function of (generator, query, seed,
-n_traj) regardless of how many workers execute the trajectories.
+stream keyed by (seed, trajectory index), and trajectories run one after
+another in index order, so results are a pure function of (generator, query,
+seed, n_traj).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -205,21 +204,6 @@ class _JumpTables:
         return self.targets[x][min(bisect_right(cum, u), len(cum) - 1)]
 
 
-def _chunks(n_traj: int, workers: int):
-    size = max(1, -(-n_traj // max(1, workers)))
-    return [(lo, min(lo + size, n_traj)) for lo in range(0, n_traj, size)]
-
-
-def _run_parallel(worker, n_traj: int, workers: int):
-    spans = _chunks(n_traj, workers)
-    if workers <= 1 or len(spans) == 1:
-        for span in spans:
-            worker(span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(worker, spans))
-
-
 def _bernoulli_se(values: np.ndarray) -> float:
     n = values.shape[0]
     if n < 2:
@@ -227,7 +211,7 @@ def _bernoulli_se(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / np.sqrt(n))
 
 
-def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int, workers: int = 1) -> SimResult:
+def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int) -> SimResult:
     """Run trajectories up to a time horizon, tracking occupation and killing.
 
     Holding times are exponential with the state's holding parameter; jumps
@@ -239,38 +223,34 @@ def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int
     x0 = int(x0)
     if not (0 <= x0 < gen.n):
         raise ValidationError(f"start vertex {x0} out of range for n={gen.n}")
-    if horizon <= 0:
-        raise ValidationError("horizon must be > 0")
+    if not (horizon > 0 and np.isfinite(horizon)):
+        raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")
     tables = _JumpTables(gen, include_killing=True)
     occ = np.zeros((n_traj, gen.n))
     killed = np.zeros(n_traj)
+    for i in range(n_traj):
+        stream = _Stream(seed, i)
+        t = 0.0
+        x = x0
+        row = occ[i]
+        while True:
+            inv = tables.inv_holding[x]
+            if inv == 0.0:
+                row[x] += horizon - t
+                break
+            dt = stream.exponential() * inv
+            if t + dt >= horizon:
+                row[x] += horizon - t
+                break
+            row[x] += dt
+            t += dt
+            x = tables.step(x, stream.uniform())
+            if x == tables.cemetery:
+                killed[i] = 1.0
+                break
 
-    def worker(span):
-        lo, hi = span
-        for i in range(lo, hi):
-            stream = _Stream(seed, i)
-            t = 0.0
-            x = x0
-            row = occ[i]
-            while True:
-                inv = tables.inv_holding[x]
-                if inv == 0.0:
-                    row[x] += horizon - t
-                    break
-                dt = stream.exponential() * inv
-                if t + dt >= horizon:
-                    row[x] += horizon - t
-                    break
-                row[x] += dt
-                t += dt
-                x = tables.step(x, stream.uniform())
-                if x == tables.cemetery:
-                    killed[i] = 1.0
-                    break
-
-    _run_parallel(worker, n_traj, workers)
     occ /= horizon
     return SimResult(
         n_trajectories=n_traj,
@@ -298,12 +278,14 @@ def _component_of(gen: GeneratorSpec, x: int) -> np.ndarray:
     raise AssertionError("vertex not found in any component")
 
 
-def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int, seed: int, workers: int = 1) -> Estimate:
+def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int, seed: int) -> Estimate:
     """Estimate P_x0(hit a before b) for a killing-free chain.
 
     The analytic value is u(x0) where u is the harmonic extension of the
     boundary data (1 at a, 0 at b); hitting probabilities do not depend on mu.
     """
+    if n_traj < 1:
+        raise ValidationError("n_traj must be >= 1")
     a, b, x0 = int(a), int(b), int(x0)
     if a == b:
         raise ValidationError("hitting targets must be distinct")
@@ -318,35 +300,31 @@ def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int
         return Estimate(1.0, 0.0)
     if x0 == b:
         return Estimate(0.0, 0.0)
-    if n_traj < 1:
-        raise ValidationError("n_traj must be >= 1")
 
     tables = _JumpTables(gen, include_killing=False)
     hits = np.zeros(n_traj)
+    for i in range(n_traj):
+        stream = _Stream(seed, i)
+        x = x0
+        while True:
+            x = tables.step(x, stream.uniform())
+            if x == a:
+                hits[i] = 1.0
+                break
+            if x == b:
+                break
 
-    def worker(span):
-        lo, hi = span
-        for i in range(lo, hi):
-            stream = _Stream(seed, i)
-            x = x0
-            while True:
-                x = tables.step(x, stream.uniform())
-                if x == a:
-                    hits[i] = 1.0
-                    break
-                if x == b:
-                    break
-
-    _run_parallel(worker, n_traj, workers)
     return Estimate(float(np.mean(hits)), _bernoulli_se(hits))
 
 
-def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int, workers: int = 1) -> Estimate:
+def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> Estimate:
     """Estimate the commute time E_x T_y + E_y T_x of a killing-free chain.
 
     Each trajectory runs from x until it hits y and then continues until it
     returns to x; the analytic value is R(x, y) * mu(V).
     """
+    if n_traj < 1:
+        raise ValidationError("n_traj must be >= 1")
     x, y = int(x), int(y)
     for v in (x, y):
         if not (0 <= v < gen.n):
@@ -357,35 +335,29 @@ def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int, wor
     comp = _component_of(gen, x)
     if y not in comp:
         raise ValidationError(f"vertex {y} is not reachable from {x}")
-    if n_traj < 1:
-        raise ValidationError("n_traj must be >= 1")
 
     tables = _JumpTables(gen, include_killing=False)
     times = np.zeros(n_traj)
+    for i in range(n_traj):
+        stream = _Stream(seed, i)
+        t = 0.0
+        state = x
+        target = y
+        while True:
+            t += stream.exponential() * tables.inv_holding[state]
+            state = tables.step(state, stream.uniform())
+            if state == target:
+                if target == y:
+                    target = x
+                else:
+                    break
+        times[i] = t
 
-    def worker(span):
-        lo, hi = span
-        for i in range(lo, hi):
-            stream = _Stream(seed, i)
-            t = 0.0
-            state = x
-            target = y
-            while True:
-                t += stream.exponential() * tables.inv_holding[state]
-                state = tables.step(state, stream.uniform())
-                if state == target:
-                    if target == y:
-                        target = x
-                    else:
-                        break
-            times[i] = t
-
-    _run_parallel(worker, n_traj, workers)
     se = float(np.std(times, ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
     return Estimate(float(np.mean(times)), se)
 
 
-def occupation_check(gen: GeneratorSpec, horizon: float, n_traj: int, seed: int, x0: int = 0, workers: int = 1) -> OccupationResult:
+def occupation_check(gen: GeneratorSpec, horizon: float, n_traj: int, seed: int, x0: int = 0) -> OccupationResult:
     """L1 distance between the empirical occupation and mu/mu(V).
 
     The band aggregates the per-state standard errors; the distance shrinks
@@ -396,7 +368,7 @@ def occupation_check(gen: GeneratorSpec, horizon: float, n_traj: int, seed: int,
     if len(comps) > 1:
         report = "; ".join(f"component {i}: vertices {c.tolist()}" for i, c in enumerate(comps))
         raise ValidationError(f"chain is reducible, occupation target is ill-defined ({report})")
-    res = simulate(gen, x0, horizon, n_traj, seed, workers=workers)
+    res = simulate(gen, x0, horizon, n_traj, seed)
     target = gen.mu / float(np.sum(gen.mu))
     l1 = float(np.sum(np.abs(res.occupation - target)))
     band = float(np.sum(res.occupation_se))

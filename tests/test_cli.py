@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netforms
 from netforms.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -74,6 +78,45 @@ def test_malformed_json_exit_1_names_offset(tmp_path, capsys):
 def test_unknown_flag_exit_1(path3_file, capsys):
     assert main(["trace", "--net", str(path3_file), "--subset", "0,2", "--bogus"]) == 1
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+
+
+_PATH3 = {"vertices": [0, 1, 2], "edges": [{"u": 0, "v": 1, "c": 1.0}, {"u": 1, "v": 2, "c": 1.0}]}
+
+
+def _with_edge0(**fields):
+    return {**_PATH3, "edges": [{**_PATH3["edges"][0], **fields}, _PATH3["edges"][1]]}
+
+
+@pytest.mark.parametrize("net, mu", [
+    (_with_edge0(c="abc"), None),
+    (_with_edge0(u="x"), None),
+    (_with_edge0(u=0.7), None),
+    (_with_edge0(v=True), None),
+    ({**_PATH3, "edges": 5}, None),
+    ({**_PATH3, "vertices": 3}, None),
+    ({**_PATH3, "killing": ["a", 1, 0]}, None),
+    (_PATH3, [1, "a", 1]),
+], ids=["c-string", "u-string", "u-float", "v-bool", "edges-number", "vertices-number",
+        "killing-string", "measure-string"])
+def test_malformed_network_and_measure_exit_1(tmp_path, capsys, net, mu):
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(net))
+    args = ["sim", "commute", "--net", str(net_file), "--seed", "1", "--n", "5", "--pair", "0,2"]
+    if mu is not None:
+        mu_file = tmp_path / "mu.json"
+        mu_file.write_text(json.dumps(mu))
+        args += ["--mu", str(mu_file)]
+    assert main(args) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("module", ["netforms", "netforms.cli"])
+def test_python_m_help(module):
+    src = str(Path(netforms.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", module, "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: netforms")
 
 
 def test_decompose_json(path3_file, capsys):
@@ -180,16 +223,35 @@ def test_demo_svg_matches_golden(tmp_path):
     assert (out / "counterexample.svg").read_bytes() == golden
 
 
-def test_sim_hit_and_worker_determinism(path3_file, tmp_path, capsys):
-    args = ["sim", "hit", "--net", str(path3_file), "--seed", "7", "--n", "400",
-            "--targets", "0,2", "--start", "1"]
-    assert main(args) == 0
+def test_sim_hit_same_seed_bit_identical(path3_file, capsys):
+    args = ["sim", "hit", "--net", str(path3_file), "--n", "400", "--targets", "0,2", "--start", "1"]
+    assert main(args + ["--seed", "7"]) == 0
     out1 = capsys.readouterr().out
-    assert main(args + ["--workers", "3"]) == 0
+    assert main(args + ["--seed", "7"]) == 0
     out2 = capsys.readouterr().out
-    d1, d2 = json.loads(out1), json.loads(out2)
-    assert d1["estimate"] == d2["estimate"] and d1["stderr"] == d2["stderr"]
+    assert main(args + ["--seed", "8"]) == 0
+    out3 = capsys.readouterr().out
+    assert out1 == out2
+    d1, d3 = json.loads(out1), json.loads(out3)
+    assert d1["estimate"] != d3["estimate"]
     assert abs(d1["estimate"] - 0.5) <= 4.0 * d1["stderr"]
+
+
+def test_sim_workers_flag_is_unknown(path3_file, capsys):
+    code = main(["sim", "hit", "--net", str(path3_file), "--seed", "7", "--n", "10",
+                 "--targets", "0,2", "--start", "1", "--workers", "2"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation" and "--workers" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_sim_occupy_non_finite_horizon_exit_1(path3_file, capsys, horizon):
+    code = main(["sim", "occupy", "--net", str(path3_file), "--seed", "1", "--n", "5",
+                 "--horizon", horizon])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation" and "horizon" in err["error"]["message"]
 
 
 def test_sim_commute_and_occupy(path3_file, capsys):

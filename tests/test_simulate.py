@@ -84,15 +84,32 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="out of range"):
             simulate(gen, 7, 1.0, 10, seed=5)
 
-    def test_bit_identical_across_runs_and_workers(self, path3):
+    def test_same_seed_bit_identical_new_seed_differs(self, path3):
         gen = build_generator(path3, uniform_measure(3))
-        a = simulate(gen, 0, 30.0, 200, seed=6, workers=1)
-        b = simulate(gen, 0, 30.0, 200, seed=6, workers=3)
-        c = simulate(gen, 0, 30.0, 200, seed=6, workers=1)
+        a = simulate(gen, 0, 30.0, 200, seed=6)
+        b = simulate(gen, 0, 30.0, 200, seed=6)
+        c = simulate(gen, 0, 30.0, 200, seed=7)
         assert np.array_equal(a.occupation, b.occupation)
         assert np.array_equal(a.occupation_se, b.occupation_se)
-        assert a.killed_fraction == b.killed_fraction == c.killed_fraction
-        assert np.array_equal(a.occupation, c.occupation)
+        assert a.killed_fraction == b.killed_fraction
+        assert not np.array_equal(a.occupation, c.occupation)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0])
+    def test_horizon_must_be_finite_and_positive(self, unit_edge, horizon):
+        gen = build_generator(unit_edge, uniform_measure(2))
+        with pytest.raises(ValidationError, match="horizon"):
+            simulate(gen, 0, horizon, 5, seed=1)
+        with pytest.raises(ValidationError, match="horizon"):
+            occupation_check(gen, horizon, 5, seed=1)
+
+    def test_n_traj_checked_before_early_returns(self, path3):
+        gen = build_generator(path3, uniform_measure(3))
+        with pytest.raises(ValidationError, match="n_traj"):
+            hitting_probability(gen, 0, 2, 0, 0, seed=2)
+        with pytest.raises(ValidationError, match="n_traj"):
+            hitting_probability(gen, 0, 2, 2, -1, seed=2)
+        with pytest.raises(ValidationError, match="n_traj"):
+            commute_time(gen, 1, 1, -4, seed=2)
 
 
 class TestHitting:
@@ -154,11 +171,13 @@ class TestCommute:
         est = commute_time(gen, 1, 1, 10, seed=16)
         assert est.value == 0.0 and est.stderr == 0.0
 
-    def test_deterministic_across_workers(self, path3):
+    def test_same_seed_bit_identical_new_seed_differs(self, path3):
         gen = build_generator(path3, uniform_measure(3))
-        a = commute_time(gen, 0, 2, 500, seed=17, workers=1)
-        b = commute_time(gen, 0, 2, 500, seed=17, workers=4)
+        a = commute_time(gen, 0, 2, 500, seed=17)
+        b = commute_time(gen, 0, 2, 500, seed=17)
+        c = commute_time(gen, 0, 2, 500, seed=18)
         assert a.value == b.value and a.stderr == b.stderr
+        assert c.value != a.value
 
 
 class TestOccupation:

@@ -35,6 +35,7 @@ print(f"P_1(hit 0 before 2): simulated {est.value:.4f} +- {est.stderr:.4f}, harm
 com = commute_time(gen, 0, 2, n_traj=40000, seed=8)
 target = effective_resistance(path, 0, 2) * 3.0
 print(f"commute time 0 <-> 2: simulated {com.value:.4f} +- {com.stderr:.4f}, R mu(V) = {target}")
+print(f"  {com.jumps / 40000:.2f} jumps per trajectory, longest trajectory {com.max_jumps} jumps")
 
 # --- occupation converges to mu / mu(V) ------------------------------------------
 edge = assemble(Network(2, [(0, 1, 1.0)]))

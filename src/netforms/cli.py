@@ -89,7 +89,10 @@ def _load_measure(path, n: int) -> AtomicMeasure:
     for i, w in enumerate(data):
         if not _is_number(w):
             raise ValidationError(f"measure in {path}: weight #{i} must be a number, got {w!r}")
-    w = np.asarray(data, dtype=float)
+    try:
+        w = np.asarray(data, dtype=float)
+    except OverflowError:
+        raise ValidationError(f"measure in {path} has a weight too large for a float") from None
     if w.shape != (n,):
         raise ValidationError(f"measure in {path} has {w.size} weights, expected {n}")
     return AtomicMeasure(w)

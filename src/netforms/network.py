@@ -55,7 +55,10 @@ def _is_number(x) -> bool:
 
 
 def _as_vector(values, n: int, what: str) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
+    try:
+        v = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValidationError(f"{what} has an entry too large for a float") from None
     if v.shape != (n,):
         raise ValidationError(f"{what} must be a vector of length {n}, got shape {v.shape}")
     return v
@@ -99,7 +102,10 @@ class Network:
                 raise ValidationError(f"edge #{k}: self-loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge #{k}: endpoint out of range (u={u}, v={v}, n={n})")
-            c = float(c)
+            try:
+                c = float(c)
+            except OverflowError:
+                raise ValidationError(f"edge #{k}: conductance is too large for a float (u={u}, v={v})") from None
             if not np.isfinite(c) or c <= 0.0:
                 raise ValidationError(f"edge #{k}: conductance {c!r} must be finite and > 0 (u={u}, v={v})")
             if u > v:

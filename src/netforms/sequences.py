@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ValidationError
-from .network import FormMatrix, Network, assemble, evaluate
+from .network import FormMatrix, Network, _is_int, assemble, evaluate
 from .trace import trace
 
 __all__ = [
@@ -284,13 +284,28 @@ def sequence_to_dict(seq: CompatibleSequence) -> dict:
 
 
 def sequence_from_dict(d: dict) -> CompatibleSequence:
+    """Sequence from its JSON object; inclusion indices must be JSON integers,
+    so no value is silently coerced."""
     if not isinstance(d, dict) or "levels" not in d:
         raise ValidationError("sequence JSON must be an object with 'levels'")
     if "inclusions" not in d:
         raise ValidationError("sequence JSON is missing the 'inclusions' maps")
+    for key in ("levels", "inclusions"):
+        if not isinstance(d[key], list):
+            raise ValidationError(f"sequence '{key}' must be a list, got {d[key]!r}")
+    incs = []
+    for n, m in enumerate(d["inclusions"]):
+        if not isinstance(m, list):
+            raise ValidationError(f"inclusion {n} must be a list, got {m!r}")
+        for i, x in enumerate(m):
+            if not _is_int(x):
+                raise ValidationError(f"inclusion {n}, entry {i}: expected an integer vertex index, got {x!r}")
+        try:
+            incs.append(np.asarray(m, dtype=int))
+        except OverflowError:
+            raise ValidationError(f"inclusion {n} has an index outside level {n + 1}") from None
     nets = tuple(Network.from_dict(x) for x in d["levels"])
-    incs = tuple(np.asarray(m, dtype=int) for m in d["inclusions"])
-    return CompatibleSequence(nets, incs)
+    return CompatibleSequence(nets, tuple(incs))
 
 
 def save_sequence(seq: CompatibleSequence, path) -> None:

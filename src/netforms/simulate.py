@@ -7,17 +7,21 @@ both materialize the single stored conductance c_xy, so the flow matrix is
 exactly symmetric. Killing moves the trajectory to an explicit cemetery state
 that ends it.
 
-Reproducibility contract: every trajectory draws from its own counter-based
-stream keyed by (seed, trajectory index), and trajectories run one after
-another in index order, so results are a pure function of (generator, query,
-seed, n_traj).
+Every estimator runs on one step-synchronous engine. Trajectories go in
+blocks of ``_BLOCK`` (the last block may be shorter); each step advances all
+the live trajectories of a block with one vector of variates and then drops
+the ones that finished. Block b draws from its own counter-based stream,
+numpy Philox keyed by (seed, b), so its values depend only on (seed, b,
+block length). Each block is reduced to its count, sum and sum of squared
+deviations, and the blocks are combined in index order (the pairwise update
+of Chan, Golub and LeVeque), so results are a pure function of (generator,
+query, seed, n_traj) and memory does not grow with n_traj.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +49,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 256
+#: Trajectories per block; the bits of every estimate depend on it.
+_BLOCK = 4096
 
 #: Relative tolerance below which killing rates count as zero for the
 #: killing-free queries.
@@ -88,21 +93,30 @@ class GeneratorSpec:
 
 @dataclass(frozen=True, eq=False)
 class Estimate:
-    """Monte Carlo estimate with its standard error."""
+    """Monte Carlo estimate with its standard error.
+
+    ``jumps`` counts the transitions of all trajectories (a kill counts as
+    one) and ``max_jumps`` those of the longest trajectory.
+    """
 
     value: float
     stderr: float
+    jumps: int = 0
+    max_jumps: int = 0
 
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """Horizon-run summary: occupation fractions and the killed fraction."""
+    """Horizon-run summary: occupation fractions, the killed fraction and the
+    jump counts (as in :class:`Estimate`)."""
 
     n_trajectories: int
     occupation: np.ndarray
     occupation_se: np.ndarray
     killed_fraction: float
     killed_fraction_se: float
+    jumps: int = 0
+    max_jumps: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,78 +151,144 @@ def build_generator(A: FormMatrix, mu: AtomicMeasure) -> GeneratorSpec:
     return GeneratorSpec(conductances=C, mu=mu.weights, jump_rates=Q, killing_rates=k, holding=lam)
 
 
-class _Stream:
-    """Per-trajectory variate source keyed by (seed, trajectory index)."""
+class _JumpTable(NamedTuple):
+    """Padded per-state jump law; state n is the cemetery, which has no exits.
 
-    __slots__ = ("_g", "_exp", "_uni", "_ie", "_iu")
+    Column x of ``cum`` holds the cumulative jump probabilities of x over its
+    targets in column x of ``tgt`` (ascending, the cemetery last), padded
+    with inf. States index columns, so gathering a vector of states is one
+    contiguous ``take`` per row.
+    """
 
-    def __init__(self, seed: int, index: int):
-        key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-        self._g = np.random.Generator(np.random.Philox(key=key))
-        self._exp: list = []
-        self._uni: list = []
-        self._ie = 0
-        self._iu = 0
-
-    def exponential(self) -> float:
-        if self._ie == len(self._exp):
-            self._exp = self._g.standard_exponential(_BLOCK).tolist()
-            self._ie = 0
-        v = self._exp[self._ie]
-        self._ie += 1
-        return v
-
-    def uniform(self) -> float:
-        if self._iu == len(self._uni):
-            self._uni = self._g.random(_BLOCK).tolist()
-            self._iu = 0
-        v = self._uni[self._iu]
-        self._iu += 1
-        return v
+    cum: np.ndarray  # (d, n + 1)
+    tgt: np.ndarray  # (d, n + 1)
+    inv_holding: np.ndarray  # (n + 1,) mean holding time; inf without exits
 
 
-class _JumpTables:
-    """Per-state cumulative jump probabilities as plain Python structures."""
-
-    __slots__ = ("cum", "targets", "inv_holding", "cemetery", "n")
-
-    def __init__(self, gen: GeneratorSpec, include_killing: bool):
-        n = gen.n
-        self.n = n
-        self.cemetery = n
-        self.cum = []
-        self.targets = []
-        self.inv_holding = []
-        for x in range(n):
-            rates = []
-            targets = []
-            for y in range(n):
-                r = gen.jump_rates[x, y]
-                if y != x and r > 0.0:
-                    rates.append(float(r))
-                    targets.append(y)
-            if include_killing and gen.killing_rates[x] > 0.0:
-                rates.append(float(gen.killing_rates[x]))
-                targets.append(self.cemetery)
-            lam = sum(rates)
-            if lam > 0.0:
-                self.cum.append(list(accumulate(r / lam for r in rates)))
-                self.inv_holding.append(1.0 / lam)
-            else:
-                self.cum.append([])
-                self.inv_holding.append(0.0)
-            self.targets.append(targets)
-
-    def step(self, x: int, u: float) -> int:
-        cum = self.cum[x]
-        return self.targets[x][min(bisect_right(cum, u), len(cum) - 1)]
+def _jump_table(gen: GeneratorSpec, include_killing: bool) -> _JumpTable:
+    n = gen.n
+    rows, cols = np.nonzero(gen.jump_rates > 0.0)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    rates = gen.jump_rates[rows, cols]
+    if include_killing:
+        kx = np.flatnonzero(gen.killing_rates > 0.0)
+        order = np.argsort(np.concatenate([rows, kx]), kind="stable")
+        rows = np.concatenate([rows, kx])[order]
+        cols = np.concatenate([cols, np.full(kx.size, n)])[order]
+        rates = np.concatenate([rates, gen.killing_rates[kx]])[order]
+    deg = np.bincount(rows, minlength=n + 1)
+    d = max(int(deg.max()), 1)
+    pos = np.arange(rows.size) - (np.cumsum(deg) - deg)[rows]
+    padded = np.zeros((d, n + 1))
+    padded[pos, rows] = rates
+    tgt = np.zeros((d, n + 1), dtype=np.intp)
+    tgt[pos, rows] = cols
+    c = np.cumsum(padded, axis=0)
+    lam = c[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):  # lam == 0 without exits
+        cum = c / lam
+        inv_holding = 1.0 / lam
+    # The last real entry of a state is lam / lam == 1.0 exactly, and uniform
+    # variates are < 1, so a step never selects a padding entry.
+    cum[np.arange(d)[:, None] >= deg] = np.inf
+    return _JumpTable(cum, tgt, inv_holding)
 
 
-def _bernoulli_se(values: np.ndarray) -> float:
-    n = values.shape[0]
-    if n < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / np.sqrt(n))
+class _Walk(NamedTuple):
+    """One query for the engine.
+
+    A trajectory starts at ``x0`` and passes through the phases in order:
+    phase p ends on entering a state x with ``stops[p, x]``, and the
+    trajectory ends after the last phase. With ``horizon`` set it also ends
+    at that time (or in a state without exits) and its occupation times are
+    recorded. Holding times are drawn only when ``timed``. ``values`` maps
+    the block's final states, clocks and occupation times to one row of
+    values per trajectory.
+    """
+
+    table: _JumpTable
+    x0: int
+    stops: np.ndarray  # (phases, n + 1) bool
+    timed: bool
+    horizon: float | None
+    values: Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]
+
+
+def _run_block(walk: _Walk, seed: int, b: int, m: int) -> tuple[np.ndarray, int, int]:
+    """Values of the m trajectories of block b, their total and their
+    longest jump count."""
+    key = np.array([seed & _MASK64, b], dtype=np.uint64)
+    g = np.random.Generator(np.random.Philox(key=key))
+    cum, tgt, inv_holding = walk.table
+    horizon = walk.horizon
+    phases = walk.stops.shape[0]
+    live = np.arange(m)
+    x = np.full(m, walk.x0, dtype=np.intp)
+    t = np.zeros(m)
+    phase = np.zeros(m, dtype=np.intp)
+    final = np.empty(m, dtype=np.intp)
+    clock = np.zeros(m)
+    occ = None if horizon is None else np.zeros((m, cum.shape[1] - 1))
+    jumps = max_jumps = steps = 0
+    while live.size:
+        steps += 1
+        if walk.timed:
+            dt = g.standard_exponential(live.size) * inv_holding.take(x)
+            if horizon is not None:
+                out = ~(t + dt < horizon)  # past the horizon, or no exits
+                occ[live, x] += np.where(out, horizon - t, dt)
+            t += dt
+        u = g.random(live.size)
+        k = (cum.take(x, axis=1) <= u).sum(axis=0)
+        if horizon is None:
+            x = tgt[k, x]
+            moved = live.size
+        else:
+            x = np.where(out, x, tgt[k, x])
+            moved = live.size - int(np.count_nonzero(out))
+        jumps += moved
+        if moved:
+            max_jumps = steps
+        phase += walk.stops[phase, x]
+        done = phase == phases
+        if horizon is not None:
+            done |= out
+        if np.count_nonzero(done):
+            ids = live[done]
+            final[ids] = x[done]
+            clock[ids] = t[done]
+            keep = ~done
+            live, x, t, phase = live[keep], x[keep], t[keep], phase[keep]
+    return walk.values(final, clock, occ), jumps, max_jumps
+
+
+def _merge(acc: tuple, values: np.ndarray, block_jumps: int, block_max: int) -> tuple:
+    """Fold one block into the running (count, sum, sum of squared
+    deviations, jumps, longest jump count), by the pairwise update of Chan,
+    Golub and LeVeque."""
+    count, total, m2, jumps, max_jumps = acc
+    m = values.shape[0]
+    s = values.sum(axis=0)
+    dev = values - s / m
+    q = np.sum(dev * dev, axis=0)
+    if count:
+        delta = s / m - total / count
+        q = q + delta * delta * (count * m / (count + m))
+    return count + m, total + s, m2 + q, jumps + block_jumps, max(max_jumps, block_max)
+
+
+def _estimate(walk: _Walk, n_traj: int, seed: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Mean and standard error of each value column over n_traj
+    trajectories, with the total and the longest jump count."""
+    acc = (0, 0.0, 0.0, 0, 0)
+    for b, start in enumerate(range(0, n_traj, _BLOCK)):
+        # no block's values outlive its merge, so memory stays at one block
+        acc = _merge(acc, *_run_block(walk, seed, b, min(_BLOCK, n_traj - start)))
+    count, total, m2, jumps, max_jumps = acc
+    mean = total / count
+    se = np.sqrt(m2 / (count - 1)) / np.sqrt(count) if count > 1 else np.zeros_like(mean)
+    return mean, se, jumps, max_jumps
 
 
 def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int) -> SimResult:
@@ -227,37 +307,20 @@ def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int
         raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")
-    tables = _JumpTables(gen, include_killing=True)
-    occ = np.zeros((n_traj, gen.n))
-    killed = np.zeros(n_traj)
-    for i in range(n_traj):
-        stream = _Stream(seed, i)
-        t = 0.0
-        x = x0
-        row = occ[i]
-        while True:
-            inv = tables.inv_holding[x]
-            if inv == 0.0:
-                row[x] += horizon - t
-                break
-            dt = stream.exponential() * inv
-            if t + dt >= horizon:
-                row[x] += horizon - t
-                break
-            row[x] += dt
-            t += dt
-            x = tables.step(x, stream.uniform())
-            if x == tables.cemetery:
-                killed[i] = 1.0
-                break
-
-    occ /= horizon
+    n = gen.n
+    stops = np.zeros((1, n + 1), dtype=bool)
+    stops[0, n] = True
+    walk = _Walk(_jump_table(gen, include_killing=True), x0, stops, True, float(horizon),
+                 lambda final, clock, occ: np.column_stack([occ / horizon, final == n]))
+    mean, se, jumps, max_jumps = _estimate(walk, n_traj, seed)
     return SimResult(
         n_trajectories=n_traj,
-        occupation=np.mean(occ, axis=0),
-        occupation_se=np.std(occ, axis=0, ddof=1) / np.sqrt(n_traj) if n_traj > 1 else np.zeros(gen.n),
-        killed_fraction=float(np.mean(killed)),
-        killed_fraction_se=_bernoulli_se(killed),
+        occupation=mean[:n],
+        occupation_se=se[:n],
+        killed_fraction=float(mean[n]),
+        killed_fraction_se=float(se[n]),
+        jumps=jumps,
+        max_jumps=max_jumps,
     )
 
 
@@ -301,20 +364,12 @@ def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int
     if x0 == b:
         return Estimate(0.0, 0.0)
 
-    tables = _JumpTables(gen, include_killing=False)
-    hits = np.zeros(n_traj)
-    for i in range(n_traj):
-        stream = _Stream(seed, i)
-        x = x0
-        while True:
-            x = tables.step(x, stream.uniform())
-            if x == a:
-                hits[i] = 1.0
-                break
-            if x == b:
-                break
-
-    return Estimate(float(np.mean(hits)), _bernoulli_se(hits))
+    stops = np.zeros((1, gen.n + 1), dtype=bool)
+    stops[0, [a, b]] = True
+    walk = _Walk(_jump_table(gen, include_killing=False), x0, stops, False, None,
+                 lambda final, clock, occ: (final == a)[:, None].astype(float))
+    mean, se, jumps, max_jumps = _estimate(walk, n_traj, seed)
+    return Estimate(float(mean[0]), float(se[0]), jumps, max_jumps)
 
 
 def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> Estimate:
@@ -336,25 +391,12 @@ def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> 
     if y not in comp:
         raise ValidationError(f"vertex {y} is not reachable from {x}")
 
-    tables = _JumpTables(gen, include_killing=False)
-    times = np.zeros(n_traj)
-    for i in range(n_traj):
-        stream = _Stream(seed, i)
-        t = 0.0
-        state = x
-        target = y
-        while True:
-            t += stream.exponential() * tables.inv_holding[state]
-            state = tables.step(state, stream.uniform())
-            if state == target:
-                if target == y:
-                    target = x
-                else:
-                    break
-        times[i] = t
-
-    se = float(np.std(times, ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
-    return Estimate(float(np.mean(times)), se)
+    stops = np.zeros((2, gen.n + 1), dtype=bool)
+    stops[0, y] = stops[1, x] = True
+    walk = _Walk(_jump_table(gen, include_killing=False), x, stops, True, None,
+                 lambda final, clock, occ: clock[:, None])
+    mean, se, jumps, max_jumps = _estimate(walk, n_traj, seed)
+    return Estimate(float(mean[0]), float(se[0]), jumps, max_jumps)
 
 
 def occupation_check(gen: GeneratorSpec, horizon: float, n_traj: int, seed: int, x0: int = 0) -> OccupationResult:

@@ -96,8 +96,11 @@ def _with_edge0(**fields):
     ({**_PATH3, "vertices": 3}, None),
     ({**_PATH3, "killing": ["a", 1, 0]}, None),
     (_PATH3, [1, "a", 1]),
+    (_with_edge0(c=10**400), None),
+    ({**_PATH3, "killing": [10**400, 0, 0]}, None),
+    (_PATH3, [1, 10**400, 1]),
 ], ids=["c-string", "u-string", "u-float", "v-bool", "edges-number", "vertices-number",
-        "killing-string", "measure-string"])
+        "killing-string", "measure-string", "c-huge-int", "killing-huge-int", "measure-huge-int"])
 def test_malformed_network_and_measure_exit_1(tmp_path, capsys, net, mu):
     net_file = tmp_path / "net.json"
     net_file.write_text(json.dumps(net))
@@ -153,6 +156,29 @@ def test_seq_check_incompatible_exit_2(tmp_path, capsys):
     p.write_text(json.dumps(seq))
     assert main(["seq", "check", str(p)]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "numerical"
+
+
+_SEQ2 = {
+    "levels": [
+        {"vertices": [0, 1], "edges": [{"u": 0, "v": 1, "c": 1.0}]},
+        {"vertices": [0, 1, 2], "edges": [{"u": 0, "v": 1, "c": 2.0}, {"u": 1, "v": 2, "c": 2.0}]},
+    ],
+    "inclusions": [[0, 2]],
+}
+
+
+@pytest.mark.parametrize("seq", [
+    {**_SEQ2, "levels": 5},
+    {**_SEQ2, "inclusions": [[0.7, 2]]},
+    {**_SEQ2, "inclusions": [[True, 2]]},
+    {**_SEQ2, "inclusions": [["1", 2]]},
+    {**_SEQ2, "inclusions": [[10**400, 2]]},
+], ids=["levels-number", "inclusion-float", "inclusion-bool", "inclusion-string", "inclusion-huge-int"])
+def test_seq_check_malformed_exit_1(tmp_path, capsys, seq):
+    p = tmp_path / "seq.json"
+    p.write_text(json.dumps(seq))
+    assert main(["seq", "check", str(p)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
 
 
 def test_gasket_build_with_calibration(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,9 @@ from netforms import (
     trace,
 )
 from netforms.random_networks import random_connected_network
+
+# the package re-exports the function ``simulate`` under the module's name
+_sim = importlib.import_module("netforms.simulate")
 
 
 def uniform_measure(n):
@@ -202,3 +208,154 @@ class TestOccupation:
         gen = build_generator(A, uniform_measure(4))
         with pytest.raises(ValidationError, match="component 1"):
             occupation_check(gen, 10.0, 10, seed=21)
+
+
+class TestJumpCounts:
+    def test_hitting_from_path_midpoint_one_jump_each(self, path3):
+        gen = build_generator(path3, uniform_measure(3))
+        est = hitting_probability(gen, 0, 2, 1, 700, seed=30)
+        assert est.jumps == 700 and est.max_jumps == 1
+
+    def test_commute_on_an_edge_two_jumps_each(self, unit_edge):
+        gen = build_generator(unit_edge, uniform_measure(2))
+        est = commute_time(gen, 0, 1, 500, seed=31)
+        assert est.jumps == 1000 and est.max_jumps == 2
+
+    def test_kill_counts_as_one_jump(self):
+        gen = build_generator(assemble(Network(1, [], killing=[1.0])), uniform_measure(1))
+        res = simulate(gen, 0, 0.7, 900, seed=32)
+        assert res.jumps == round(res.killed_fraction * 900) and res.max_jumps == 1
+
+    def test_early_returns_report_no_jumps(self, path3):
+        gen = build_generator(path3, uniform_measure(3))
+        est = hitting_probability(gen, 0, 2, 0, 10, seed=33)
+        assert est.jumps == 0 and est.max_jumps == 0
+
+
+def _loop_jump_law(gen, x, include_killing):
+    """Reference: targets (ascending, cemetery n last) and cumulative
+    probabilities of state x, built one state at a time."""
+    rates, targets = [], []
+    for y in range(gen.n):
+        if y != x and gen.jump_rates[x, y] > 0.0:
+            rates.append(float(gen.jump_rates[x, y]))
+            targets.append(y)
+    if include_killing and gen.killing_rates[x] > 0.0:
+        rates.append(float(gen.killing_rates[x]))
+        targets.append(gen.n)
+    return targets, np.cumsum(rates) / sum(rates) if rates else np.zeros(0)
+
+
+class TestJumpTable:
+    @pytest.mark.parametrize("include_killing", [False, True])
+    def test_matches_per_state_reference(self, include_killing):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            net = random_connected_network(rng, n_max=12, with_killing=True)
+            gen = build_generator(assemble(net), AtomicMeasure(rng.uniform(0.5, 3.0, net.n)))
+            table = _sim._jump_table(gen, include_killing)
+            for x in range(gen.n + 1):
+                targets, cum = _loop_jump_law(gen, x, include_killing) if x < gen.n else ([], [])
+                deg = len(targets)
+                assert table.tgt[:deg, x].tolist() == targets
+                np.testing.assert_allclose(table.cum[:deg, x], cum, rtol=1e-14, atol=0)
+                assert np.all(np.isinf(table.cum[deg:, x]))
+                if deg:
+                    # exact, so a uniform variate (< 1) never selects padding
+                    assert table.cum[deg - 1, x] == 1.0
+                else:
+                    assert table.inv_holding[x] == np.inf
+
+
+SMALL_BLOCK = 64
+N_RAGGED = 3 * SMALL_BLOCK + 10  # three full blocks and a ragged last one
+
+
+def _path(n, kill_last=0.0):
+    kappa = np.zeros(n)
+    kappa[-1] = kill_last
+    net = Network(n, [(i, i + 1, 1.0) for i in range(n - 1)], killing=kappa)
+    return build_generator(assemble(net), uniform_measure(n))
+
+
+def _estimator(kind, n=4):
+    """(means, standard errors) of one estimator on a path of n vertices,
+    as a function of (n_traj, seed)."""
+    if kind == "simulate":
+        gen = _path(n, kill_last=0.4)
+
+        def run(n_traj, seed):
+            r = simulate(gen, 0, 3.0, n_traj, seed)
+            return np.append(r.occupation, r.killed_fraction), np.append(r.occupation_se, r.killed_fraction_se)
+        return run
+    gen = _path(n)
+    if kind == "hit":
+        def run(n_traj, seed):
+            e = hitting_probability(gen, 0, n - 1, 1, n_traj, seed)
+            return np.array([e.value]), np.array([e.stderr])
+    else:
+        def run(n_traj, seed):
+            e = commute_time(gen, 0, n - 1, n_traj, seed)
+            return np.array([e.value]), np.array([e.stderr])
+    return run
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(_sim, "_BLOCK", SMALL_BLOCK)
+
+
+@pytest.fixture
+def block_log(small_blocks, monkeypatch):
+    """Record (b, m, output) of every block run."""
+    blocks = []
+    run_block = _sim._run_block
+
+    def spy(walk, seed, b, m):
+        out = run_block(walk, seed, b, m)
+        blocks.append((b, m, out))
+        return out
+
+    monkeypatch.setattr(_sim, "_run_block", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("kind", ["simulate", "hit", "commute"])
+class TestBlocks:
+    def test_same_seed_bit_identical_new_seed_differs(self, block_log, kind):
+        run = _estimator(kind)
+        (m1, s1), (m2, s2), (m3, _) = run(N_RAGGED, 40), run(N_RAGGED, 40), run(N_RAGGED, 41)
+        assert [(b, m) for b, m, _ in block_log[:4]] == [(0, 64), (1, 64), (2, 64), (3, 10)]
+        assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
+        assert not np.array_equal(m1, m3)
+
+    def test_streamed_moments_match_concatenated_blocks(self, block_log, kind):
+        mean, se = _estimator(kind)(N_RAGGED, 42)
+        values = np.concatenate([out[0] for _, _, out in block_log])
+        assert values.shape[0] == N_RAGGED
+        np.testing.assert_allclose(mean, np.mean(values, axis=0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(se, np.std(values, axis=0, ddof=1) / np.sqrt(N_RAGGED), rtol=1e-12, atol=0)
+
+    def test_block_values_do_not_depend_on_n_traj(self, block_log, kind):
+        run = _estimator(kind)
+        run(N_RAGGED, 43)
+        first = list(block_log)
+        block_log.clear()
+        run(6 * SMALL_BLOCK, 43)
+        for (b, m, out), (b2, m2, out2) in zip(first[:3], block_log[:3]):
+            assert (b, m) == (b2, m2)
+            assert np.array_equal(out[0], out2[0]) and out[1:] == out2[1:]
+
+    def test_memory_does_not_grow_with_n_traj(self, small_blocks, kind):
+        run = _estimator(kind, n=40 if kind == "simulate" else 4)
+        run(SMALL_BLOCK, 44)  # warm up
+
+        def peak(n_traj):
+            tracemalloc.start()
+            try:
+                run(n_traj, 44)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16 * SMALL_BLOCK) <= 2 * peak(SMALL_BLOCK)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .network import FormMatrix, Network, conductance_matrix, is_markov, _readonly
+from .network import RELTOL, FormMatrix, Network, conductance_matrix
+from .network import _laplacian, _readonly, _require_markov, _scale
 
 __all__ = [
     "JumpKillingDecomposition",
@@ -51,8 +52,7 @@ class JumpKillingDecomposition:
         if not np.array_equal(J, J.T):
             i, j = np.argwhere(J != J.T)[0]
             raise ValidationError(f"jump kernel is not symmetric at ({i},{j})")
-        scale = max(1.0, float(np.max(np.abs(J))), float(np.max(np.abs(k))))
-        tol = 1e-10 * scale
+        tol = RELTOL * max(_scale(J), _scale(k))
         if np.any(J < -tol):
             i, j = np.argwhere(J < -tol)[0]
             raise ValidationError(f"jump kernel entry ({i},{j}) = {float(J[i, j])!r} is negative")
@@ -84,9 +84,7 @@ def decompose(A: FormMatrix) -> JumpKillingDecomposition:
     Raises a validation error citing the first violated sign condition if the
     matrix is not Markov.
     """
-    report = is_markov(A)
-    if not report:
-        raise ValidationError(f"matrix is not Markov: {report.violations[0]}")
+    _require_markov(A)
     C = conductance_matrix(A)
     kappa = np.diag(A.matrix) - np.sum(C, axis=1)
     return JumpKillingDecomposition(jump=C / 2.0, kappa=kappa)
@@ -99,11 +97,7 @@ def recompose(d: JumpKillingDecomposition) -> FormMatrix:
     summation order used by :func:`decompose`, so a decompose/recompose
     roundtrip is bit-exact.
     """
-    C = 2.0 * d.jump
-    A = -C + 0.0  # adding 0.0 normalizes -0.0 entries
-    idx = np.arange(d.n)
-    A[idx, idx] = np.sum(C, axis=1) + d.kappa
-    return FormMatrix(A)
+    return _laplacian(2.0 * d.jump, d.kappa)
 
 
 def decomposition_to_network(d: JumpKillingDecomposition, vertices=None) -> Network:

@@ -30,7 +30,8 @@ from .gelfand import (
     spectrum_closure_estimate,
     vanishes_nowhere,
 )
-from .network import AtomicMeasure, Network, _is_number, assemble, form_to_csv, is_markov
+from .network import COMPAT_RELTOL, AtomicMeasure, Network, assemble, form_to_csv, is_markov
+from .network import _json_numbers, _json_object
 from .sequences import (
     build_dyadic_interval,
     build_sierpinski_gasket,
@@ -44,6 +45,10 @@ from .svg import polyline_plot
 from .trace import effective_resistance, resistance_matrix, trace
 
 __all__ = ["main", "run"]
+
+#: Largest ``sim --n``: about 100 s at the roughly 1e5 trajectories/s the
+#: simulator runs on small networks. The library functions take any count.
+MAX_SIM_TRAJECTORIES = 10**7
 
 
 def _fmt(x: float) -> str:
@@ -84,15 +89,7 @@ def _load_measure(path, n: int) -> AtomicMeasure:
     data = _load_json(path)
     if isinstance(data, dict) and "weights" in data:
         data = data["weights"]
-    if not isinstance(data, list):
-        raise ValidationError(f"measure file {path} must be a JSON list or an object with 'weights'")
-    for i, w in enumerate(data):
-        if not _is_number(w):
-            raise ValidationError(f"measure in {path}: weight #{i} must be a number, got {w!r}")
-    try:
-        w = np.asarray(data, dtype=float)
-    except OverflowError:
-        raise ValidationError(f"measure in {path} has a weight too large for a float") from None
+    w = _json_numbers(data, f"measure in {path}")
     if w.shape != (n,):
         raise ValidationError(f"measure in {path} has {w.size} weights, expected {n}")
     return AtomicMeasure(w)
@@ -214,9 +211,8 @@ def cmd_gelfand_embed(args):
 
 def _load_algebra(path) -> AlgebraSpec:
     d = _load_json(path)
-    if not isinstance(d, dict) or "points" not in d or "generators" not in d:
-        raise ValidationError("algebra JSON must be an object with 'points' and 'generators'")
-    return AlgebraSpec(d["points"], d["generators"])
+    _json_object(d, "algebra", "points", "generators")
+    return AlgebraSpec(d["points"], [_json_numbers(g, f"generator {k}") for k, g in enumerate(d["generators"])])
 
 
 def cmd_gelfand_pushforward(args):
@@ -292,6 +288,8 @@ def cmd_demo_counterexample(args):
 
 
 def cmd_sim(args):
+    if not 1 <= args.n <= MAX_SIM_TRAJECTORIES:
+        raise ValidationError(f"--n must be between 1 and {MAX_SIM_TRAJECTORIES}, got {args.n}")
     net = _load_network(args.net)
     A = assemble(net)
     mu = _load_measure(args.mu, net.n) if args.mu else AtomicMeasure(np.ones(net.n))
@@ -394,7 +392,7 @@ def _build_parser() -> _Parser:
     b.set_defaults(func=cmd_seq_build)
     c = seq.add_parser("check", help="check trace compatibility")
     c.add_argument("file")
-    c.add_argument("--tol", type=float, default=1e-9)
+    c.add_argument("--tol", type=float, default=COMPAT_RELTOL)
     c.set_defaults(func=cmd_seq_check)
     pr = seq.add_parser("profile", help="energy profile of a top-level function")
     pr.add_argument("file")

@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gelfand import EmbeddingResult
-from .network import FormMatrix, conductance_matrix, is_markov, killing_vector, _readonly
-from .sequences import build_dyadic_interval
+from .network import CLAMP_RELTOL, IDENTITY_RELTOL, FormMatrix, conductance_matrix, killing_vector
+from .network import _as_vector, _readonly, _require_markov, _scale
+from .sequences import MAX_DYADIC_LEVELS, build_dyadic_interval
 
 __all__ = [
     "EnergyMeasure",
@@ -36,16 +37,6 @@ __all__ = [
     "pushforward_gamma",
     "counterexample_demo",
 ]
-
-#: Masses more negative than this (relative) are a hard error; within it they
-#: are clamped to zero.
-CLAMP_RELTOL = 1e-14
-
-#: Cross-check tolerance between the closed form and the defining identity.
-IDENTITY_RELTOL = 1e-12
-
-#: Deepest level the decay demo will build (matches the dyadic size guard).
-MAX_DEMO_LEVEL = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,18 +56,10 @@ class EnergyMeasure:
         return self.masses.shape[0]
 
 
-def _scale(A: FormMatrix, f: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(A.matrix)))) * max(1.0, float(np.max(np.abs(f)))) ** 2
-
-
 def energy_measure(A: FormMatrix, f) -> EnergyMeasure:
     """Energy measure of f, cross-checked against the defining identity."""
-    report = is_markov(A)
-    if not report:
-        raise ValidationError(f"matrix is not Markov: {report.violations[0]}")
-    fv = np.asarray(f, dtype=float)
-    if fv.shape != (A.n,):
-        raise ValidationError(f"f must be a vector of length {A.n}")
+    _require_markov(A)
+    fv = _as_vector(f, A.n, "f")
     C = conductance_matrix(A)
     kappa = killing_vector(A)
     diffs = fv[:, None] - fv[None, :]
@@ -88,7 +71,7 @@ def energy_measure(A: FormMatrix, f) -> EnergyMeasure:
     Af2 = A.matrix @ (fv * fv)
     via_identity = fv * Af - 0.5 * Af2
 
-    s = _scale(A, fv)
+    s = _scale(A.matrix) * _scale(fv) ** 2
     if np.max(np.abs(closed - via_identity)) > IDENTITY_RELTOL * s * A.n:
         raise NumericalError(
             "energy measure cross-check failed: closed form and defining identity "
@@ -107,10 +90,8 @@ def energy_measure(A: FormMatrix, f) -> EnergyMeasure:
 
 def energy_measure_identity(A: FormMatrix, f, phi) -> tuple[float, float]:
     """Both sides of 2 sum phi d(gamma_f) = 2 E(phi f, f) - E(phi, f^2)."""
-    fv = np.asarray(f, dtype=float)
-    pv = np.asarray(phi, dtype=float)
-    if fv.shape != (A.n,) or pv.shape != (A.n,):
-        raise ValidationError(f"f and phi must be vectors of length {A.n}")
+    fv = _as_vector(f, A.n, "f")
+    pv = _as_vector(phi, A.n, "phi")
     gamma = energy_measure(A, fv)
     lhs = 2.0 * float(np.sum(pv * gamma.masses))
     rhs = 2.0 * float((pv * fv) @ A.matrix @ fv) - float(pv @ A.matrix @ (fv * fv))
@@ -151,9 +132,9 @@ def counterexample_demo(n_max: int, points=(0.0, 0.5, 1.0), n_min: int | None = 
             level = 0
             while s * 2**level != round(s * 2**level):
                 level += 1
-                if level > MAX_DEMO_LEVEL:
+                if level > MAX_DYADIC_LEVELS:
                     raise ValidationError(
-                        f"point {s} is not a dyadic point of any level <= {MAX_DEMO_LEVEL}"
+                        f"point {s} is not a dyadic point of any level <= {MAX_DYADIC_LEVELS}"
                     )
             n_min = max(n_min, level)
     n_min, n_max = int(n_min), int(n_max)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DescentError, NotInAlgebraError, ValidationError
-from .network import AtomicMeasure, FormMatrix, _readonly
+from .network import RELTOL, AtomicMeasure, FormMatrix, _as_vector, _readonly, _scale
 
 __all__ = [
     "AlgebraSpec",
@@ -53,7 +53,10 @@ class AlgebraSpec:
         pts = tuple(points)
         if len(pts) == 0:
             raise ValidationError("algebra spec needs at least one point")
-        G = np.asarray(generators, dtype=float)
+        try:
+            G = np.asarray(generators, dtype=float)
+        except ValueError:
+            raise ValidationError("generators must be a rectangular array of numbers") from None
         if G.ndim != 2:
             raise ValidationError("generators must be a 2-d array (one row per generator)")
         if G.shape[0] == 0:
@@ -135,8 +138,8 @@ def embed(spec: AlgebraSpec, tol: float = 0.0) -> EmbeddingResult:
     """
     images = spec.generators.T.copy()
     n = spec.n_points
-    if tol < 0:
-        raise ValidationError("tolerance must be >= 0")
+    if not tol >= 0:  # also rejects nan
+        raise ValidationError(f"tolerance must be >= 0, got {tol!r}")
     if tol == 0.0:
         groups: dict = {}
         order = []
@@ -203,9 +206,7 @@ def pushforward(mu: AtomicMeasure, emb: EmbeddingResult) -> PushforwardMeasure:
 
 def quotient_function(f, emb: EmbeddingResult) -> np.ndarray:
     """Values of a class-constant function on the quotient (one per class)."""
-    fv = np.asarray(f, dtype=float)
-    if fv.shape != (emb.n_points,):
-        raise ValidationError(f"f must have one value per point ({emb.n_points})")
+    fv = _as_vector(f, emb.n_points, "f")
     for ci, members in enumerate(emb.classes):
         vals = fv[list(members)]
         if np.any(vals != vals[0]):
@@ -218,10 +219,7 @@ def quotient_function(f, emb: EmbeddingResult) -> np.ndarray:
 
 def lift_function(fhat, emb: EmbeddingResult) -> np.ndarray:
     """Pull a function on classes back to a class-constant function on points."""
-    fh = np.asarray(fhat, dtype=float)
-    if fh.shape != (emb.n_classes,):
-        raise ValidationError(f"fhat must have one value per class ({emb.n_classes})")
-    return fh[emb.class_of]
+    return _as_vector(fhat, emb.n_classes, "fhat")[emb.class_of]
 
 
 def l2_isometry_check(f, mu: AtomicMeasure, emb: EmbeddingResult) -> tuple[float, float, float]:
@@ -258,13 +256,13 @@ def transfer_form(A: FormMatrix, emb: EmbeddingResult, n_probe: int = 8) -> Form
     out = FormMatrix(Ahat)
 
     rng = np.random.default_rng(0)
-    scale = max(1.0, float(np.max(np.abs(A.matrix)))) * A.n
+    scale = _scale(A.matrix) * A.n
     for _ in range(n_probe):
         fh = rng.standard_normal(m)
         gh = rng.standard_normal(m)
-        up = float(lift_function(fh, emb) @ A.matrix @ lift_function(gh, emb))
+        up = float(fh[emb.class_of] @ A.matrix @ gh[emb.class_of])
         down = float(fh @ Ahat @ gh)
-        if abs(up - down) > 1e-10 * scale * max(1.0, abs(up)):
+        if abs(up - down) > RELTOL * scale * max(1.0, abs(up)):
             raise DescentError(
                 f"form does not descend to the quotient: witness pair gives {up!r} upstairs "
                 f"vs {down!r} on classes"
@@ -293,8 +291,8 @@ def spectrum_closure_estimate(spec: AlgebraSpec, epsilon: float, min_images: int
     ``min_images`` images and no single image lies within epsilon/2 of all of
     them, i.e. the nearby mass does not collapse to one point of the image.
     """
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be > 0")
+    if not 0 < epsilon < np.inf:
+        raise ValidationError(f"epsilon must be finite and > 0, got {epsilon!r}")
     images = embed(spec).images
     n = images.shape[0]
     net_idx: list[int] = []

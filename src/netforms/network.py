@@ -14,6 +14,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,35 @@ __all__ = [
     "form_to_csv",
 ]
 
-#: Default relative tolerance for sign/symmetry checks on dense matrices.
-DEFAULT_RELTOL = 1e-10
+# Tolerances, one definition per decision. A relative tolerance multiplies the
+# magnitude _scale(x) of what it compares; the README's table lists the users.
+
+#: Sign conditions and killing: the Markov check, the jump-kernel and killing
+#: signs, killing-free forms and chains, and the quotient-form descent check.
+RELTOL = 1e-10
+
+#: Reciprocal-condition estimate below which the interior block of a trace is
+#: treated as singular (a floating component).
+SINGULAR_RCOND = 1e-13
+
+#: Energy masses more negative than this (relative) are a hard error; within
+#: it they are clamped to zero.
+CLAMP_RELTOL = 1e-14
+
+#: Cross-check tolerance between the closed-form energy measure and the
+#: defining identity.
+IDENTITY_RELTOL = 1e-12
+
+#: Default tolerance of check_compatibility and of ``netforms seq check``.
+COMPAT_RELTOL = 1e-9
+
+#: Rounding slack below which a decrease of an energy profile is not flagged.
+PROFILE_RELTOL = 1e-12
+
+
+def _scale(m) -> float:
+    """Magnitude max(1, max|m|) that relative tolerances multiply."""
+    return max(1.0, float(np.max(np.abs(m))))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -54,14 +82,60 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _json_object(d, what: str, *keys: str) -> None:
+    """Check that a JSON value is an object whose ``keys`` hold lists."""
+    if not isinstance(d, dict) or not set(keys) <= set(d):
+        raise ValidationError(f"{what} JSON must be an object with {' and '.join(map(repr, keys))}")
+    for key in keys:
+        if not isinstance(d[key], list):
+            raise ValidationError(f"{what} '{key}' must be a list, got {d[key]!r}")
+
+
+def _json_numbers(values, what: str, integers: bool = False) -> np.ndarray:
+    """A JSON list of numbers (of integers with ``integers``) as an array.
+
+    JSON booleans are not numbers here, so no value is silently coerced.
+    """
+    if not isinstance(values, list):
+        raise ValidationError(f"{what} must be a list, got {values!r}")
+    for i, x in enumerate(values):
+        if not (_is_int(x) if integers else _is_number(x)):
+            kind = "an integer" if integers else "a number"
+            raise ValidationError(f"{what}, entry {i}: expected {kind}, got {x!r}")
+    try:
+        return np.asarray(values, dtype=int if integers else float)
+    except OverflowError:
+        raise ValidationError(f"{what} has an entry too large for {'an index' if integers else 'a float'}") from None
+
+
 def _as_vector(values, n: int, what: str) -> np.ndarray:
+    """A finite function on n vertices; every vertex function enters here."""
     try:
         v = np.asarray(values, dtype=float)
     except OverflowError:
         raise ValidationError(f"{what} has an entry too large for a float") from None
     if v.shape != (n,):
         raise ValidationError(f"{what} must be a vector of length {n}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        bad = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ValidationError(f"{what}[{bad}] = {float(v[bad])!r} is not finite")
     return v
+
+
+def _vertex(v, n: int) -> int:
+    """A vertex index in range(n); integers only, so 0.9 is not vertex 0."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise ValidationError(f"vertex index must be an integer, got {v!r}") from None
+    if not 0 <= i < n:
+        raise ValidationError(f"vertex {i} out of range for n={n}")
+    return i
+
+
+def _killing_free(kappa, scale: float) -> bool:
+    """Whether killing weights or rates are zero up to RELTOL * scale."""
+    return not np.any(kappa > RELTOL * scale)
 
 
 class Network:
@@ -120,9 +194,6 @@ class Network:
             kap = np.zeros(n)
         else:
             kap = _as_vector(killing, n, "killing")
-            if not np.all(np.isfinite(kap)):
-                bad = int(np.flatnonzero(~np.isfinite(kap))[0])
-                raise ValidationError(f"killing[{bad}] = {float(kap[bad])!r} is not finite")
             if np.any(kap < 0):
                 bad = int(np.flatnonzero(kap < 0)[0])
                 raise ValidationError(f"killing[{bad}] = {kap[bad]} must be >= 0")
@@ -176,11 +247,7 @@ class Network:
         JSON booleans are not numbers here, and vertex indices must be
         integers, so no value is silently coerced.
         """
-        if not isinstance(d, dict) or "vertices" not in d or "edges" not in d:
-            raise ValidationError("network JSON must be an object with 'vertices' and 'edges'")
-        for key in ("vertices", "edges"):
-            if not isinstance(d[key], list):
-                raise ValidationError(f"network '{key}' must be a list, got {d[key]!r}")
+        _json_object(d, "network", "vertices", "edges")
         labels = tuple(tuple(x) if isinstance(x, list) else x for x in d["vertices"])
         edges = []
         for k, e in enumerate(d["edges"]):
@@ -194,11 +261,7 @@ class Network:
             edges.append((e["u"], e["v"], e["c"]))
         killing = d.get("killing")
         if killing is not None:
-            if not isinstance(killing, list):
-                raise ValidationError(f"network 'killing' must be a list, got {killing!r}")
-            for i, kap in enumerate(killing):
-                if not _is_number(kap):
-                    raise ValidationError(f"killing[{i}] must be a number, got {kap!r}")
+            killing = _json_numbers(killing, "network 'killing'")
         return cls(labels, edges, killing)
 
 
@@ -280,10 +343,14 @@ def assemble(net: Network) -> FormMatrix:
     Off-diagonal entries are the negated conductances; the diagonal is the
     conductance row sum plus the killing weight.
     """
-    C = net.conductance_matrix()
+    return _laplacian(net.conductance_matrix(), net.killing)
+
+
+def _laplacian(C: np.ndarray, kappa) -> FormMatrix:
+    """Form matrix of conductances C and killing kappa, for assemble and recompose."""
     A = -C + 0.0  # adding 0.0 normalizes -0.0 entries
-    idx = np.arange(net.n)
-    A[idx, idx] = np.sum(C, axis=1) + net.killing
+    idx = np.arange(C.shape[0])
+    A[idx, idx] = np.sum(C, axis=1) + kappa
     return FormMatrix(A)
 
 
@@ -307,12 +374,12 @@ def truncate_one(u) -> np.ndarray:
 def is_markov(A: FormMatrix, tol: float | None = None) -> MarkovReport:
     """Check the Markov sign conditions: off-diagonals <= tol, row sums >= -tol.
 
-    ``tol`` defaults to ``1e-10 * max|A|``. Returns a report listing every
+    ``tol`` defaults to ``RELTOL * max(1, max|A|)``. Returns a report listing every
     violation; the report is truthy iff there are none.
     """
     m = A.matrix
     if tol is None:
-        tol = DEFAULT_RELTOL * max(1.0, float(np.max(np.abs(m)))) if m.size else 0.0
+        tol = RELTOL * _scale(m) if m.size else 0.0
     tol = float(tol)
     violations = []
     off = m.copy()
@@ -323,6 +390,13 @@ def is_markov(A: FormMatrix, tol: float | None = None) -> MarkovReport:
     for i in np.flatnonzero(rows < -tol):
         violations.append(f"row {i} sum = {float(rows[i])!r} is below -{tol!r}")
     return MarkovReport(ok=not violations, violations=tuple(violations), tol=tol)
+
+
+def _require_markov(A: FormMatrix) -> None:
+    """Raise a validation error citing the first violated sign condition."""
+    report = is_markov(A)
+    if not report:
+        raise ValidationError(f"matrix is not Markov: {report.violations[0]}")
 
 
 def conductance_matrix(A: FormMatrix) -> np.ndarray:

@@ -23,7 +23,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ValidationError
-from .network import FormMatrix, Network, _is_int, assemble, evaluate
+from .network import COMPAT_RELTOL, PROFILE_RELTOL, FormMatrix, Network, assemble, evaluate
+from .network import _as_vector, _json_numbers, _json_object, _scale
 from .trace import trace
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
 MAX_DYADIC_LEVELS = 20
 MAX_GASKET_LEVELS = 8
 GASKET_FACTOR = 5.0 / 3.0
-DEFAULT_COMPAT_RELTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +100,7 @@ class CompatibleSequence:
 
     def restrict(self, f, level: int) -> np.ndarray:
         """Restrict a top-level function to a coarser level via the inclusions."""
-        fv = np.asarray(f, dtype=float)
-        if fv.shape != (self.networks[-1].n,):
-            raise ValidationError(
-                f"f must be defined on the top level ({self.networks[-1].n} vertices)"
-            )
+        fv = _as_vector(f, self.networks[-1].n, "f on the top level")
         return fv[self.positions_at_top(level)]
 
 
@@ -121,7 +117,7 @@ class CompatibilityReport:
         return self.ok
 
 
-def check_compatibility(seq: CompatibleSequence, tol: float = DEFAULT_COMPAT_RELTOL) -> CompatibilityReport:
+def check_compatibility(seq: CompatibleSequence, tol: float = COMPAT_RELTOL) -> CompatibilityReport:
     """Max entrywise deviation |trace(A_{n+1}, iota(V_n)) - A_n| per level.
 
     The sequence is accepted iff every deviation is at most ``tol`` times the
@@ -132,7 +128,7 @@ def check_compatibility(seq: CompatibleSequence, tol: float = DEFAULT_COMPAT_REL
     for n in range(seq.levels - 1):
         traced = trace(seq.form(n + 1), seq.inclusions[n]).traced_form
         devs[n] = float(np.max(np.abs(traced.matrix - seq.form(n).matrix)))
-        scales[n] = max(1.0, float(np.max(np.abs(seq.form(n + 1).matrix))))
+        scales[n] = _scale(seq.form(n + 1).matrix)
     ok = bool(np.all(devs <= tol * scales))
     return CompatibilityReport(deviations=devs, scales=scales, tol=float(tol), ok=ok)
 
@@ -147,7 +143,7 @@ def energy_profile(seq: CompatibleSequence, f) -> np.ndarray:
         [evaluate(seq.form(n), seq.restrict(f, n)) for n in range(seq.levels)]
     )
     if prof.size > 1:
-        slack = 1e-12 * max(1.0, float(np.max(np.abs(prof))))
+        slack = PROFILE_RELTOL * _scale(prof)
         if np.any(np.diff(prof) < -slack):
             warnings.warn(
                 "energy profile is not non-decreasing; the sequence is likely incompatible",
@@ -286,24 +282,8 @@ def sequence_to_dict(seq: CompatibleSequence) -> dict:
 def sequence_from_dict(d: dict) -> CompatibleSequence:
     """Sequence from its JSON object; inclusion indices must be JSON integers,
     so no value is silently coerced."""
-    if not isinstance(d, dict) or "levels" not in d:
-        raise ValidationError("sequence JSON must be an object with 'levels'")
-    if "inclusions" not in d:
-        raise ValidationError("sequence JSON is missing the 'inclusions' maps")
-    for key in ("levels", "inclusions"):
-        if not isinstance(d[key], list):
-            raise ValidationError(f"sequence '{key}' must be a list, got {d[key]!r}")
-    incs = []
-    for n, m in enumerate(d["inclusions"]):
-        if not isinstance(m, list):
-            raise ValidationError(f"inclusion {n} must be a list, got {m!r}")
-        for i, x in enumerate(m):
-            if not _is_int(x):
-                raise ValidationError(f"inclusion {n}, entry {i}: expected an integer vertex index, got {x!r}")
-        try:
-            incs.append(np.asarray(m, dtype=int))
-        except OverflowError:
-            raise ValidationError(f"inclusion {n} has an index outside level {n + 1}") from None
+    _json_object(d, "sequence", "levels", "inclusions")
+    incs = [_json_numbers(m, f"inclusion {n}", integers=True) for n, m in enumerate(d["inclusions"])]
     nets = tuple(Network.from_dict(x) for x in d["levels"])
     return CompatibleSequence(nets, tuple(incs))
 

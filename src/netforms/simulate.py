@@ -31,9 +31,12 @@ from .network import (
     FormMatrix,
     components,
     conductance_matrix,
-    is_markov,
     killing_vector,
+    _killing_free,
     _readonly,
+    _require_markov,
+    _scale,
+    _vertex,
 )
 
 __all__ = [
@@ -51,10 +54,6 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 #: Trajectories per block; the bits of every estimate depend on it.
 _BLOCK = 4096
-
-#: Relative tolerance below which killing rates count as zero for the
-#: killing-free queries.
-KILLING_RELTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +131,7 @@ class OccupationResult:
 
 def build_generator(A: FormMatrix, mu: AtomicMeasure) -> GeneratorSpec:
     """Rates of the mu-symmetric continuous-time chain of a Markov form."""
-    report = is_markov(A)
-    if not report:
-        raise ValidationError(f"matrix is not Markov: {report.violations[0]}")
+    _require_markov(A)
     if mu.n != A.n:
         raise ValidationError(f"measure has {mu.n} atoms but the form has {A.n} vertices")
     if not mu.everywhere_positive:
@@ -300,9 +297,7 @@ def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int
     time-averages over [0, horizon]; time after a kill belongs to the
     cemetery and is not credited to any state.
     """
-    x0 = int(x0)
-    if not (0 <= x0 < gen.n):
-        raise ValidationError(f"start vertex {x0} out of range for n={gen.n}")
+    x0 = _vertex(x0, gen.n)
     if not (horizon > 0 and np.isfinite(horizon)):
         raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
     if n_traj < 1:
@@ -325,8 +320,7 @@ def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int
 
 
 def _require_killing_free(gen: GeneratorSpec, op: str) -> None:
-    scale = max(1.0, float(np.max(gen.holding)))
-    if np.any(gen.killing_rates > KILLING_RELTOL * scale):
+    if not _killing_free(gen.killing_rates, _scale(gen.holding)):
         raise UnsupportedRegimeError(f"{op} requires a killing-free chain")
 
 
@@ -349,12 +343,9 @@ def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")
-    a, b, x0 = int(a), int(b), int(x0)
+    a, b, x0 = (_vertex(v, gen.n) for v in (a, b, x0))
     if a == b:
         raise ValidationError("hitting targets must be distinct")
-    for v in (a, b, x0):
-        if not (0 <= v < gen.n):
-            raise ValidationError(f"vertex {v} out of range for n={gen.n}")
     _require_killing_free(gen, "hitting probability")
     comp = _component_of(gen, x0)
     if a not in comp or b not in comp:
@@ -380,10 +371,7 @@ def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> 
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")
-    x, y = int(x), int(y)
-    for v in (x, y):
-        if not (0 <= v < gen.n):
-            raise ValidationError(f"vertex {v} out of range for n={gen.n}")
+    x, y = _vertex(x, gen.n), _vertex(y, gen.n)
     if x == y:
         return Estimate(0.0, 0.0)
     _require_killing_free(gen, "commute time")

@@ -21,7 +21,8 @@ from .errors import (
     UnsupportedRegimeError,
     ValidationError,
 )
-from .network import FormMatrix, components, evaluate, killing_vector, _as_vector
+from .network import SINGULAR_RCOND, FormMatrix, components, evaluate, killing_vector
+from .network import _as_vector, _killing_free, _scale, _vertex
 
 __all__ = [
     "TraceResult",
@@ -31,13 +32,6 @@ __all__ = [
     "resistance_matrix",
     "sup_formula_value",
 ]
-
-#: Reciprocal-condition estimate below which the interior block is treated as
-#: singular (a floating component).
-SINGULAR_RCOND = 1e-13
-
-#: Relative tolerance on row sums below which a form counts as killing-free.
-CONSERVATIVE_RELTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,12 +79,12 @@ def _offending_components(A: FormMatrix, U: np.ndarray) -> list[list[int]]:
     in_U = np.zeros(A.n, dtype=bool)
     in_U[U] = True
     kappa = killing_vector(A)
-    scale = max(1.0, float(np.max(np.abs(A.matrix))))
+    scale = _scale(A.matrix)
     bad = []
     for comp in components(A):
         if np.any(in_U[comp]):
             continue
-        if np.sum(kappa[comp]) <= CONSERVATIVE_RELTOL * scale:
+        if _killing_free(np.sum(kappa[comp]), scale):
             bad.append([int(x) for x in comp])
     return bad
 
@@ -158,8 +152,8 @@ def harmonic_extension(tr: TraceResult, f) -> np.ndarray:
 
 def _require_conservative(A: FormMatrix, op: str) -> None:
     kappa = killing_vector(A)
-    scale = max(1.0, float(np.max(np.abs(A.matrix))))
-    if np.any(np.abs(kappa) > CONSERVATIVE_RELTOL * scale):
+    # killing-free means zero row sums, so negative ones count as killing too
+    if not _killing_free(np.abs(kappa), _scale(A.matrix)):
         i = int(np.argmax(np.abs(kappa)))
         raise UnsupportedRegimeError(
             f"{op} is defined only for killing-free forms; row {i} has killing weight {float(kappa[i])!r}"
@@ -172,11 +166,9 @@ def effective_resistance(A: FormMatrix, x: int, y: int) -> float:
     Normative definition: the two-point trace onto {x, y} is a single edge of
     conductance c, and R(x, y) = 1/c.
     """
-    x, y = int(x), int(y)
+    x, y = _vertex(x, A.n), _vertex(y, A.n)
     if x == y:
         raise ValidationError("effective resistance requires two distinct vertices")
-    if not (0 <= x < A.n and 0 <= y < A.n):
-        raise ValidationError(f"vertex index out of range for n={A.n}")
     _require_conservative(A, "effective resistance")
     for comp in components(A):
         if x in comp:
@@ -221,9 +213,10 @@ def sup_formula_value(A: FormMatrix, x: int, y: int, u) -> float:
     Never exceeds the effective resistance; the harmonic extension of the
     indicator boundary data attains it.
     """
+    x, y = _vertex(x, A.n), _vertex(y, A.n)
     uv = _as_vector(u, A.n, "u")
     energy = evaluate(A, uv, uv)
     if energy <= 0.0:
         raise ValidationError("E(u, u) = 0; the resistance ratio is undefined for this u")
-    diff = uv[int(x)] - uv[int(y)]
+    diff = uv[x] - uv[y]
     return float(diff * diff / energy)

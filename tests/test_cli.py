@@ -215,6 +215,50 @@ def test_gelfand_commands(tmp_path, capsys):
     assert clo["flagged"] == [False, False]
 
 
+_SPEC = {"points": [0, 1, 2], "generators": [[1.0, 1.0, 2.0]]}
+
+
+@pytest.mark.parametrize("spec, args", [
+    ({**_SPEC, "generators": [[1.0, 1.0, 2.0], [1.0]]}, ["embed"]),
+    ({**_SPEC, "points": 5}, ["embed"]),
+    ({**_SPEC, "generators": 5}, ["embed"]),
+    ({**_SPEC, "generators": [["1.5", 1.0, 2.0]]}, ["embed"]),
+    ({**_SPEC, "generators": [[True, 1.0, 2.0]]}, ["embed"]),
+    ({**_SPEC, "generators": [[10**400, 1.0, 2.0]]}, ["embed"]),
+    (_SPEC, ["embed", "--tolerance", "nan"]),
+    (_SPEC, ["closure", "--epsilon", "nan"]),
+    (_SPEC, ["closure", "--epsilon", "inf"]),
+], ids=["generators-ragged", "points-number", "generators-number", "generator-string", "generator-bool",
+        "generator-huge-int", "tolerance-nan", "epsilon-nan", "epsilon-inf"])
+def test_gelfand_malformed_exit_1(tmp_path, capsys, spec, args):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(spec))
+    assert main(["gelfand", args[0], "--spec", str(p), *args[1:]]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("bad", ["nan", "1e400"])
+@pytest.mark.parametrize("command", ["gamma", "seq profile", "gelfand isometry"])
+def test_non_finite_vector_file_exit_1(path3_file, tmp_path, capsys, command, bad):
+    f = tmp_path / "f.csv"
+    f.write_text(f"0\n{bad}\n1\n")
+    if command == "gamma":
+        args = ["gamma", "--form", str(path3_file)]
+    elif command == "seq profile":
+        seq = tmp_path / "seq.json"
+        assert main(["seq", "build", "dyadic", "--levels", "1", "--output", str(seq)]) == 0
+        args = ["seq", "profile", str(seq)]
+    else:
+        spec, mu = tmp_path / "spec.json", tmp_path / "mu.json"
+        spec.write_text(json.dumps(_SPEC))
+        mu.write_text(json.dumps([1.0, 1.0, 1.0]))
+        args = ["gelfand", "isometry", "--spec", str(spec), "--mu", str(mu)]
+    capsys.readouterr()
+    assert main(args + ["--f", str(f)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation" and "not finite" in err["message"]
+
+
 def test_gamma_csv(path3_file, tmp_path, capsys):
     f = tmp_path / "f.csv"
     f.write_text("1\n0.5\n0\n")
@@ -278,6 +322,16 @@ def test_sim_occupy_non_finite_horizon_exit_1(path3_file, capsys, horizon):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "validation" and "horizon" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("n", ["0", str(10**7 + 1), "100000000000"])
+@pytest.mark.parametrize("query", [["hit", "--targets", "0,2", "--start", "1"], ["commute", "--pair", "0,2"],
+                                   ["occupy", "--horizon", "5"]], ids=["hit", "commute", "occupy"])
+def test_sim_n_outside_range_exit_1(path3_file, capsys, query, n):
+    code = main(["sim", query[0], "--net", str(path3_file), "--seed", "1", "--n", n, *query[1:]])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "validation" and "--n" in err["message"]
 
 
 def test_sim_commute_and_occupy(path3_file, capsys):

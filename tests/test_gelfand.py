@@ -49,6 +49,10 @@ class TestEmbed:
             AlgebraSpec(range(2), [[0.0, np.inf]])
         with pytest.raises(ValidationError, match="one value per point"):
             AlgebraSpec(range(3), [[0.0, 1.0]])
+        with pytest.raises(ValidationError, match="rectangular"):
+            AlgebraSpec(range(2), [[0.0, 1.0], [1.0]])
+        with pytest.raises(ValidationError, match="tolerance"):
+            embed(AlgebraSpec(range(2), [[0.0, 1.0]]), tol=float("nan"))
 
 
 class TestVanishesNowhere:
@@ -222,3 +226,6 @@ class TestClosureEstimate:
     def test_epsilon_validation(self):
         with pytest.raises(ValidationError):
             spectrum_closure_estimate(AlgebraSpec(range(2), [[0.0, 1.0]]), 0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="epsilon"):
+                spectrum_closure_estimate(AlgebraSpec(range(2), [[0.0, 1.0]]), bad)

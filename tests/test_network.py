@@ -1,17 +1,30 @@
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
 from netforms import (
+    AlgebraSpec,
     AtomicMeasure,
     FormMatrix,
     Network,
     ValidationError,
     assemble,
+    build_dyadic_interval,
+    check_compatibility,
+    embed,
+    energy_measure,
+    energy_measure_identity,
     evaluate,
     is_markov,
+    lift_function,
+    quotient_function,
     truncate_one,
     unit_contraction,
 )
+from netforms import network
+from netforms.cli import _build_parser
 from netforms.random_networks import random_connected_network, random_markov_form
 
 from conftest import edge_sum_energy
@@ -210,3 +223,44 @@ class TestTypes:
             net.vertices = ()
         with pytest.raises(ValueError):
             net.killing[0] = 1.0
+
+
+class TestTolerancesAndGuards:
+    def test_tolerance_table_values(self):
+        assert network.RELTOL == 1e-10
+        assert network.SINGULAR_RCOND == 1e-13
+        assert network.CLAMP_RELTOL == 1e-14
+        assert network.IDENTITY_RELTOL == 1e-12
+        assert network.COMPAT_RELTOL == 1e-9
+        assert network.PROFILE_RELTOL == 1e-12
+        assert inspect.signature(check_compatibility).parameters["tol"].default is network.COMPAT_RELTOL
+        assert _build_parser().parse_args(["seq", "check", "seq.json"]).tol is network.COMPAT_RELTOL
+        sequences = importlib.import_module("netforms.sequences")
+        assert sequences.MAX_DYADIC_LEVELS == 20
+        assert importlib.import_module("netforms.energy").MAX_DYADIC_LEVELS is sequences.MAX_DYADIC_LEVELS
+
+    @pytest.mark.parametrize("module", ["trace", "simulate", "energy", "sequences", "beurling_deny", "gelfand"])
+    def test_modules_bind_only_the_network_tolerances(self, module):
+        mod = importlib.import_module(f"netforms.{module}")
+        for name, value in vars(mod).items():
+            if name.endswith(("RELTOL", "RCOND")):
+                assert value is getattr(network, name, None), f"netforms.{module}.{name} is not from network"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_functions_rejected(self, bad):
+        A = assemble(Network(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+        f = np.array([0.0, bad, 1.0])
+        seq = build_dyadic_interval(1)
+        emb = embed(AlgebraSpec(range(3), np.eye(3)))
+        calls = [
+            lambda: Network(3, killing=f),
+            lambda: evaluate(A, f),
+            lambda: energy_measure(A, f),
+            lambda: energy_measure_identity(A, np.ones(3), f),
+            lambda: seq.restrict(f, 0),
+            lambda: quotient_function(f, emb),
+            lambda: lift_function(f, emb),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"\[1\] = .* is not finite"):
+                call()

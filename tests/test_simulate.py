@@ -153,6 +153,21 @@ class TestHitting:
         with pytest.raises(ValidationError, match="reachable"):
             hitting_probability(gen, 0, 2, 1, 10, seed=12)
 
+    def test_vertex_indices_checked(self, path3):
+        gen = build_generator(path3, uniform_measure(3))
+        for bad in (-1, 3, 0.7, 2.0):
+            with pytest.raises(ValidationError, match="vertex"):
+                hitting_probability(gen, bad, 2, 1, 10, seed=1)
+            with pytest.raises(ValidationError, match="vertex"):
+                hitting_probability(gen, 0, 2, bad, 10, seed=1)
+            with pytest.raises(ValidationError, match="vertex"):
+                commute_time(gen, 0, bad, 10, seed=1)
+            with pytest.raises(ValidationError, match="vertex"):
+                simulate(gen, bad, 1.0, 10, seed=1)
+        a = hitting_probability(gen, np.int64(0), np.int64(2), np.intp(1), 50, seed=3)
+        b = hitting_probability(gen, 0, 2, 1, 50, seed=3)
+        assert (a.value, a.stderr) == (b.value, b.stderr)
+
     def test_same_targets_rejected(self, path3):
         gen = build_generator(path3, uniform_measure(3))
         with pytest.raises(ValidationError, match="distinct"):

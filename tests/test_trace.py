@@ -259,6 +259,16 @@ class TestSupFormula:
     def test_unit_edge_indicator(self, unit_edge):
         assert sup_formula_value(unit_edge, 0, 1, [1.0, 0.0]) == 1.0
 
+    def test_vertex_indices_checked(self, path3):
+        u = [1.0, 0.0, 0.5]
+        for bad in (-1, 3, 7, 0.9, 2.0, "0"):
+            with pytest.raises(ValidationError, match="vertex"):
+                sup_formula_value(path3, bad, 0, u)
+            with pytest.raises(ValidationError, match="vertex"):
+                effective_resistance(path3, 1, bad)
+        assert sup_formula_value(path3, np.int64(0), np.intp(1), u) == sup_formula_value(path3, 0, 1, u)
+        assert effective_resistance(path3, np.int64(0), np.intp(2)) == effective_resistance(path3, 0, 2)
+
     def test_zero_energy_rejected(self):
         zero = assemble(Network(3))
         with pytest.raises(ValidationError, match="undefined"):

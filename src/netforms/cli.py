@@ -31,7 +31,7 @@ from .gelfand import (
     vanishes_nowhere,
 )
 from .network import COMPAT_RELTOL, AtomicMeasure, Network, assemble, form_to_csv, is_markov
-from .network import _json_numbers, _json_object
+from .network import _json_numbers, _json_object, _matrix_csv
 from .sequences import (
     build_dyadic_interval,
     build_sierpinski_gasket,
@@ -102,10 +102,6 @@ def _emit(text: str, output) -> None:
         sys.stdout.write(text)
 
 
-def _matrix_csv(m: np.ndarray) -> str:
-    return "\n".join(",".join(_fmt(x) for x in row) for row in np.atleast_2d(m)) + "\n"
-
-
 def _json_out(obj, output) -> None:
     _emit(json.dumps(obj, indent=1) + "\n", output)
 
@@ -136,7 +132,7 @@ def cmd_net_assemble(args):
 def cmd_trace(args):
     A = assemble(_load_network(args.net))
     tr = trace(A, _parse_indices(args.subset))
-    _emit(_matrix_csv(tr.traced_form.matrix), args.output)
+    _emit(form_to_csv(tr.traced_form), args.output)
     return 0
 
 

@@ -18,6 +18,8 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 
@@ -122,12 +124,19 @@ def _as_vector(values, n: int, what: str) -> np.ndarray:
     return v
 
 
+def _index(v, what: str = "vertex index") -> int:
+    """An integer; numpy integers pass, floats and bools do not, so 0.9 is not 0."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {v!r}")
+
+
 def _vertex(v, n: int) -> int:
-    """A vertex index in range(n); integers only, so 0.9 is not vertex 0."""
-    try:
-        i = operator.index(v)
-    except TypeError:
-        raise ValidationError(f"vertex index must be an integer, got {v!r}") from None
+    """A vertex index in range(n), by the integer rule of :func:`_index`."""
+    i = _index(v)
     if not 0 <= i < n:
         raise ValidationError(f"vertex {i} out of range for n={n}")
     return i
@@ -171,7 +180,10 @@ class Network:
                 u, v, c = e
             except (TypeError, ValueError):
                 raise ValidationError(f"edge #{k}: expected a (u, v, c) triple, got {e!r}") from None
-            u, v = int(u), int(v)
+            try:
+                u, v = _index(u), _index(v)
+            except ValidationError as err:
+                raise ValidationError(f"edge #{k}: {err}") from None
             if u == v:
                 raise ValidationError(f"edge #{k}: self-loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -412,31 +424,24 @@ def killing_vector(A: FormMatrix) -> np.ndarray:
     return np.sum(A.matrix, axis=1)
 
 
-def components(A: FormMatrix) -> list[np.ndarray]:
-    """Connected components of the support graph (nonzero off-diagonals)."""
-    n = A.n
-    m = A.matrix
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            nbrs = np.flatnonzero(m[x] != 0.0)
-            for y in nbrs:
-                if y != x and not seen[y]:
-                    seen[y] = True
-                    stack.append(int(y))
-        comps.append(np.array(sorted(comp), dtype=int))
-    return comps
+def components(A) -> list[np.ndarray]:
+    """Connected components of the support graph (nonzero off-diagonals).
+
+    ``A`` is a form matrix or any square array with the same support, such as
+    a conductance matrix. Each component is ascending, and the components are
+    ordered by their smallest vertex.
+    """
+    m = A.matrix if isinstance(A, FormMatrix) else A
+    _, labels = connected_components(csr_array(m), directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels)))[:-1]
+
+
+def _matrix_csv(m: np.ndarray) -> str:
+    """Row-major CSV of a matrix, 17 significant digits (round-trippable)."""
+    return "\n".join(",".join(format(x, ".17g") for x in row) for row in m) + "\n"
 
 
 def form_to_csv(A: FormMatrix) -> str:
     """Row-major CSV of the full symmetric matrix, 17 significant digits."""
-    lines = [",".join(format(x, ".17g") for x in row) for row in A.matrix]
-    return "\n".join(lines) + "\n"
+    return _matrix_csv(A.matrix)

@@ -22,24 +22,21 @@ def random_connected_network(
     n_max: int = 30,
     n_min: int = 2,
     with_killing: bool = False,
-    c_range: tuple[float, float] = (0.1, 3.0),
-    kappa_range: tuple[float, float] = (0.0, 2.0),
-    extra_edge_factor: float = 1.0,
 ) -> Network:
     """Random spanning tree plus extra edges; connected by construction."""
     n = int(rng.integers(n_min, n_max + 1))
     edges = {}
     for v in range(1, n):
         u = int(rng.integers(0, v))
-        edges[(u, v)] = float(rng.uniform(*c_range))
-    n_extra = int(rng.integers(0, max(1, int(extra_edge_factor * n)) + 1))
+        edges[(u, v)] = float(rng.uniform(0.1, 3.0))
+    n_extra = int(rng.integers(0, max(1, n) + 1))
     for _ in range(n_extra):
         u, v = sorted(rng.choice(n, size=2, replace=False).tolist())
         if (u, v) not in edges:
-            edges[(u, v)] = float(rng.uniform(*c_range))
+            edges[(u, v)] = float(rng.uniform(0.1, 3.0))
     killing = None
     if with_killing:
-        killing = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(*kappa_range, size=n))
+        killing = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, size=n))
     return Network(n, [(u, v, c) for (u, v), c in edges.items()], killing)
 
 

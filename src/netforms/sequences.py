@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .network import COMPAT_RELTOL, PROFILE_RELTOL, FormMatrix, Network, assemble, evaluate
-from .network import _as_vector, _json_numbers, _json_object, _scale
+from .network import _as_vector, _index, _json_numbers, _json_object, _scale
 from .trace import trace
 
 __all__ = [
@@ -86,10 +86,6 @@ class CompatibleSequence:
         if level not in self._forms:
             self._forms[level] = assemble(self.networks[level])
         return self._forms[level]
-
-    @property
-    def forms(self) -> tuple:
-        return tuple(self.form(n) for n in range(self.levels))
 
     def positions_at_top(self, level: int) -> np.ndarray:
         """Indices of level-``level`` vertices inside the top-level network."""
@@ -166,7 +162,7 @@ def build_dyadic_interval(levels: int) -> CompatibleSequence:
     Compatibility is exact by the series law: two conductances 2^(n+1) in
     series trace to 2^n.
     """
-    levels = int(levels)
+    levels = _index(levels, "levels")
     if levels < 0:
         raise ValidationError("levels must be >= 0")
     if levels > MAX_DYADIC_LEVELS:
@@ -225,7 +221,7 @@ def build_sierpinski_gasket(levels: int, factor: float | None = None, calibrate:
     numerical search instead of being hard-coded; the search makes the
     level-1 trace onto the corners match the unit triangle.
     """
-    levels = int(levels)
+    levels = _index(levels, "levels")
     if levels < 0:
         raise ValidationError("levels must be >= 0")
     if levels > MAX_GASKET_LEVELS:

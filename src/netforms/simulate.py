@@ -324,17 +324,6 @@ def _require_killing_free(gen: GeneratorSpec, op: str) -> None:
         raise UnsupportedRegimeError(f"{op} requires a killing-free chain")
 
 
-def _support_form(gen: GeneratorSpec) -> FormMatrix:
-    return FormMatrix(-gen.conductances)
-
-
-def _component_of(gen: GeneratorSpec, x: int) -> np.ndarray:
-    for comp in components(_support_form(gen)):
-        if x in comp:
-            return comp
-    raise AssertionError("vertex not found in any component")
-
-
 def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int, seed: int) -> Estimate:
     """Estimate P_x0(hit a before b) for a killing-free chain.
 
@@ -347,7 +336,7 @@ def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int
     if a == b:
         raise ValidationError("hitting targets must be distinct")
     _require_killing_free(gen, "hitting probability")
-    comp = _component_of(gen, x0)
+    comp = next(c for c in components(gen.conductances) if x0 in c)
     if a not in comp or b not in comp:
         raise ValidationError(f"targets {a}, {b} are not both reachable from {x0}")
     if x0 == a:
@@ -375,7 +364,7 @@ def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> 
     if x == y:
         return Estimate(0.0, 0.0)
     _require_killing_free(gen, "commute time")
-    comp = _component_of(gen, x)
+    comp = next(c for c in components(gen.conductances) if x in c)
     if y not in comp:
         raise ValidationError(f"vertex {y} is not reachable from {x}")
 
@@ -394,7 +383,7 @@ def occupation_check(gen: GeneratorSpec, horizon: float, n_traj: int, seed: int,
     with the horizon since mu/mu(V) is the stationary law of the chain.
     """
     _require_killing_free(gen, "occupation check")
-    comps = components(_support_form(gen))
+    comps = components(gen.conductances)
     if len(comps) > 1:
         report = "; ".join(f"component {i}: vertices {c.tolist()}" for i, c in enumerate(comps))
         raise ValidationError(f"chain is reducible, occupation target is ill-defined ({report})")

@@ -10,6 +10,7 @@ the two-point trace defines the effective resistance metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,13 +65,11 @@ class TraceResult:
 
 
 def _check_subset(U, n: int) -> np.ndarray:
-    U = np.asarray(U, dtype=int)
-    if U.ndim != 1 or U.size == 0:
+    if np.ndim(U) != 1 or len(U) == 0:
         raise ValidationError("subset must be a nonempty 1-d index list")
+    U = np.array([_vertex(u, n) for u in U], dtype=int)
     if len(set(U.tolist())) != U.size:
         raise ValidationError("subset contains duplicate indices")
-    if np.any(U < 0) or np.any(U >= n):
-        raise ValidationError(f"subset index out of range for n={n}")
     return U
 
 
@@ -87,6 +86,24 @@ def _offending_components(A: FormMatrix, U: np.ndarray) -> list[list[int]]:
         if _killing_free(np.sum(kappa[comp]), scale):
             bad.append([int(x) for x in comp])
     return bad
+
+
+def _cholesky(M: np.ndarray, singular: Callable[[], str]):
+    """Cholesky factor of a positive definite block, the package's one factorization.
+
+    Raises SingularBlockError, with the message ``singular()`` gives, when the
+    LAPACK reciprocal condition estimate is below ``SINGULAR_RCOND``.
+    """
+    try:
+        cho = sla.cho_factor(M, lower=True)
+    except np.linalg.LinAlgError:
+        rcond, info = 0.0, 0
+    else:  # LAPACK rejects an empty block, which needs no check
+        pocon = lapack.get_lapack_funcs(("pocon",), (M,))[0]
+        rcond, info = pocon(cho[0], np.linalg.norm(M, 1), uplo=b"L") if M.size else (1.0, 0)
+    if info != 0 or rcond < SINGULAR_RCOND:
+        raise SingularBlockError(f"{singular()} (rcond estimate {rcond:.3e})")
+    return cho
 
 
 def trace(A: FormMatrix, subset) -> TraceResult:
@@ -113,25 +130,13 @@ def trace(A: FormMatrix, subset) -> TraceResult:
     A_WW = M[np.ix_(W, W)]
     A_WU = M[np.ix_(W, U)]
 
-    def _singular(rcond):
+    def singular() -> str:
         bad = _offending_components(A, U)
         if bad:
-            detail = f"components disconnected from the subset with no killing: {bad}"
-        else:
-            detail = "interior block is numerically singular"
-        raise SingularBlockError(f"{detail} (rcond estimate {rcond:.3e})")
+            return f"components disconnected from the subset with no killing: {bad}"
+        return "interior block is numerically singular"
 
-    try:
-        cho = sla.cho_factor(A_WW, lower=True)
-    except np.linalg.LinAlgError:
-        _singular(0.0)
-    anorm = np.linalg.norm(A_WW, 1)
-    if anorm > 0:
-        pocon = lapack.get_lapack_funcs(("pocon",), (A_WW,))[0]
-        rcond, info = pocon(cho[0], anorm, uplo=b"L")
-        if info != 0 or rcond < SINGULAR_RCOND:
-            _singular(rcond)
-    H = -sla.cho_solve(cho, A_WU)
+    H = -sla.cho_solve(_cholesky(A_WW, singular), A_WU)
     S = A_UU + M[np.ix_(U, W)] @ H
     S = (S + S.T) / 2.0
     return TraceResult(subset=U, traced_form=FormMatrix(S), extension_operator=H)
@@ -170,14 +175,13 @@ def effective_resistance(A: FormMatrix, x: int, y: int) -> float:
     if x == y:
         raise ValidationError("effective resistance requires two distinct vertices")
     _require_conservative(A, "effective resistance")
-    for comp in components(A):
-        if x in comp:
-            if y not in comp:
-                raise InfiniteResistanceError(
-                    f"vertices {x} and {y} lie in different components; resistance is infinite"
-                )
-            break
-    S = trace(A, [x, y]).traced_form.matrix
+    comp = next(c for c in components(A) if x in c)
+    if y not in comp:
+        raise InfiniteResistanceError(
+            f"vertices {x} and {y} lie in different components; resistance is infinite"
+        )
+    # other components would float in the interior block, so trace inside x's
+    S = trace(FormMatrix(A.matrix[np.ix_(comp, comp)]), np.searchsorted(comp, [x, y])).traced_form.matrix
     c_eff = -S[0, 1]
     if c_eff <= 0.0:
         raise InfiniteResistanceError(
@@ -189,9 +193,11 @@ def effective_resistance(A: FormMatrix, x: int, y: int) -> float:
 def resistance_matrix(A: FormMatrix) -> np.ndarray:
     """All-pairs effective resistance matrix of a connected killing-free form.
 
-    Computed through the pseudoinverse identity
-    ``R(x, y) = M+_xx + M+_yy - 2 M+_xy``; agrees with the two-point trace
-    definition to within rounding.
+    Computed from the form grounded at vertex 0: G is the inverse of A
+    without row and column 0 (and zero on them), and
+    ``R(x, y) = G_xx + G_yy - 2 G_xy``; agrees with the two-point trace
+    definition to within rounding. A numerically singular grounded form (a
+    1e-20 bridge) raises SingularBlockError.
     """
     _require_conservative(A, "resistance matrix")
     comps = components(A)
@@ -199,9 +205,11 @@ def resistance_matrix(A: FormMatrix) -> np.ndarray:
         raise InfiniteResistanceError(
             f"network is disconnected; components: {[c.tolist() for c in comps]}"
         )
-    Mp = np.linalg.pinv(A.matrix, hermitian=True)
-    d = np.diag(Mp)
-    R = d[:, None] + d[None, :] - 2.0 * Mp
+    cho = _cholesky(A.matrix[1:, 1:], lambda: "form grounded at vertex 0 is numerically singular")
+    G = np.zeros((A.n, A.n))
+    G[1:, 1:] = sla.cho_solve(cho, np.eye(A.n - 1))
+    d = np.diag(G)
+    R = d[:, None] + d[None, :] - 2.0 * G
     R = (R + R.T) / 2.0
     np.fill_diagonal(R, 0.0)
     return R

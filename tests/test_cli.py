@@ -66,6 +66,25 @@ def test_resistance_disconnected_exit_2(disconnected_file, capsys):
     assert "infinite" in err["error"]["message"]
 
 
+def test_resistance_other_component_does_not_float(disconnected_file, capsys):
+    assert main(["resistance", "--net", str(disconnected_file), "--pairs", "0,1"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+def test_resistance_matrix_near_zero_bridge_exit_2(tmp_path, capsys):
+    p = tmp_path / "bridge.json"
+    p.write_text(json.dumps({
+        "vertices": [0, 1, 2, 3],
+        "edges": [{"u": 0, "v": 1, "c": 1.0}, {"u": 1, "v": 2, "c": 1e-20}, {"u": 2, "v": 3, "c": 1.0}],
+    }))
+    assert main(["resistance", "--net", str(p), "--pairs", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "numerical"
+    assert "singular" in err["message"]
+
+
 def test_malformed_json_exit_1_names_offset(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": [0, 1], "edges": [}')

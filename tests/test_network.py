@@ -13,6 +13,7 @@ from netforms import (
     assemble,
     build_dyadic_interval,
     check_compatibility,
+    components,
     embed,
     energy_measure,
     energy_measure_identity,
@@ -87,6 +88,12 @@ class TestAssemble:
     def test_out_of_range_endpoint(self):
         with pytest.raises(ValidationError, match="out of range"):
             Network(2, [(0, 5, 1.0)])
+
+    def test_endpoints_are_integers(self):
+        for u, v in ((0.9, 1), (0, 1.0), (True, 2), ("0", 1)):
+            with pytest.raises(ValidationError, match=r"edge #0: vertex index must be an integer"):
+                Network(3, [(u, v, 1.0)])
+        assert Network(3, [(np.int64(0), np.intp(1), 1.0)]).edges == ((0, 1, 1.0),)
 
 
 class TestEvaluate:
@@ -223,6 +230,54 @@ class TestTypes:
             net.vertices = ()
         with pytest.raises(ValueError):
             net.killing[0] = 1.0
+
+
+def bfs_components(m):
+    """Oracle: breadth-first search over the nonzero off-diagonals."""
+    n = m.shape[0]
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, comp = [start], []
+        while queue:
+            x = queue.pop(0)
+            comp.append(x)
+            for y in range(n):
+                if y != x and m[x, y] != 0.0 and not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
+class TestComponents:
+    def test_matches_bfs_oracle(self):
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            n = int(rng.integers(1, 25))
+            m = np.zeros((n, n))
+            iu, ju = np.triu_indices(n, 1)
+            pick = rng.random(iu.size) < rng.uniform(0.0, 0.3)
+            # either sign off the diagonal (not only Markov forms), and -0.0 entries
+            m[iu[pick], ju[pick]] = rng.choice([-1.0, 1.0], pick.sum()) * rng.uniform(0.1, 3.0, pick.sum())
+            zero = rng.random(iu.size) < 0.2
+            m[iu[zero & ~pick], ju[zero & ~pick]] = -0.0
+            m = m + m.T
+            m[np.diag_indices(n)] = rng.uniform(-1.0, 1.0, n)  # the diagonal carries no edge
+            comps = components(FormMatrix(m))
+            assert [c.tolist() for c in comps] == bfs_components(m)
+            assert all(c.dtype == np.intp for c in comps)
+            assert [c.tolist() for c in components(m)] == bfs_components(m)
+
+    def test_isolated_vertices_and_negative_zero(self):
+        m = np.zeros((5, 5))
+        m[1, 3] = m[3, 1] = -2.0
+        m[0, 4] = m[4, 0] = -0.0
+        assert [c.tolist() for c in components(FormMatrix(m))] == [[0], [1, 3], [2], [4]]
+        assert [c.tolist() for c in components(assemble(Network(3)))] == [[0], [1], [2]]
 
 
 class TestTolerancesAndGuards:

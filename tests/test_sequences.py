@@ -74,6 +74,12 @@ class TestDyadic:
         with pytest.raises(ValidationError, match="size guard"):
             build_dyadic_interval(21)
 
+    def test_levels_must_be_an_integer(self):
+        for bad in (2.7, 3.0, True, "3"):
+            with pytest.raises(ValidationError, match="levels must be an integer"):
+                build_dyadic_interval(bad)
+        assert build_dyadic_interval(np.int64(3)).levels == 4
+
 
 class TestProfilesAndLimits:
     def test_monotone_for_random_functions(self):
@@ -155,6 +161,12 @@ class TestGasket:
     def test_size_guard(self):
         with pytest.raises(ValidationError, match="size guard"):
             build_sierpinski_gasket(9)
+
+    def test_levels_must_be_an_integer(self):
+        for bad in (2.7, 3.0, True, "3"):
+            with pytest.raises(ValidationError, match="levels must be an integer"):
+                build_sierpinski_gasket(bad)
+        assert build_sierpinski_gasket(np.int64(2)).levels == 3
 
     def test_vertex_counts(self):
         for n, count in ((0, 3), (1, 6), (2, 15), (3, 42)):

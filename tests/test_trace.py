@@ -70,6 +70,12 @@ class TestTrace:
             trace(path3, [])
         with pytest.raises(ValidationError, match="out of range"):
             trace(path3, [0, 7])
+        for bad in ([0.7, 2.2], [0, 2.0], [True, 2], np.array([0.0, 2.0]), [[0, 1]]):
+            with pytest.raises(ValidationError):
+                trace(path3, bad)
+        ref = trace(path3, [0, 2]).traced_form.matrix
+        for ok in (np.array([0, 2]), [np.int64(0), np.intp(2)], (0, 2)):
+            assert np.array_equal(trace(path3, ok).traced_form.matrix, ref)
 
     def test_preserves_markov(self):
         rng = np.random.default_rng(10)
@@ -178,6 +184,18 @@ class TestEffectiveResistance:
         with pytest.raises(ValidationError):
             effective_resistance(path3, 1, 1)
 
+    def test_other_component_does_not_float(self):
+        # {2, 3} would float in the interior block of the trace onto {0, 1}
+        A = assemble(Network(4, [(0, 1, 1.0), (2, 3, 1.0)]))
+        assert effective_resistance(A, 0, 1) == 1.0
+        assert effective_resistance(A, 3, 2) == 1.0
+        A = assemble(Network(5, [(0, 3, 2.0), (3, 4, 2.0), (1, 2, 1.0)]))
+        assert abs(effective_resistance(A, 4, 0) - 1.0) <= 1e-14
+
+    def test_near_zero_bridge(self):
+        A = assemble(Network(4, [(0, 1, 1.0), (1, 2, 1e-20), (2, 3, 1.0)]))
+        assert effective_resistance(A, 0, 3) == pytest.approx(1e20, rel=1e-12)
+
 
 class TestResistanceMatrix:
     def test_unit_edge(self):
@@ -189,6 +207,15 @@ class TestResistanceMatrix:
             seq = build_dyadic_interval(n)
             A = seq.form(n)
             assert abs(effective_resistance(A, 0, A.n - 1) - 1.0) <= 1e-10
+
+    def test_single_vertex(self):
+        assert np.array_equal(resistance_matrix(assemble(Network(1))), [[0.0]])
+
+    def test_near_zero_bridge_is_singular(self):
+        # the pseudoinverse returned R(0, 3) = 0.5 here; the two-point trace gives 1e20
+        A = assemble(Network(4, [(0, 1, 1.0), (1, 2, 1e-20), (2, 3, 1.0)]))
+        with pytest.raises(SingularBlockError, match="rcond"):
+            resistance_matrix(A)
 
     def test_triangle_all_pairs(self, triangle):
         R = resistance_matrix(triangle)

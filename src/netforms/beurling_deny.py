@@ -69,11 +69,8 @@ class JumpKillingDecomposition:
 
     def to_dict(self) -> dict:
         """JSON-ready dict listing each unordered pair once (x < y)."""
-        entries = []
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                if self.jump[x, y] != 0.0:
-                    entries.append({"x": x, "y": y, "value": float(self.jump[x, y])})
+        x, y = np.nonzero(np.triu(self.jump, 1))
+        entries = [{"x": a, "y": b, "value": j} for a, b, j in zip(x.tolist(), y.tolist(), self.jump[x, y].tolist())]
         return {"J": entries, "kappa": [float(v) for v in self.kappa]}
 
 
@@ -102,10 +99,7 @@ def recompose(d: JumpKillingDecomposition) -> FormMatrix:
 
 def decomposition_to_network(d: JumpKillingDecomposition, vertices=None) -> Network:
     """Realize a decomposition as a network (edges with c = 2 J, same killing)."""
-    edges = []
-    for x in range(d.n):
-        for y in range(x + 1, d.n):
-            if d.jump[x, y] > 0.0:
-                edges.append((x, y, 2.0 * d.jump[x, y]))
+    x, y = np.nonzero(np.triu(d.jump, 1) > 0.0)
+    edges = zip(x.tolist(), y.tolist(), (2.0 * d.jump[x, y]).tolist())
     kappa = np.maximum(d.kappa, 0.0)
     return Network(vertices if vertices is not None else d.n, edges, kappa)

@@ -196,7 +196,7 @@ def cmd_gelfand_embed(args):
     _json_out(
         {
             "images": [[float(v) for v in row] for row in emb.images],
-            "classes": [list(c) for c in emb.classes],
+            "classes": emb.classes,
             "separated": emb.separated,
             "vanishes_nowhere": bool(vanishes_nowhere(spec)),
         },
@@ -220,7 +220,7 @@ def cmd_gelfand_pushforward(args):
         {
             "atoms": [float(a) for a in push.atoms],
             "total": push.total,
-            "classes": [list(c) for c in emb.classes],
+            "classes": emb.classes,
         },
         args.output,
     )

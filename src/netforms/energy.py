@@ -108,8 +108,7 @@ def pushforward_gamma(gamma: EnergyMeasure, emb: EmbeddingResult) -> EnergyMeasu
         raise ValidationError(
             f"energy measure has {gamma.n} masses but the embedding has {emb.n_points} points"
         )
-    atoms = np.array([float(np.sum(gamma.masses[list(c)])) for c in emb.classes])
-    return EnergyMeasure(masses=atoms)
+    return EnergyMeasure(masses=np.bincount(emb.class_of, gamma.masses, minlength=emb.n_classes))
 
 
 def counterexample_demo(n_max: int, points=(0.0, 0.5, 1.0), n_min: int | None = None) -> np.ndarray:

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array
 
 from .errors import DescentError, NotInAlgebraError, ValidationError
-from .network import RELTOL, AtomicMeasure, FormMatrix, _as_vector, _readonly, _scale
+from .network import RELTOL, AtomicMeasure, FormMatrix, _as_vector, _groups, _labels, _readonly, _scale
 
 __all__ = [
     "AlgebraSpec",
@@ -40,6 +41,10 @@ __all__ = [
 #: compactification point when at least this many images fall within epsilon
 #: of it and no single image covers them all within epsilon/2.
 LIMIT_POINT_MIN_IMAGES = 10
+
+#: Entries of the block x points x generators difference array that the
+#: tolerance path of :func:`embed` holds at a time.
+_PAIR_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +103,7 @@ class EmbeddingResult:
         return len(self.classes)
 
     def representatives(self) -> np.ndarray:
-        return np.array([c[0] for c in self.classes], dtype=int)
+        return np.unique(self.class_of, return_index=True)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,57 +138,34 @@ class PushforwardMeasure:
 def embed(spec: AlgebraSpec, tol: float = 0.0) -> EmbeddingResult:
     """Map each point to its tuple of generator values and group equal images.
 
-    With ``tol > 0`` points whose images differ by at most ``tol`` in sup norm
-    are merged transitively; the default is exact equality.
+    With ``tol > 0`` the classes are the transitive closure of "images differ
+    by at most ``tol`` in sup norm"; the default is exact equality. Either way
+    classes are numbered in the order of their smallest member.
     """
     images = spec.generators.T.copy()
-    n = spec.n_points
     if not tol >= 0:  # also rejects nan
         raise ValidationError(f"tolerance must be >= 0, got {tol!r}")
     if tol == 0.0:
-        groups: dict = {}
-        order = []
-        for i in range(n):
-            key = tuple(images[i])
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(i)
-        classes = tuple(tuple(groups[k]) for k in order)
+        first: dict = {}
+        class_of = np.array([first.setdefault(tuple(row), len(first)) for row in images.tolist()], dtype=int)
     else:
-        parent = list(range(n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.max(np.abs(images[i] - images[j])) <= tol:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-        roots: dict = {}
-        order = []
-        for i in range(n):
-            r = find(i)
-            if r not in roots:
-                roots[r] = []
-                order.append(r)
-            roots[r].append(i)
-        classes = tuple(tuple(roots[r]) for r in order)
-
-    class_of = np.empty(n, dtype=int)
-    for ci, members in enumerate(classes):
-        for i in members:
-            class_of[i] = ci
+        # merge each block's within-tol pairs into the running labels; the
+        # label graph numbers merged classes by smallest label, so by smallest member
+        class_of = np.arange(spec.n_points)
+        rows = max(1, _PAIR_BUDGET // images.size)
+        for s in range(0, spec.n_points, rows):
+            near = np.max(np.abs(images[s : s + rows, None, :] - images[None, s:, :]), axis=2) <= tol
+            i, j = np.nonzero(near)
+            m = int(class_of.max()) + 1
+            pairs = coo_array((np.ones(i.size), (class_of[i + s], class_of[j + s])), shape=(m, m))
+            class_of = _labels(pairs)[class_of].astype(int)
+    class_of.setflags(write=False)
+    classes = tuple(tuple(c.tolist()) for c in _groups(class_of))
     return EmbeddingResult(
         images=_readonly(images),
         classes=classes,
-        separated=len(classes) == n,
-        class_of=_readonly(class_of).astype(int),
+        separated=len(classes) == spec.n_points,
+        class_of=class_of,
     )
 
 
@@ -200,21 +182,22 @@ def pushforward(mu: AtomicMeasure, emb: EmbeddingResult) -> PushforwardMeasure:
         raise ValidationError(
             f"measure has {mu.n} atoms but the embedding has {emb.n_points} points"
         )
-    atoms = np.array([float(np.sum(mu.weights[list(c)])) for c in emb.classes])
+    atoms = np.bincount(emb.class_of, mu.weights, minlength=emb.n_classes)
     return PushforwardMeasure(atoms=atoms, total=float(np.sum(mu.weights)))
 
 
 def quotient_function(f, emb: EmbeddingResult) -> np.ndarray:
     """Values of a class-constant function on the quotient (one per class)."""
     fv = _as_vector(f, emb.n_points, "f")
-    for ci, members in enumerate(emb.classes):
-        vals = fv[list(members)]
-        if np.any(vals != vals[0]):
-            raise NotInAlgebraError(
-                f"f is not constant on class {ci} (points {members}); "
-                "it does not define a function on the quotient"
-            )
-    return fv[emb.representatives()]
+    fhat = fv[emb.representatives()]
+    faulty = emb.class_of[fv != fhat[emb.class_of]]
+    if faulty.size:
+        ci = int(np.min(faulty))
+        raise NotInAlgebraError(
+            f"f is not constant on class {ci} (points {emb.classes[ci]}); "
+            "it does not define a function on the quotient"
+        )
+    return fhat
 
 
 def lift_function(fhat, emb: EmbeddingResult) -> np.ndarray:
@@ -238,7 +221,7 @@ def l2_isometry_check(f, mu: AtomicMeasure, emb: EmbeddingResult) -> tuple[float
     return lhs, rhs, abs(lhs - rhs)
 
 
-def transfer_form(A: FormMatrix, emb: EmbeddingResult, n_probe: int = 8) -> FormMatrix:
+def transfer_form(A: FormMatrix, emb: EmbeddingResult) -> FormMatrix:
     """Quotient form matrix: block sums of A over the class partition.
 
     The quotient matrix satisfies E(f, g) = E_hat(fhat, ghat) for all
@@ -257,7 +240,7 @@ def transfer_form(A: FormMatrix, emb: EmbeddingResult, n_probe: int = 8) -> Form
 
     rng = np.random.default_rng(0)
     scale = _scale(A.matrix) * A.n
-    for _ in range(n_probe):
+    for _ in range(8):
         fh = rng.standard_normal(m)
         gh = rng.standard_normal(m)
         up = float(fh[emb.class_of] @ A.matrix @ gh[emb.class_of])
@@ -284,12 +267,12 @@ class ClosureEstimate:
     counts: np.ndarray
 
 
-def spectrum_closure_estimate(spec: AlgebraSpec, epsilon: float, min_images: int = LIMIT_POINT_MIN_IMAGES) -> ClosureEstimate:
+def spectrum_closure_estimate(spec: AlgebraSpec, epsilon: float) -> ClosureEstimate:
     """Greedy epsilon-net over the embedded images with accumulation flags.
 
     A net point is flagged when its epsilon-ball contains at least
-    ``min_images`` images and no single image lies within epsilon/2 of all of
-    them, i.e. the nearby mass does not collapse to one point of the image.
+    LIMIT_POINT_MIN_IMAGES images and no single image lies within epsilon/2
+    of all of them, i.e. the nearby mass does not collapse to one image.
     """
     if not 0 < epsilon < np.inf:
         raise ValidationError(f"epsilon must be finite and > 0, got {epsilon!r}")
@@ -311,7 +294,7 @@ def spectrum_closure_estimate(spec: AlgebraSpec, epsilon: float, min_images: int
         dist = np.linalg.norm(images - p, axis=1)
         ball = np.flatnonzero(dist <= epsilon)
         counts[k] = ball.size
-        if ball.size < min_images:
+        if ball.size < LIMIT_POINT_MIN_IMAGES:
             continue
         cluster = images[ball]
         # candidate covering images: anything near the ball can cover it

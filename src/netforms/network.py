@@ -142,9 +142,9 @@ def _vertex(v, n: int) -> int:
     return i
 
 
-def _killing_free(kappa, scale: float) -> bool:
-    """Whether killing weights or rates are zero up to RELTOL * scale."""
-    return not np.any(kappa > RELTOL * scale)
+def _killing_free(kappa, scale: float) -> np.ndarray:
+    """Whether each killing weight or rate is zero up to RELTOL * scale."""
+    return ~(np.asarray(kappa) > RELTOL * scale)
 
 
 class Network:
@@ -424,6 +424,18 @@ def killing_vector(A: FormMatrix) -> np.ndarray:
     return np.sum(A.matrix, axis=1)
 
 
+def _labels(support) -> np.ndarray:
+    """Component label per vertex of a square dense or sparse support array,
+    numbered by smallest vertex: the package's one partition representation."""
+    return connected_components(csr_array(support), directed=False)[1]
+
+
+def _groups(labels) -> list[np.ndarray]:
+    """Ascending member arrays of the labels 0, 1, ..., in label order."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels)))[:-1]
+
+
 def components(A) -> list[np.ndarray]:
     """Connected components of the support graph (nonzero off-diagonals).
 
@@ -431,10 +443,7 @@ def components(A) -> list[np.ndarray]:
     a conductance matrix. Each component is ascending, and the components are
     ordered by their smallest vertex.
     """
-    m = A.matrix if isinstance(A, FormMatrix) else A
-    _, labels = connected_components(csr_array(m), directed=False)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels)))[:-1]
+    return _groups(_labels(A.matrix if isinstance(A, FormMatrix) else A))
 
 
 def _matrix_csv(m: np.ndarray) -> str:

@@ -40,7 +40,7 @@ __all__ = [
     "save_sequence",
 ]
 
-MAX_DYADIC_LEVELS = 20
+MAX_DYADIC_LEVELS = 13
 MAX_GASKET_LEVELS = 8
 GASKET_FACTOR = 5.0 / 3.0
 
@@ -262,10 +262,10 @@ def _corner_trace_conductance(rho: float) -> float:
     return float(-traced[0, 1])
 
 
-def calibrate_gasket_factor(bracket: tuple[float, float] = (1.0, 3.0), xtol: float = 1e-12) -> float:
+def calibrate_gasket_factor() -> float:
     """Numerically search the per-level conductance factor that makes the
     level-1 gasket trace onto its corners reproduce the unit triangle."""
-    return float(brentq(lambda r: _corner_trace_conductance(r) - 1.0, *bracket, xtol=xtol))
+    return float(brentq(lambda r: _corner_trace_conductance(r) - 1.0, 1.0, 3.0, xtol=1e-12))
 
 
 def sequence_to_dict(seq: CompatibleSequence) -> dict:

@@ -320,7 +320,7 @@ def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int
 
 
 def _require_killing_free(gen: GeneratorSpec, op: str) -> None:
-    if not _killing_free(gen.killing_rates, _scale(gen.holding)):
+    if not np.all(_killing_free(gen.killing_rates, _scale(gen.holding))):
         raise UnsupportedRegimeError(f"{op} requires a killing-free chain")
 
 

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .network import SINGULAR_RCOND, FormMatrix, components, evaluate, killing_vector
-from .network import _as_vector, _killing_free, _scale, _vertex
+from .network import _as_vector, _groups, _killing_free, _labels, _scale, _vertex
 
 __all__ = [
     "TraceResult",
@@ -65,7 +65,7 @@ class TraceResult:
 
 
 def _check_subset(U, n: int) -> np.ndarray:
-    if np.ndim(U) != 1 or len(U) == 0:
+    if np.ndim(np.asarray(U, dtype=object)) != 1 or len(U) == 0:  # a ragged list fails per entry
         raise ValidationError("subset must be a nonempty 1-d index list")
     U = np.array([_vertex(u, n) for u in U], dtype=int)
     if len(set(U.tolist())) != U.size:
@@ -75,17 +75,11 @@ def _check_subset(U, n: int) -> np.ndarray:
 
 def _offending_components(A: FormMatrix, U: np.ndarray) -> list[list[int]]:
     """Components of the network that neither meet U nor carry killing."""
-    in_U = np.zeros(A.n, dtype=bool)
-    in_U[U] = True
-    kappa = killing_vector(A)
-    scale = _scale(A.matrix)
-    bad = []
-    for comp in components(A):
-        if np.any(in_U[comp]):
-            continue
-        if _killing_free(np.sum(kappa[comp]), scale):
-            bad.append([int(x) for x in comp])
-    return bad
+    labels = _labels(A.matrix)
+    floating = _killing_free(np.bincount(labels, killing_vector(A)), _scale(A.matrix))
+    floating[labels[U]] = False
+    groups = _groups(labels)
+    return [groups[c].tolist() for c in np.flatnonzero(floating)]
 
 
 def _cholesky(M: np.ndarray, singular: Callable[[], str]):
@@ -158,7 +152,7 @@ def harmonic_extension(tr: TraceResult, f) -> np.ndarray:
 def _require_conservative(A: FormMatrix, op: str) -> None:
     kappa = killing_vector(A)
     # killing-free means zero row sums, so negative ones count as killing too
-    if not _killing_free(np.abs(kappa), _scale(A.matrix)):
+    if not np.all(_killing_free(np.abs(kappa), _scale(A.matrix))):
         i = int(np.argmax(np.abs(kappa)))
         raise UnsupportedRegimeError(
             f"{op} is defined only for killing-free forms; row {i} has killing weight {float(kappa[i])!r}"

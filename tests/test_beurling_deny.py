@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,26 @@ def coefficients_from_indicator_evaluations(A):
     return J, kappa
 
 
+def pair_loop_dict(d):
+    """Oracle: the JSON dict built by walking the pairs x < y."""
+    entries = []
+    for x in range(d.n):
+        for y in range(x + 1, d.n):
+            if d.jump[x, y] != 0.0:
+                entries.append({"x": x, "y": y, "value": float(d.jump[x, y])})
+    return {"J": entries, "kappa": [float(v) for v in d.kappa]}
+
+
+def pair_loop_network(d):
+    """Oracle: the network built by walking the pairs x < y."""
+    edges = []
+    for x in range(d.n):
+        for y in range(x + 1, d.n):
+            if d.jump[x, y] > 0.0:
+                edges.append((x, y, 2.0 * d.jump[x, y]))
+    return Network(d.n, edges, np.maximum(d.kappa, 0.0))
+
+
 class TestDecompose:
     def test_killing_example(self):
         A = assemble(Network(2, [(0, 1, 1.0)], killing=[1.0, 2.0]))
@@ -62,6 +84,16 @@ class TestDecompose:
             decompose(FormMatrix(np.array([[1.0, 0.5], [0.5, 1.0]])))
         with pytest.raises(ValidationError, match="row"):
             decompose(FormMatrix(np.array([[1.0, -2.0], [-2.0, 1.0]])))
+
+    def test_pair_listing_matches_pair_loop(self):
+        rng = np.random.default_rng(23)
+        decomps = [decompose(random_markov_form(rng, n_max=25)) for _ in range(100)]
+        # entries within the sign tolerance below zero: listed, but not edges
+        J = np.array([[0.0, -1e-12, 0.5], [-1e-12, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        decomps.append(JumpKillingDecomposition(jump=J, kappa=np.array([0.0, -1e-12, 1.0])))
+        for d in decomps:
+            assert json.dumps(d.to_dict(), indent=1) == json.dumps(pair_loop_dict(d), indent=1)
+            assert decomposition_to_network(d) == pair_loop_network(d)
 
     def test_local_part_identically_zero(self, unit_edge):
         assert decompose(unit_edge).local_part == 0.0

@@ -200,6 +200,15 @@ def test_seq_check_malformed_exit_1(tmp_path, capsys, seq):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
 
 
+def test_seq_build_above_dyadic_guard_exit_1(tmp_path, capsys):
+    seq = tmp_path / "seq.json"
+    assert main(["seq", "build", "dyadic", "--levels", "14", "--output", str(seq)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "size guard 13" in err["error"]["message"]
+    assert not seq.exists()
+
+
 def test_gasket_build_with_calibration(tmp_path, capsys):
     seq = tmp_path / "g.json"
     assert main(["seq", "build", "gasket", "--levels", "1", "--calibrate", "--output", str(seq)]) == 0

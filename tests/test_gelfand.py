@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import netforms.gelfand as gelfand
 from netforms import (
     AlgebraSpec,
     AtomicMeasure,
@@ -9,17 +12,33 @@ from netforms import (
     ValidationError,
     assemble,
     embed,
+    energy_measure,
     evaluate,
     is_markov,
     l2_isometry_check,
     lift_function,
     pushforward,
+    pushforward_gamma,
     quotient_function,
     spectrum_closure_estimate,
     transfer_form,
     unit_contraction,
     vanishes_nowhere,
 )
+
+
+def closure_classes(images, tol):
+    """Oracle: classes of the transitive closure of "within tol in sup norm",
+    by Warshall's algorithm, numbered by smallest member."""
+    n = len(images)
+    reach = np.max(np.abs(images[:, None, :] - images[None, :, :]), axis=2) <= tol
+    for k in range(n):
+        reach |= np.outer(reach[:, k], reach[k, :])
+    classes = []
+    for i in range(n):
+        if not any(i in c for c in classes):
+            classes.append(tuple(int(j) for j in np.flatnonzero(reach[i])))
+    return tuple(classes)
 
 
 class TestEmbed:
@@ -41,6 +60,54 @@ class TestEmbed:
         assert emb0.separated
         emb1 = embed(AlgebraSpec(range(2), [[0.0, 1e-12]]), tol=1e-9)
         assert not emb1.separated
+
+    @pytest.mark.parametrize("budget", [1, 16, gelfand._PAIR_BUDGET])
+    def test_tolerance_classes_are_the_transitive_closure(self, monkeypatch, budget):
+        # budget 1 compares one row per block, 16 a few, so pairs cross blocks
+        monkeypatch.setattr(gelfand, "_PAIR_BUDGET", budget)
+        rng = np.random.default_rng(45)
+        for trial in range(150):
+            n = int(rng.integers(1, 30))
+            k = int(rng.integers(1, 4))
+            G = rng.integers(-4, 5, size=(k, n)) * 0.25  # exact ties at distance tol
+            tol = float(rng.choice([0.25, 0.5, 0.75, 1e-3]))
+            emb = embed(AlgebraSpec(range(n), G), tol=tol)
+            expected = closure_classes(G.T, tol)
+            assert emb.classes == expected
+            assert emb.separated == (len(expected) == n)
+            for c, members in enumerate(expected):
+                assert np.all(emb.class_of[list(members)] == c)
+
+    def test_tolerance_chain_merges_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(gelfand, "_PAIR_BUDGET", 1)
+        # 0 ~ 2 ~ 1 within 0.5, but |x0 - x1| = 1 exceeds it
+        emb = embed(AlgebraSpec(range(4), [[0.0, 1.0, 0.5, 5.0]]), tol=0.5)
+        assert emb.classes == ((0, 1, 2), (3,))
+        assert emb.class_of.tolist() == [0, 0, 0, 1]
+
+    def test_tolerance_path_memory_is_blockwise(self, monkeypatch):
+        monkeypatch.setattr(gelfand, "_PAIR_BUDGET", 1 << 14)
+        n = 2000
+        spec = AlgebraSpec(range(n), np.random.default_rng(46).uniform(0, 1, (1, n)))
+        tracemalloc.start()
+        try:
+            embed(spec, tol=1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 2  # an n x n boolean array alone takes n * n bytes
+
+    @pytest.mark.parametrize("tol", [0.0, 0.1])
+    def test_signed_zeros_share_a_class(self, tol):
+        emb = embed(AlgebraSpec(range(3), [[0.0, -0.0, 1.0], [-0.0, 0.0, 0.0]]), tol=tol)
+        assert emb.classes == ((0, 1), (2,))
+
+    @pytest.mark.parametrize("tol", [0.0, 0.1])
+    def test_classes_numbered_by_smallest_member(self, tol):
+        emb = embed(AlgebraSpec(range(6), [[3.0, 1.0, 3.0, 2.0, 1.0, 2.0]]), tol=tol)
+        assert emb.classes == ((0, 2), (1, 4), (3, 5))
+        assert emb.class_of.tolist() == [0, 1, 0, 2, 1, 2]
+        assert emb.representatives().tolist() == [0, 1, 3]
 
     def test_validation(self):
         with pytest.raises(ValidationError, match="at least one generator"):
@@ -101,6 +168,23 @@ class TestPushforward:
             mu = AtomicMeasure(rng.uniform(0, 3, n))
             assert pushforward(mu, emb).total == mu.total
 
+    def test_atoms_are_class_sums(self):
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            n = int(rng.integers(2, 30))
+            labels = rng.integers(0, int(rng.integers(1, n + 1)), n)
+            gens = np.zeros((int(np.max(labels)) + 1, n))
+            gens[labels, np.arange(n)] = 1.0
+            emb = embed(AlgebraSpec(range(n), gens))
+            mu = AtomicMeasure(rng.uniform(0, 3, n))
+            A = assemble(Network(n, [(i, i + 1, float(c)) for i, c in enumerate(rng.uniform(0.1, 3, n - 1))]))
+            gamma = energy_measure(A, rng.uniform(-2, 2, n))
+            push = pushforward(mu, emb)
+            assert push.total == mu.total
+            for atoms, w in ((push.atoms, mu.weights), (pushforward_gamma(gamma, emb).masses, gamma.masses)):
+                ref = np.array([np.sum(w[list(c)]) for c in emb.classes])
+                assert np.all(np.abs(atoms - ref) <= 4 * np.spacing(ref))
+
     def test_injection_on_separated_specs(self):
         rng = np.random.default_rng(41)
         emb = embed(AlgebraSpec(range(10), rng.standard_normal((2, 10))))
@@ -141,6 +225,13 @@ class TestIsometry:
         mu = AtomicMeasure([0.1, 0.2, 0.3, 0.4])
         lhs, rhs, diff = l2_isometry_check(spec.generators[0], mu, emb)
         assert diff <= 1e-12 * max(1.0, lhs)
+
+    def test_smallest_faulty_class_is_named(self):
+        # classes (0, 5), (1, 2), (3,), (4,); the first faulty point, 2, is in class 1
+        emb = embed(AlgebraSpec(range(6), [[0.0, 1.0, 1.0, 3.0, 4.0, 0.0]]))
+        f = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(NotInAlgebraError, match=r"^f is not constant on class 0 \(points \(0, 5\)\); "):
+            quotient_function(f, emb)
 
     def test_not_class_constant_rejected(self):
         emb = embed(AlgebraSpec(range(2), [[5.0, 5.0]]))

@@ -291,7 +291,7 @@ class TestTolerancesAndGuards:
         assert inspect.signature(check_compatibility).parameters["tol"].default is network.COMPAT_RELTOL
         assert _build_parser().parse_args(["seq", "check", "seq.json"]).tol is network.COMPAT_RELTOL
         sequences = importlib.import_module("netforms.sequences")
-        assert sequences.MAX_DYADIC_LEVELS == 20
+        assert sequences.MAX_DYADIC_LEVELS == 13
         assert importlib.import_module("netforms.energy").MAX_DYADIC_LEVELS is sequences.MAX_DYADIC_LEVELS
 
     @pytest.mark.parametrize("module", ["trace", "simulate", "energy", "sequences", "beurling_deny", "gelfand"])

@@ -71,8 +71,9 @@ class TestDyadic:
         assert delta / 10 <= dev <= delta
 
     def test_size_guard(self):
-        with pytest.raises(ValidationError, match="size guard"):
-            build_dyadic_interval(21)
+        for levels in (14, 21):
+            with pytest.raises(ValidationError, match="size guard"):
+                build_dyadic_interval(levels)
 
     def test_levels_must_be_an_integer(self):
         for bad in (2.7, 3.0, True, "3"):

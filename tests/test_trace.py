@@ -70,7 +70,7 @@ class TestTrace:
             trace(path3, [])
         with pytest.raises(ValidationError, match="out of range"):
             trace(path3, [0, 7])
-        for bad in ([0.7, 2.2], [0, 2.0], [True, 2], np.array([0.0, 2.0]), [[0, 1]]):
+        for bad in ([0.7, 2.2], [0, 2.0], [True, 2], np.array([0.0, 2.0]), [[0, 1]], [[0, 1], [2]]):
             with pytest.raises(ValidationError):
                 trace(path3, bad)
         ref = trace(path3, [0, 2]).traced_form.matrix
@@ -129,6 +129,15 @@ class TestTrace:
         net = Network(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(SingularBlockError, match=r"\[2, 3\]"):
             trace(assemble(net), [0, 1])
+
+    def test_singular_interior_lists_each_floating_component(self):
+        # {0, 1} meets the subset and {4, 5} carries killing; {2, 3} and {6} float
+        net = Network(7, [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)], killing=[0, 0, 0, 0, 0.5, 0, 0])
+        with pytest.raises(SingularBlockError) as err:
+            trace(assemble(net), [0])
+        assert str(err.value).startswith(
+            "components disconnected from the subset with no killing: [[2, 3], [6]] (rcond estimate "
+        )
 
     def test_killing_rescues_floating_component(self):
         net = Network(4, [(0, 1, 1.0), (2, 3, 1.0)], killing=[0, 0, 0.5, 0])

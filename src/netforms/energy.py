@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gelfand import EmbeddingResult
-from .network import CLAMP_RELTOL, IDENTITY_RELTOL, FormMatrix, conductance_matrix, killing_vector
+from .network import CLAMP_RELTOL, IDENTITY_RELTOL, FormMatrix, killing_vector
 from .network import _as_vector, _readonly, _require_markov, _scale
 from .sequences import MAX_DYADIC_LEVELS, build_dyadic_interval
 
@@ -60,10 +60,12 @@ def energy_measure(A: FormMatrix, f) -> EnergyMeasure:
     """Energy measure of f, cross-checked against the defining identity."""
     _require_markov(A)
     fv = _as_vector(f, A.n, "f")
-    C = conductance_matrix(A)
     kappa = killing_vector(A)
-    diffs = fv[:, None] - fv[None, :]
-    closed = 0.5 * np.sum(C * diffs * diffs, axis=1) + 0.5 * kappa * fv * fv
+    i, j = np.nonzero(A.matrix)
+    off = i != j
+    i, j = i[off], j[off]
+    d = fv[i] - fv[j]
+    closed = 0.5 * np.bincount(i, -A.matrix[i, j] * d * d, minlength=A.n) + 0.5 * kappa * fv * fv
 
     # defining identity with indicator test functions:
     # gamma(x) = E(1_x f, f) - 1/2 E(1_x, f^2) = f(x) (A f)(x) - 1/2 (A f^2)(x)

@@ -232,9 +232,8 @@ def transfer_form(A: FormMatrix, emb: EmbeddingResult) -> FormMatrix:
     if A.n != emb.n_points:
         raise ValidationError(f"form has {A.n} vertices but the embedding has {emb.n_points} points")
     m = emb.n_classes
-    Q = np.zeros((A.n, m))
-    Q[np.arange(A.n), emb.class_of] = 1.0
-    Ahat = Q.T @ A.matrix @ Q
+    k = emb.class_of
+    Ahat = np.bincount((k[:, None] * m + k[None, :]).ravel(), A.matrix.ravel(), minlength=m * m).reshape(m, m)
     Ahat = (Ahat + Ahat.T) / 2.0
     out = FormMatrix(Ahat)
 

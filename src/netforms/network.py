@@ -64,6 +64,11 @@ COMPAT_RELTOL = 1e-9
 #: Rounding slack below which a decrease of an energy profile is not flagged.
 PROFILE_RELTOL = 1e-12
 
+# Size guards.
+
+#: Largest dense n x n float64 array assemble allocates (1 GiB: n <= 11,585).
+DENSE_BYTES_MAX = 2**30
+
 
 def _scale(m) -> float:
     """Magnitude max(1, max|m|) that relative tolerances multiply."""
@@ -353,8 +358,15 @@ def assemble(net: Network) -> FormMatrix:
     """Assemble the form matrix of a network.
 
     Off-diagonal entries are the negated conductances; the diagonal is the
-    conductance row sum plus the killing weight.
+    conductance row sum plus the killing weight. A network whose dense
+    matrix would exceed ``DENSE_BYTES_MAX`` raises ValidationError.
     """
+    nbytes = 8 * net.n * net.n
+    if nbytes > DENSE_BYTES_MAX:
+        raise ValidationError(
+            f"a dense form matrix on {net.n} vertices needs {nbytes} bytes, "
+            f"above the size guard of {DENSE_BYTES_MAX} bytes"
+        )
     return _laplacian(net.conductance_matrix(), net.killing)
 
 

@@ -209,6 +209,22 @@ def test_seq_build_above_dyadic_guard_exit_1(tmp_path, capsys):
     assert not seq.exists()
 
 
+def test_net_assemble_above_dense_guard_exit_1(tmp_path, capsys):
+    # 12,000 vertices need 1,152,000,000 bytes densely, above DENSE_BYTES_MAX (1 GiB)
+    n = 12_000
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({
+        "vertices": list(range(n)),
+        "edges": [{"u": k, "v": k + 1, "c": 1.0} for k in range(n - 1)],
+    }))
+    out = tmp_path / "A.csv"
+    assert main(["net", "assemble", str(p), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "needs 1152000000 bytes" in err["error"]["message"]
+    assert not out.exists()
+
+
 def test_gasket_build_with_calibration(tmp_path, capsys):
     seq = tmp_path / "g.json"
     assert main(["seq", "build", "gasket", "--levels", "1", "--calibrate", "--output", str(seq)]) == 0

@@ -33,7 +33,24 @@ def closed_form_oracle(net: Network, f):
     return out
 
 
+def dense_closed_form(A: FormMatrix, f):
+    """Oracle: the closed form over the dense n x n difference array."""
+    C = -A.matrix.copy()
+    np.fill_diagonal(C, 0.0)
+    diffs = f[:, None] - f[None, :]
+    return 0.5 * np.sum(C * diffs * diffs, axis=1) + 0.5 * np.sum(A.matrix, axis=1) * f * f
+
+
 class TestEnergyMeasure:
+    def test_support_pairs_match_dense_closed_form(self):
+        # the masses sum the same nonnegative terms in another order
+        rng = np.random.default_rng(51)
+        for _ in range(100):
+            A = random_markov_form(rng, n_max=40)
+            f = rng.uniform(-2, 2, A.n)
+            old = np.maximum(dense_closed_form(A, f), 0.0)
+            assert np.all(np.abs(energy_measure(A, f).masses - old) <= 4 * np.spacing(old))
+
     def test_unit_edge(self, unit_edge):
         gamma = energy_measure(unit_edge, [1.0, 0.0])
         assert np.array_equal(gamma.masses, [0.5, 0.5])

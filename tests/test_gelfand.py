@@ -25,6 +25,7 @@ from netforms import (
     unit_contraction,
     vanishes_nowhere,
 )
+from netforms.random_networks import random_markov_form
 
 
 def closure_classes(images, tol):
@@ -273,6 +274,21 @@ class TestTransferForm:
             down = evaluate(Ahat, fh, gh)
             scale = max(1.0, np.max(np.abs(A.matrix))) * n * 4.0
             assert abs(up - down) <= 1e-12 * scale
+
+    def test_block_sums_match_one_hot_product(self):
+        # oracle: Q^T A Q with the n x m one-hot class matrix Q
+        rng = np.random.default_rng(45)
+        for _ in range(30):
+            A = random_markov_form(rng, n_max=25)
+            labels = rng.integers(0, int(rng.integers(1, A.n + 1)), A.n)
+            gens = np.zeros((int(np.max(labels)) + 1, A.n))
+            gens[labels, np.arange(A.n)] = 1.0
+            emb = embed(AlgebraSpec(range(A.n), gens))
+            Q = np.zeros((A.n, emb.n_classes))
+            Q[np.arange(A.n), emb.class_of] = 1.0
+            oracle = Q.T @ A.matrix @ Q
+            scale = max(1.0, float(np.max(np.abs(A.matrix)))) * A.n
+            assert np.max(np.abs(transfer_form(A, emb).matrix - oracle)) <= 1e-14 * scale
 
     def test_transfer_preserves_markov(self):
         rng = np.random.default_rng(44)

@@ -39,6 +39,11 @@ class TestDyadic:
         assert rep
         assert np.all(rep.deviations <= 1e-12 * rep.scales)
 
+    def test_compatibility_exact_at_every_level_pair(self):
+        # 2^(n+1) in series with 2^(n+1) traces to 2^n bit for bit
+        rep = check_compatibility(build_dyadic_interval(11))
+        assert np.array_equal(rep.deviations, np.zeros(11))
+
     def test_linear_profile_constant_one(self):
         seq = build_dyadic_interval(8)
         f = np.array(seq.networks[-1].vertices, dtype=float)

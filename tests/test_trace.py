@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netforms import (
+    FormMatrix,
     InfiniteResistanceError,
     Network,
     SingularBlockError,
@@ -16,8 +19,10 @@ from netforms import (
     sup_formula_value,
     trace,
 )
+from netforms.network import SINGULAR_RCOND
 from netforms.random_networks import random_connected_network
 from netforms.sequences import build_dyadic_interval, build_sierpinski_gasket
+from netforms.trace import STACK_MAX
 
 
 def min_energy_over_grid(A, U, f, grid):
@@ -309,3 +314,122 @@ class TestSupFormula:
         zero = assemble(Network(3))
         with pytest.raises(ValidationError, match="undefined"):
             sup_formula_value(zero, 0, 1, [1.0, 0.0, 0.0])
+
+
+def dense_schur(A, U):
+    """Oracle: the Schur complement and extension operator of one dense solve."""
+    M = A.matrix
+    W = np.setdiff1d(np.arange(A.n), U)
+    X = np.linalg.solve(M[np.ix_(W, W)], M[np.ix_(W, U)])
+    return M[np.ix_(U, U)] - M[np.ix_(U, W)] @ X, -X
+
+
+def split_network(rng, sizes, big, n_boundary, bridges=()):
+    """Boundary vertices 0..n_boundary-1 on a random tree, then interior
+    components: trees of the given sizes and one of ``big`` vertices, each
+    tied to the boundary by one to three edges; a fifth of the vertices carry
+    killing. Vertices are shuffled; returns the form and the boundary's
+    positions. ``bridges`` names components (0 is the big one) whose last
+    vertex, killing-free, hangs on the rest by a 1e-20 edge instead."""
+    edges = {}
+    for a in range(1, n_boundary):
+        edges[(int(rng.integers(0, a)), a)] = float(rng.uniform(0.1, 3.0))
+    n = n_boundary + big + sum(sizes)
+    killing = np.where(rng.random(n) < 0.2, rng.uniform(0.0, 1.0, n), 0.0)
+    v = n_boundary
+    for c, k in enumerate([big, *sizes]):
+        for a in range(1, k):
+            weight = float(rng.uniform(0.1, 3.0))
+            if c in bridges and a == k - 1:
+                weight, killing[v + a] = 1e-20, 0.0
+            edges[(v + int(rng.integers(0, a)), v + a)] = weight
+        for _ in range(int(rng.integers(1, 4))):
+            edges[(int(rng.integers(0, n_boundary)), v + int(rng.integers(0, max(1, k - 1))))] = float(rng.uniform(0.1, 3.0))
+        v += k
+    perm = rng.permutation(n)
+    net = Network(n, [(int(perm[a]), int(perm[b]), w) for (a, b), w in edges.items()], killing[np.argsort(perm)])
+    return assemble(net), np.sort(perm[:n_boundary])
+
+
+split_inputs = st.tuples(
+    st.lists(st.integers(1, 5), min_size=1, max_size=30),
+    st.integers(STACK_MAX + 1, STACK_MAX + 8),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+split_settings = settings(max_examples=40, derandomize=True, deadline=None, database=None)
+
+
+class TestSplitTrace:
+    """Interiors above STACK_MAX vertices, eliminated component by component."""
+
+    @split_settings
+    @given(split_inputs)
+    def test_matches_dense_schur(self, case):
+        sizes, big, n_boundary, seed = case
+        A, U = split_network(np.random.default_rng(seed), sizes, big, n_boundary)
+        tr = trace(A, U)
+        S, H = dense_schur(A, U)
+        scale = max(1.0, float(np.max(np.abs(S))))
+        assert np.max(np.abs(tr.traced_form.matrix - S)) <= 1e-12 * scale
+        assert np.max(np.abs(tr.extension_operator - H)) <= 1e-12
+        assert SINGULAR_RCOND <= tr.rcond <= 1.0
+
+    @split_settings
+    @given(split_inputs, st.integers(1, 40))
+    def test_tower_property(self, case, n_extra):
+        sizes, big, n_boundary, seed = case
+        rng = np.random.default_rng(seed)
+        A, U1 = split_network(rng, sizes, big, n_boundary)
+        W = np.setdiff1d(np.arange(A.n), U1)
+        U2 = np.union1d(U1, rng.choice(W, size=min(n_extra, W.size - 1), replace=False))
+        via_tower = trace(trace(A, U2).traced_form, np.searchsorted(U2, U1)).traced_form.matrix
+        direct = trace(A, U1).traced_form.matrix
+        assert np.max(np.abs(via_tower - direct)) <= 1e-12 * max(1.0, float(np.max(np.abs(direct))))
+
+    @split_settings
+    @given(split_inputs, st.integers(1, 4))
+    def test_floating_components_named(self, case, k):
+        sizes, big, n_boundary, seed = case
+        A, U = split_network(np.random.default_rng(seed), sizes, big, n_boundary)
+        # append two killing-free paths of k vertices that touch nothing; they
+        # share one stacked solve, which fails as a whole
+        n = A.n + 2 * k
+        M = np.zeros((n, n))
+        M[: A.n, : A.n] = A.matrix
+        for start in (A.n, A.n + k):
+            for a in range(start + 1, start + k):
+                M[a - 1, a] = M[a, a - 1] = -1.0
+        tail = np.arange(A.n, n)
+        M[tail, tail] = -np.sum(M[tail], axis=1)
+        with pytest.raises(SingularBlockError) as err:
+            trace(FormMatrix(M), U)
+        floating = [list(range(A.n, A.n + k)), list(range(A.n + k, n))]
+        assert str(err.value).startswith(
+            f"components disconnected from the subset with no killing: {floating} (rcond estimate "
+        )
+
+    @pytest.mark.parametrize("bridged", [0, 1], ids=["lone", "stacked"])
+    def test_near_zero_bridge_is_singular(self, bridged):
+        # component 0 is the big one (a lone block); components 1-3 have the
+        # same size and so share a stack unless their boundary counts differ
+        rng = np.random.default_rng(7)
+        A, U = split_network(rng, [3, 3, 3], STACK_MAX + 1, 1, bridges=(bridged,))
+        with pytest.raises(SingularBlockError, match=r"^interior block is numerically singular \(rcond estimate"):
+            trace(A, U)
+
+    def test_rcond_is_per_block(self):
+        # the interior {1, 3} is diagonal, so each vertex is its own block: vertex
+        # 3, on a 1e-20 edge, is a well-conditioned 1 x 1 block, although the
+        # condition of the whole interior block is 5e-21
+        A = assemble(Network(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1e-20)]))
+        tr = trace(A, [0, 2])
+        S, H = dense_schur(A, np.array([0, 2]))
+        assert tr.rcond == pytest.approx(1.0)
+        assert np.allclose(tr.traced_form.matrix, S, rtol=1e-15, atol=0.0)
+        assert np.allclose(tr.extension_operator, H, rtol=1e-15, atol=0.0)
+
+    def test_rcond_of_cholesky_block_and_empty_interior(self, path3, triangle):
+        assert trace(path3, [0, 1, 2]).rcond == 1.0
+        tr = trace(triangle, [0])
+        assert 0.0 < tr.rcond < 1.0 and tr.extension_operator.shape == (2, 1)

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.sparse import coo_array
 
 from .errors import DescentError, NotInAlgebraError, ValidationError
-from .network import RELTOL, AtomicMeasure, FormMatrix, _as_vector, _groups, _labels, _readonly, _scale
+from .network import RELTOL, AtomicMeasure, FormMatrix
+from .network import _as_vector, _check_dense, _entries, _groups, _labels, _product, _readonly, _scale
 
 __all__ = [
     "AlgebraSpec",
@@ -233,16 +234,18 @@ def transfer_form(A: FormMatrix, emb: EmbeddingResult) -> FormMatrix:
         raise ValidationError(f"form has {A.n} vertices but the embedding has {emb.n_points} points")
     m = emb.n_classes
     k = emb.class_of
-    Ahat = np.bincount((k[:, None] * m + k[None, :]).ravel(), A.matrix.ravel(), minlength=m * m).reshape(m, m)
+    _check_dense((m, m), "a dense quotient form")
+    i, j, a = _entries(A)
+    Ahat = np.bincount(k[i] * m + k[j], a, minlength=m * m).reshape(m, m)
     Ahat = (Ahat + Ahat.T) / 2.0
     out = FormMatrix(Ahat)
 
     rng = np.random.default_rng(0)
-    scale = _scale(A.matrix) * A.n
+    scale = _scale(A) * A.n
     for _ in range(8):
         fh = rng.standard_normal(m)
         gh = rng.standard_normal(m)
-        up = float(fh[emb.class_of] @ A.matrix @ gh[emb.class_of])
+        up = float(fh[emb.class_of] @ _product(A, gh[emb.class_of]))
         down = float(fh @ Ahat @ gh)
         if abs(up - down) > RELTOL * scale * max(1.0, abs(up)):
             raise DescentError(

@@ -7,18 +7,22 @@ matrix, so that
     E(f, g) = f^T A g
             = sum_{x<y} c_xy (f(x) - f(y)) (g(x) - g(y)) + sum_x kappa_x f(x) g(x).
 
-Functions on the vertex set are plain 1-d numpy arrays indexed by the vertex
-order of the owning network. All container types are immutable after
+A network holds its edges as arrays and a form holds one CSR matrix (or, when
+small, the dense array it was built from), so every operation on a form costs
+O(|E|). Functions on the vertex set are plain 1-d numpy arrays indexed by the
+vertex order of the owning network. All container types are immutable after
 construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, issparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
@@ -66,17 +70,48 @@ PROFILE_RELTOL = 1e-12
 
 # Size guards.
 
-#: Largest dense n x n float64 array assemble allocates (1 GiB: n <= 11,585).
+#: Largest dense float64 array a form operation allocates: the dense view
+#: ``FormMatrix.matrix``, a trace's extension operator and its dense blocks
+#: (1 GiB; an n x n view passes for n <= 11,585).
 DENSE_BYTES_MAX = 2**30
+
+#: Largest network that assemble builds, and trace eliminates, densely: below
+#: it one n x n array is cheaper than the fixed cost of a scipy sparse matrix.
+DENSE_N_MAX = 64
 
 
 def _scale(m) -> float:
-    """Magnitude max(1, max|m|) that relative tolerances multiply."""
-    return max(1.0, float(np.max(np.abs(m))))
+    """Magnitude max(1, max|m|) that relative tolerances multiply; a form's
+    magnitude is that of its stored entries."""
+    if isinstance(m, FormMatrix):
+        m = m._dense if m._dense is not None else m.csr.data
+    return max(1.0, float(np.max(np.abs(m), initial=0.0)))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _tolerance(tol) -> float:
+    """A tolerance as a float; nan, infinite, negative and non-numbers raise."""
+    if isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool):
+        try:
+            t = float(tol)
+        except OverflowError:  # an int beyond the float range
+            t = math.inf
+        if math.isfinite(t) and t >= 0.0:
+            return t
+    raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def _check_dense(shape, what: str) -> None:
+    """Raise ValidationError if a float64 array of ``shape`` exceeds DENSE_BYTES_MAX."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes > DENSE_BYTES_MAX:
+        raise ValidationError(
+            f"{what} of shape {tuple(shape)} needs {nbytes} bytes, "
+            f"above the size guard of {DENSE_BYTES_MAX} bytes"
+        )
+
+
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -139,6 +174,20 @@ def _index(v, what: str = "vertex index") -> int:
     raise ValidationError(f"{what} must be an integer, got {v!r}")
 
 
+def _indices(values, what: str) -> np.ndarray:
+    """A 1-d index array by the integer rule of :func:`_index`: an integer
+    array passes whole, anything else entry by entry."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.ndim == 1:
+        return values.astype(np.intp, copy=False)
+    if np.ndim(np.asarray(values, dtype=object)) != 1:  # a ragged list fails per entry
+        raise ValidationError(f"{what} must be a 1-d index list")
+    out = [_index(x, f"{what} entry") for x in values]
+    try:
+        return np.array(out, dtype=np.intp)
+    except OverflowError:
+        raise ValidationError(f"{what} has an entry too large for an index") from None
+
+
 def _vertex(v, n: int) -> int:
     """A vertex index in range(n), by the integer rule of :func:`_index`."""
     i = _index(v)
@@ -150,6 +199,77 @@ def _vertex(v, n: int) -> int:
 def _killing_free(kappa, scale: float) -> np.ndarray:
     """Whether each killing weight or rate is zero up to RELTOL * scale."""
     return ~(np.asarray(kappa) > RELTOL * scale)
+
+
+class _EdgeArrays(NamedTuple):
+    """Edge endpoints and conductances as three arrays; see Network.from_arrays."""
+
+    u: np.ndarray
+    v: np.ndarray
+    c: np.ndarray
+
+
+def _parse_edges(edges, n: int) -> _EdgeArrays:
+    """Arrays of an iterable of (u, v, c) triples, each entry type-checked."""
+    us, vs, cs = [], [], []
+    for k, e in enumerate(edges):
+        try:
+            u, v, c = e
+        except (TypeError, ValueError):
+            raise ValidationError(f"edge #{k}: expected a (u, v, c) triple, got {e!r}") from None
+        try:
+            u, v = _index(u), _index(v)
+        except ValidationError as err:
+            raise ValidationError(f"edge #{k}: {err}") from None
+        try:
+            c = float(c)
+        except OverflowError:
+            raise ValidationError(f"edge #{k}: conductance is too large for a float (u={u}, v={v})") from None
+        us.append(u)
+        vs.append(v)
+        cs.append(c)
+    try:
+        return _EdgeArrays(np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(cs))
+    except OverflowError:  # an endpoint beyond int64 is out of range
+        k = next(k for k, (u, v) in enumerate(zip(us, vs)) if not (0 <= u < n and 0 <= v < n))
+        raise ValidationError(f"edge #{k}: endpoint out of range (u={us[k]}, v={vs[k]}, n={n})") from None
+
+
+def _check_edges(u: np.ndarray, v: np.ndarray, c: np.ndarray, n: int) -> _EdgeArrays:
+    """Validate edge arrays in one vectorized pass; return them canonical.
+
+    Canonical edges have u < v and ascend in the key u*n + v. The first bad
+    edge in input order is reported, with the first rule it breaks: no
+    self-loop, endpoints in range, a finite positive conductance, no repeated
+    unordered pair (found from the sorted keys).
+    """
+    if not (u.dtype.kind in "iu" and v.dtype.kind in "iu"):
+        raise ValidationError("edge endpoints must be integer arrays")
+    if not (u.ndim == v.ndim == c.ndim == 1 and u.size == v.size == c.size):
+        raise ValidationError("edge arrays must be 1-d and of one length")
+    u, v, c = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False), c.astype(float, copy=False)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * n + hi
+    loop = u == v
+    out = (lo < 0) | (hi >= n)
+    weak = ~(c > 0.0) | ~np.isfinite(c)
+    order = np.argsort(key, kind="stable")
+    dup = np.zeros(key.size, dtype=bool)
+    dup[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    bad = loop | out | weak | dup
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if loop[k]:
+            raise ValidationError(f"edge #{k}: self-loop at vertex {int(u[k])} is not allowed")
+        if out[k]:
+            raise ValidationError(f"edge #{k}: endpoint out of range (u={int(u[k])}, v={int(v[k])}, n={n})")
+        if weak[k]:
+            raise ValidationError(
+                f"edge #{k}: conductance {float(c[k])!r} must be finite and > 0 (u={int(u[k])}, v={int(v[k])})"
+            )
+        first = int(np.flatnonzero(key == key[k])[0])
+        raise ValidationError(f"edge #{k}: duplicate edge ({int(lo[k])}, {int(hi[k])}), first seen as edge #{first}")
+    return _EdgeArrays(_readonly(lo[order], np.int64), _readonly(hi[order], np.int64), _readonly(c[order]))
 
 
 class Network:
@@ -165,9 +285,13 @@ class Network:
         Self-loops and duplicate unordered pairs are rejected.
     killing : sequence, optional
         Nonnegative killing weight per vertex; defaults to zeros.
+
+    The edges are held as read-only arrays ``u < v`` and ``c``, ascending in
+    (u, v); ``edges`` lists them as triples. :meth:`from_arrays` takes the
+    three arrays directly.
     """
 
-    __slots__ = ("vertices", "edges", "killing")
+    __slots__ = ("vertices", "u", "v", "c", "killing")
 
     def __init__(self, vertices, edges=(), killing=None):
         if isinstance(vertices, (int, np.integer)):
@@ -177,35 +301,8 @@ class Network:
         n = len(labels)
         if n == 0:
             raise ValidationError("network must have at least one vertex")
-
-        canon = []
-        seen = {}
-        for k, e in enumerate(edges):
-            try:
-                u, v, c = e
-            except (TypeError, ValueError):
-                raise ValidationError(f"edge #{k}: expected a (u, v, c) triple, got {e!r}") from None
-            try:
-                u, v = _index(u), _index(v)
-            except ValidationError as err:
-                raise ValidationError(f"edge #{k}: {err}") from None
-            if u == v:
-                raise ValidationError(f"edge #{k}: self-loop at vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge #{k}: endpoint out of range (u={u}, v={v}, n={n})")
-            try:
-                c = float(c)
-            except OverflowError:
-                raise ValidationError(f"edge #{k}: conductance is too large for a float (u={u}, v={v})") from None
-            if not np.isfinite(c) or c <= 0.0:
-                raise ValidationError(f"edge #{k}: conductance {c!r} must be finite and > 0 (u={u}, v={v})")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise ValidationError(f"edge #{k}: duplicate edge ({u}, {v}), first seen as edge #{seen[(u, v)]}")
-            seen[(u, v)] = k
-            canon.append((u, v, c))
-        canon.sort(key=lambda t: (t[0], t[1]))
+        arrays = edges if isinstance(edges, _EdgeArrays) else _parse_edges(edges, n)
+        u, v, c = _check_edges(*(np.asarray(x) for x in arrays), n)
 
         if killing is None:
             kap = np.zeros(n)
@@ -216,8 +313,15 @@ class Network:
                 raise ValidationError(f"killing[{bad}] = {kap[bad]} must be >= 0")
 
         object.__setattr__(self, "vertices", labels)
-        object.__setattr__(self, "edges", tuple(canon))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "killing", _readonly(kap))
+
+    @classmethod
+    def from_arrays(cls, vertices, u, v, c, killing=None) -> "Network":
+        """Network from integer endpoint arrays and a conductance array."""
+        return cls(vertices, _EdgeArrays(u, v, c), killing)
 
     def __setattr__(self, name, value):
         raise AttributeError("Network is immutable")
@@ -226,12 +330,17 @@ class Network:
     def n(self) -> int:
         return len(self.vertices)
 
+    @property
+    def edges(self) -> tuple:
+        """The edges as (u, v, c) triples of Python numbers, u < v, ascending."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.c.tolist()))
+
     def conductance_matrix(self) -> np.ndarray:
         """Dense symmetric conductance matrix with zero diagonal."""
+        _check_dense((self.n, self.n), "a dense conductance matrix")
         C = np.zeros((self.n, self.n))
-        for u, v, c in self.edges:
-            C[u, v] = c
-            C[v, u] = c
+        C[self.u, self.v] = self.c
+        C[self.v, self.u] = self.c
         return C
 
     def __eq__(self, other):
@@ -239,22 +348,24 @@ class Network:
             return NotImplemented
         return (
             self.vertices == other.vertices
-            and self.edges == other.edges
+            and np.array_equal(self.u, other.u)
+            and np.array_equal(self.v, other.v)
+            and np.array_equal(self.c, other.c)
             and np.array_equal(self.killing, other.killing)
         )
 
     def __hash__(self):
-        return hash((self.vertices, self.edges, self.killing.tobytes()))
+        return hash((self.vertices, self.u.tobytes(), self.v.tobytes(), self.c.tobytes(), self.killing.tobytes()))
 
     def __repr__(self):
-        return f"Network(n={self.n}, edges={len(self.edges)}, total_killing={float(np.sum(self.killing))})"
+        return f"Network(n={self.n}, edges={self.c.size}, total_killing={float(np.sum(self.killing))})"
 
     def to_dict(self) -> dict:
         """JSON-ready dict: vertices, 0-based edges, killing."""
         return {
             "vertices": list(self.vertices),
             "edges": [{"u": u, "v": v, "c": c} for u, v, c in self.edges],
-            "killing": [float(k) for k in self.killing],
+            "killing": self.killing.tolist(),
         }
 
     @classmethod
@@ -282,19 +393,85 @@ class Network:
         return cls(labels, edges, killing)
 
 
-@dataclass(frozen=True, eq=False)
-class FormMatrix:
-    """Dense symmetric matrix realizing a bilinear form f^T A g.
+def _csr(indptr, indices, data, n: int) -> csr_array:
+    """Read-only CSR matrix from canonical arrays (rows ascending, columns
+    ascending within each row, no repeats, no stored zeros)."""
+    M = csr_array((data, indices, indptr), shape=(n, n))
+    M.has_canonical_format = True
+    for a in (M.data, M.indices, M.indptr):
+        a.setflags(write=False)
+    return M
 
+
+def _csr_from_entries(rows, cols, vals, n: int) -> csr_array:
+    """CSR matrix of entries already in row-major order; zeros are dropped."""
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return _csr(indptr, cols.astype(np.int64, copy=False), vals.astype(float, copy=False), n)
+
+
+def _entries(A: "FormMatrix"):
+    """Row indices, column indices and values of the nonzero entries of a
+    form, row-major: read from the dense view on a form of at most
+    ``DENSE_N_MAX`` vertices, from the CSR matrix on a larger one."""
+    if A.n <= DENSE_N_MAX:
+        i, j = np.nonzero(A.matrix)
+        return i, j, A.matrix[i, j]
+    M = A.csr
+    return np.repeat(np.arange(A.n), np.diff(M.indptr)), M.indices, M.data
+
+
+def _product(A: "FormMatrix", x: np.ndarray) -> np.ndarray:
+    """A @ x, on the dense view of a form of at most ``DENSE_N_MAX``
+    vertices and on the CSR matrix of a larger one."""
+    return (A.matrix if A.n <= DENSE_N_MAX else A.csr) @ x
+
+
+class FormMatrix:
+    """Symmetric matrix realizing a bilinear form f^T A g.
+
+    Built from a dense array, a form keeps that array and derives its CSR
+    matrix ``csr`` on first sparse use; built from a scipy sparse matrix, it
+    keeps the CSR matrix and derives the dense view ``matrix`` on request,
+    after checking it against ``DENSE_BYTES_MAX``. Both are read-only.
     Construction enforces exact symmetry and finiteness; whether the matrix
     additionally satisfies the Markov sign conditions is checked separately
     by :func:`is_markov`.
     """
 
-    matrix: np.ndarray
+    __slots__ = ("_dense", "_sparse")
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def __init__(self, matrix):
+        self.__post_init__(matrix)
+
+    def __post_init__(self, matrix):
+        """Check and store the matrix: the validation every form pays, kept
+        apart from ``__init__`` so that a profiler can time it on its own
+        (``perfbench/spans.py`` wraps it)."""
+        if issparse(matrix):
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+                raise ValidationError(f"form matrix must be square, got shape {matrix.shape}")
+            M = csr_array(matrix, dtype=float, copy=True)
+            M.sum_duplicates()
+            M.eliminate_zeros()
+            if not np.all(np.isfinite(M.data)):
+                raise ValidationError("form matrix contains non-finite entries")
+            T = M.tocsc()  # the CSR arrays of the transpose
+            if not (
+                np.array_equal(M.indptr, T.indptr)
+                and np.array_equal(M.indices, T.indices)
+                and np.array_equal(M.data, T.data)
+            ):
+                i, j = _asymmetric(M)
+                raise ValidationError(
+                    f"form matrix is not symmetric: A[{i},{j}]={float(M[i, j])!r} != A[{j},{i}]={float(M[j, i])!r}"
+                )
+            object.__setattr__(self, "_dense", None)
+            object.__setattr__(self, "_sparse", _csr(M.indptr, M.indices, M.data, M.shape[0]))
+            return
+        m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"form matrix must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -304,14 +481,42 @@ class FormMatrix:
             raise ValidationError(
                 f"form matrix is not symmetric: A[{i},{j}]={float(m[i, j])!r} != A[{j},{i}]={float(m[j, i])!r}"
             )
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "_dense", _readonly(m))
+        object.__setattr__(self, "_sparse", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FormMatrix is immutable")
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return (self._dense if self._dense is not None else self._sparse).shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense n x n view, read-only; raises ValidationError above DENSE_BYTES_MAX."""
+        if self._dense is None:
+            _check_dense((self.n, self.n), "a dense form matrix")
+            object.__setattr__(self, "_dense", _readonly(self._sparse.toarray()))
+        return self._dense
+
+    @property
+    def csr(self) -> csr_array:
+        """The CSR matrix: canonical (sorted, no stored zeros) and read-only."""
+        if self._sparse is None:
+            i, j = np.nonzero(self._dense)
+            object.__setattr__(self, "_sparse", _csr_from_entries(i, j, self._dense[i, j], self.n))
+        return self._sparse
 
     def __repr__(self):
         return f"FormMatrix(n={self.n})"
+
+
+def _asymmetric(M: csr_array) -> tuple[int, int]:
+    """The first position (i, j), row-major, where a CSR matrix differs from its transpose."""
+    D = (M - M.T).tocoo()
+    D.eliminate_zeros()
+    first = np.lexsort((D.col, D.row))[0]
+    return int(D.row[first]), int(D.col[first])
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,16 +563,26 @@ def assemble(net: Network) -> FormMatrix:
     """Assemble the form matrix of a network.
 
     Off-diagonal entries are the negated conductances; the diagonal is the
-    conductance row sum plus the killing weight. A network whose dense
-    matrix would exceed ``DENSE_BYTES_MAX`` raises ValidationError.
+    conductance row sum plus the killing weight. A network of at most
+    ``DENSE_N_MAX`` vertices is assembled densely, with numpy's row sums; a
+    larger one straight into CSR in O(|E|), each row summed in ascending
+    column order.
     """
-    nbytes = 8 * net.n * net.n
-    if nbytes > DENSE_BYTES_MAX:
-        raise ValidationError(
-            f"a dense form matrix on {net.n} vertices needs {nbytes} bytes, "
-            f"above the size guard of {DENSE_BYTES_MAX} bytes"
-        )
-    return _laplacian(net.conductance_matrix(), net.killing)
+    n = net.n
+    if n <= DENSE_N_MAX:
+        return _laplacian(net.conductance_matrix(), net.killing)
+    # off-diagonal entries in row-major order: the lower triangle of row x
+    # (edges (u, x), ascending u) comes before its upper triangle (edges (x, v))
+    rows = np.concatenate([net.v, net.u])
+    order = np.argsort(rows, kind="stable")
+    rows, cols, c = rows[order], np.concatenate([net.u, net.v])[order], np.concatenate([net.c, net.c])[order]
+    diag = np.bincount(rows, c, minlength=n) + net.killing
+    # the diagonal entry of row x goes after its lower triangle
+    at = np.searchsorted(rows * n + cols, np.arange(n) * (n + 1))
+    rows = np.insert(rows, at, np.arange(n))
+    cols = np.insert(cols, at, np.arange(n))
+    vals = np.insert(-c, at, diag)
+    return FormMatrix(_csr_from_entries(rows, cols, vals, n))
 
 
 def _laplacian(C: np.ndarray, kappa) -> FormMatrix:
@@ -382,7 +597,7 @@ def evaluate(A: FormMatrix, f, g=None) -> float:
     """Evaluate the bilinear form f^T A g (g defaults to f)."""
     fv = _as_vector(f, A.n, "f")
     gv = fv if g is None else _as_vector(g, A.n, "g")
-    return float(fv @ A.matrix @ gv)
+    return float(fv @ _product(A, gv))
 
 
 def unit_contraction(u) -> np.ndarray:
@@ -398,21 +613,20 @@ def truncate_one(u) -> np.ndarray:
 def is_markov(A: FormMatrix, tol: float | None = None) -> MarkovReport:
     """Check the Markov sign conditions: off-diagonals <= tol, row sums >= -tol.
 
-    ``tol`` defaults to ``RELTOL * max(1, max|A|)``. Returns a report listing every
-    violation; the report is truthy iff there are none.
+    ``tol`` defaults to ``RELTOL * max(1, max|A|)``; a given one must be finite
+    and nonnegative. Returns a report listing every violation; the report is
+    truthy iff there are none.
     """
-    m = A.matrix
-    if tol is None:
-        tol = RELTOL * _scale(m) if m.size else 0.0
-    tol = float(tol)
-    violations = []
-    off = m.copy()
-    np.fill_diagonal(off, 0.0)
-    for i, j in np.argwhere(off > tol):
-        violations.append(f"off-diagonal ({i},{j}) = {float(m[i, j])!r} exceeds tolerance {tol!r}")
-    rows = np.sum(m, axis=1)
-    for i in np.flatnonzero(rows < -tol):
-        violations.append(f"row {i} sum = {float(rows[i])!r} is below -{tol!r}")
+    tol = RELTOL * _scale(A) if tol is None else _tolerance(tol)
+    i, j, a = _entries(A)
+    bad = (a > tol) & (i != j)
+    violations = [
+        f"off-diagonal ({x},{y}) = {v!r} exceeds tolerance {tol!r}"
+        for x, y, v in zip(i[bad].tolist(), j[bad].tolist(), a[bad].tolist())
+    ]
+    rows = killing_vector(A)
+    for x in np.flatnonzero(rows < -tol):
+        violations.append(f"row {x} sum = {float(rows[x])!r} is below -{tol!r}")
     return MarkovReport(ok=not violations, violations=tuple(violations), tol=tol)
 
 
@@ -426,20 +640,29 @@ def _require_markov(A: FormMatrix) -> None:
 def conductance_matrix(A: FormMatrix) -> np.ndarray:
     """Recover the conductance matrix (negated off-diagonal part) of a form."""
     C = -A.matrix
-    C = C.copy()
     np.fill_diagonal(C, 0.0)
     return C
 
 
 def killing_vector(A: FormMatrix) -> np.ndarray:
-    """Row sums of the form matrix; equals the killing weights up to rounding."""
-    return np.sum(A.matrix, axis=1)
+    """Row sums of the form matrix; equals the killing weights up to rounding.
+
+    As in assemble, a form of at most ``DENSE_N_MAX`` vertices is summed by
+    numpy's row sums of the dense view, and a larger one over its stored
+    entries in ascending column order.
+    """
+    if A.n <= DENSE_N_MAX:
+        return np.sum(A.matrix, axis=1)
+    i, _, a = _entries(A)
+    return np.bincount(i, a, minlength=A.n)
 
 
 def _labels(support) -> np.ndarray:
-    """Component label per vertex of a square dense or sparse support array,
-    numbered by smallest vertex: the package's one partition representation."""
-    return connected_components(csr_array(support), directed=False)[1]
+    """Component label per vertex of a form or of a square dense or sparse
+    support array, numbered by smallest vertex: the package's one partition
+    representation."""
+    graph = support.csr if isinstance(support, FormMatrix) else csr_array(support)
+    return connected_components(graph, directed=False)[1]
 
 
 def _groups(labels) -> list[np.ndarray]:
@@ -455,7 +678,14 @@ def components(A) -> list[np.ndarray]:
     a conductance matrix. Each component is ascending, and the components are
     ordered by their smallest vertex.
     """
-    return _groups(_labels(A.matrix if isinstance(A, FormMatrix) else A))
+    return _groups(_labels(A))
+
+
+def _principal(A: FormMatrix, idx) -> FormMatrix:
+    """The form restricted to the vertices ``idx`` (rows and columns)."""
+    if A.n <= DENSE_N_MAX:
+        return FormMatrix(A.matrix[np.ix_(idx, idx)])
+    return FormMatrix(A.csr[idx][:, idx])
 
 
 def _matrix_csv(m: np.ndarray) -> str:

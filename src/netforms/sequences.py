@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .network import COMPAT_RELTOL, PROFILE_RELTOL, FormMatrix, Network, assemble, evaluate
-from .network import _as_vector, _index, _json_numbers, _json_object, _scale
+from .network import _as_vector, _index, _indices, _json_numbers, _json_object, _scale, _tolerance
 from .trace import trace
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "save_sequence",
 ]
 
-MAX_DYADIC_LEVELS = 13
+MAX_DYADIC_LEVELS = 20
 MAX_GASKET_LEVELS = 8
 GASKET_FACTOR = 5.0 / 3.0
 
@@ -49,9 +49,10 @@ GASKET_FACTOR = 5.0 / 3.0
 class CompatibleSequence:
     """Nested networks with inclusion index maps between consecutive levels.
 
-    ``inclusions[n][i]`` is the index in level n+1 of vertex i of level n.
-    Form matrices are assembled lazily and cached, since deep dyadic levels
-    are too large to hold densely all at once unless actually used.
+    ``inclusions[n][i]`` is the index in level n+1 of vertex i of level n;
+    its entries follow the integer rule of vertex indices, so a float
+    inclusion raises rather than being truncated. Form matrices are
+    assembled lazily and cached.
     """
 
     networks: tuple
@@ -60,7 +61,7 @@ class CompatibleSequence:
 
     def __post_init__(self):
         nets = tuple(self.networks)
-        incs = tuple(np.asarray(m, dtype=int) for m in self.inclusions)
+        incs = tuple(_indices(m, f"inclusion {n}") for n, m in enumerate(self.inclusions))
         if len(nets) == 0:
             raise ValidationError("sequence must contain at least one level")
         if len(incs) != len(nets) - 1:
@@ -73,7 +74,7 @@ class CompatibleSequence:
                 raise ValidationError(f"inclusion {n} must have length {lo}, got shape {m.shape}")
             if np.any(m < 0) or np.any(m >= hi):
                 raise ValidationError(f"inclusion {n} has an index outside level {n + 1}")
-            if len(set(m.tolist())) != lo:
+            if np.unique(m).size != lo:
                 raise ValidationError(f"inclusion {n} is not injective")
         object.__setattr__(self, "networks", nets)
         object.__setattr__(self, "inclusions", incs)
@@ -117,14 +118,16 @@ def check_compatibility(seq: CompatibleSequence, tol: float = COMPAT_RELTOL) -> 
     """Max entrywise deviation |trace(A_{n+1}, iota(V_n)) - A_n| per level.
 
     The sequence is accepted iff every deviation is at most ``tol`` times the
-    magnitude of the finer matrix.
+    magnitude of the finer matrix; ``tol`` must be finite and nonnegative.
+    Both are computed on the CSR matrices, in O(|E|) per level.
     """
+    tol = _tolerance(tol)
     devs = np.zeros(max(seq.levels - 1, 0))
     scales = np.zeros_like(devs)
     for n in range(seq.levels - 1):
         traced = trace(seq.form(n + 1), seq.inclusions[n]).traced_form
-        devs[n] = float(np.max(np.abs(traced.matrix - seq.form(n).matrix)))
-        scales[n] = _scale(seq.form(n + 1).matrix)
+        devs[n] = float(abs(traced.csr - seq.form(n).csr).max())
+        scales[n] = _scale(seq.form(n + 1))
     ok = bool(np.all(devs <= tol * scales))
     return CompatibilityReport(deviations=devs, scales=scales, tol=float(tol), ok=ok)
 
@@ -170,46 +173,38 @@ def build_dyadic_interval(levels: int) -> CompatibleSequence:
     nets = []
     incs = []
     for n in range(levels + 1):
-        m = 2**n
-        labels = tuple(k * 0.5**n for k in range(m + 1))
-        edges = [(k, k + 1, float(2**n)) for k in range(m)]
-        nets.append(Network(labels, edges))
+        k = np.arange(2**n + 1)
+        labels = tuple((k * 0.5**n).tolist())
+        nets.append(Network.from_arrays(labels, k[:-1], k[1:], np.full(2**n, float(2**n))))
         if n > 0:
             incs.append(2 * np.arange(2 ** (n - 1) + 1))
     return CompatibleSequence(tuple(nets), tuple(incs))
 
 
-def _refine_gasket_cells(cells):
-    """One subdivision step on cells given as triples of integer coordinates."""
-    new_cells = []
-    for a, b, c in cells:
-        a2 = (2 * a[0], 2 * a[1])
-        b2 = (2 * b[0], 2 * b[1])
-        c2 = (2 * c[0], 2 * c[1])
-        ab = ((a2[0] + b2[0]) // 2, (a2[1] + b2[1]) // 2)
-        bc = ((b2[0] + c2[0]) // 2, (b2[1] + c2[1]) // 2)
-        ca = ((c2[0] + a2[0]) // 2, (c2[1] + a2[1]) // 2)
-        new_cells.append((a2, ab, ca))
-        new_cells.append((ab, b2, bc))
-        new_cells.append((ca, bc, c2))
-    return new_cells
+def _refine_gasket_cells(cells: np.ndarray) -> np.ndarray:
+    """One subdivision step on cells, shape (m, 3, 2): corners a, b, c as
+    integer coordinates. Cell i becomes cells 3i, 3i+1, 3i+2 at twice the
+    resolution: (a, ab, ca), (ab, b, bc), (ca, bc, c)."""
+    a, b, c = 2 * cells[:, 0], 2 * cells[:, 1], 2 * cells[:, 2]
+    ab, bc, ca = (a + b) // 2, (b + c) // 2, (c + a) // 2
+    return np.stack([np.stack(t, axis=1) for t in ((a, ab, ca), (ab, b, bc), (ca, bc, c))], axis=1).reshape(-1, 3, 2)
 
 
-def _gasket_network(cells, conductance: float) -> tuple[Network, dict]:
-    index = {}
-    for cell in cells:
-        for p in cell:
-            if p not in index:
-                index[p] = len(index)
-    labels = [None] * len(index)
-    for p, i in index.items():
-        labels[i] = p
-    edges = []
-    for a, b, c in cells:
-        edges.append((index[a], index[b], conductance))
-        edges.append((index[b], index[c], conductance))
-        edges.append((index[c], index[a], conductance))
-    return Network(tuple(labels), edges), index
+def _gasket_network(cells: np.ndarray, conductance: float, width: int) -> tuple[Network, tuple]:
+    """The network of a cell list, vertices numbered in order of first
+    appearance, and the sorted keys x * width + y of its vertices with each
+    key's vertex index."""
+    keys = (cells[..., 0] * width + cells[..., 1]).ravel()
+    uniq, first, at = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    index = np.empty(uniq.size, dtype=np.int64)
+    index[order] = np.arange(uniq.size)
+    corner = index[at].reshape(-1, 3)  # vertex index of each cell corner
+    labels = tuple(map(tuple, cells.reshape(-1, 2)[first[order]].tolist()))
+    u = corner[:, [0, 1, 2]].ravel()
+    v = corner[:, [1, 2, 0]].ravel()
+    net = Network.from_arrays(labels, u, v, np.full(u.size, conductance))
+    return net, (uniq, index)
 
 
 def build_sierpinski_gasket(levels: int, factor: float | None = None, calibrate: bool = False) -> CompatibleSequence:
@@ -236,18 +231,14 @@ def build_sierpinski_gasket(levels: int, factor: float | None = None, calibrate:
 
     nets = []
     incs = []
-    cells = [((0, 0), (1, 0), (0, 1))]
-    prev_index = None
+    cells = np.array([[[0, 0], [1, 0], [0, 1]]], dtype=np.int64)
+    width = 2**levels + 1
     for n in range(levels + 1):
-        net, index = _gasket_network(cells, rho**n)
+        net, (keys, index) = _gasket_network(cells, rho**n, width)
         nets.append(net)
-        if prev_index is not None:
-            inc = np.array(
-                [index[(2 * p[0], 2 * p[1])] for p in prev_labels], dtype=int
-            )
-            incs.append(inc)
-        prev_labels = net.vertices
-        prev_index = index
+        if n > 0:  # the level n-1 vertex (x, y) is (2x, 2y) here
+            prev = 2 * np.array(nets[-2].vertices, dtype=np.int64)
+            incs.append(index[np.searchsorted(keys, prev[:, 0] * width + prev[:, 1])])
         if n < levels:
             cells = _refine_gasket_cells(cells)
     return CompatibleSequence(tuple(nets), tuple(incs))

@@ -14,7 +14,7 @@ factor and the boundary columns it touches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,8 +28,9 @@ from .errors import (
     UnsupportedRegimeError,
     ValidationError,
 )
-from .network import SINGULAR_RCOND, FormMatrix, components, evaluate, killing_vector
-from .network import _as_vector, _groups, _killing_free, _labels, _scale, _vertex
+from .network import DENSE_N_MAX, SINGULAR_RCOND, FormMatrix, components, evaluate, killing_vector
+from .network import _as_vector, _check_dense, _csr_from_entries, _entries, _groups, _indices, _killing_free
+from .network import _labels, _principal, _scale, _vertex
 
 __all__ = [
     "TraceResult",
@@ -56,43 +57,74 @@ class TraceResult:
         The ordered index list U.
     traced_form : FormMatrix
         The Schur complement A_UU - A_UW A_WW^{-1} A_WU, indexed by U order.
-    extension_operator : ndarray, shape (|W|, |U|)
-        Maps boundary values to the interior values of the energy minimizer;
-        W is the complement of U in ascending order.
     rcond : float
         Smallest reciprocal condition number over the eliminated interior
         blocks: LAPACK's estimate for a factored block, the exact 1-norm value
         for a stacked one, and 1.0 for an empty interior.
+    interior : ndarray
+        The complement W of U in ascending order.
+    blocks : tuple
+        The extension operator block by block: triples ``(w, u, h)`` of
+        positions in W, shape (..., k), positions in U, shape (..., b), and
+        h = -A_ww^{-1} B, shape (..., k, b), with one leading axis for a stack.
+    extension_operator : ndarray, shape (|W|, |U|)
+        Maps boundary values to the interior values of the energy minimizer.
+        Dense and read-only, assembled from the blocks on first access after
+        a check against ``DENSE_BYTES_MAX``; :func:`harmonic_extension`
+        works from the blocks and never needs it.
     """
 
     subset: np.ndarray
     traced_form: FormMatrix
-    extension_operator: np.ndarray
     rcond: float
+    interior: np.ndarray
+    blocks: tuple = field(repr=False)
+    _extension: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def extension_operator(self) -> np.ndarray:
+        if self._extension is None:
+            _check_dense((self.interior.size, self.subset.size), "an extension operator")
+            H = np.zeros((self.interior.size, self.subset.size))
+            for w, u, h in self.blocks:
+                H[w[..., :, None], u[..., None, :]] = h
+            H.setflags(write=False)
+            object.__setattr__(self, "_extension", H)
+        return self._extension
 
     @property
     def n_total(self) -> int:
-        return len(self.subset) + self.extension_operator.shape[0]
+        return self.subset.size + self.interior.size
 
     def complement(self) -> np.ndarray:
-        mask = np.ones(self.n_total, dtype=bool)
-        mask[self.subset] = False
-        return np.flatnonzero(mask)
+        return self.interior
 
 
-def _check_subset(U, n: int) -> np.ndarray:
-    if np.ndim(np.asarray(U, dtype=object)) != 1 or len(U) == 0:  # a ragged list fails per entry
+def _check_subset(subset, n: int) -> np.ndarray:
+    U = _indices(subset, "subset")
+    if U.size == 0:
         raise ValidationError("subset must be a nonempty 1-d index list")
-    U = np.array([_vertex(u, n) for u in U], dtype=int)
-    if len(set(U.tolist())) != U.size:
-        raise ValidationError("subset contains duplicate indices")
+    out = (U < 0) | (U >= n)
+    if np.any(out):
+        raise ValidationError(f"vertex {int(U[np.argmax(out)])} out of range for n={n}")
     return U
+
+
+def _interior(U: np.ndarray, n: int) -> np.ndarray:
+    """The complement W of U in ascending order; U must have no repeats."""
+    mask = np.ones(n, dtype=bool)
+    mask[U] = False
+    W = np.flatnonzero(mask)
+    if W.size + U.size != n:
+        raise ValidationError("subset contains duplicate indices")
+    W.setflags(write=False)
+    return W
 
 
 def _offending_components(A: FormMatrix, U: np.ndarray) -> list[list[int]]:
     """Components of the network that neither meet U nor carry killing."""
-    labels = _labels(A.matrix)
-    floating = _killing_free(np.bincount(labels, killing_vector(A)), _scale(A.matrix))
+    labels = _labels(A)
+    floating = _killing_free(np.bincount(labels, killing_vector(A)), _scale(A))
     floating[labels[U]] = False
     groups = _groups(labels)
     return [groups[c].tolist() for c in np.flatnonzero(floating)]
@@ -125,36 +157,50 @@ def _coupled(A_WW: np.ndarray) -> bool:
     return np.count_nonzero(A_WW) > np.count_nonzero(np.diagonal(A_WW))
 
 
-def _split(M: np.ndarray, U: np.ndarray, W: np.ndarray):
+def _lookup(i: np.ndarray, j: np.ndarray, a: np.ndarray, n: int):
+    """Entry reader of a form from its nonzero entries, row-major: ``get(r, c)``
+    gives the entries at index arrays ``r``, ``c`` (broadcast together), zero
+    where there is none."""
+    keys = i * n + j  # ascending
+
+    def get(r, c):
+        q = np.asarray(r) * n + np.asarray(c)
+        if keys.size == 0:
+            return np.zeros(q.shape)
+        p = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+        return np.where(keys[p] == q, a[p], 0.0)
+
+    return get
+
+
+def _split(i, j, pos, inner, n_u: int, n_w: int, whole: bool):
     """The components of the interior block, grouped by shape.
 
-    Yields, per group of components with ``k`` vertices and ``b`` boundary
-    columns, the positions in W of their vertices, shape (m, k), and the
-    ascending positions in U of the boundary vertices each one touches,
-    shape (m, b).
+    ``i``, ``j`` are the stored entries of the form, row-major; ``pos`` maps a
+    vertex to its position in U or in W and ``inner`` marks W. With ``whole``
+    the interior is one block. Yields, per group of components with ``k``
+    vertices and ``b`` boundary columns, the positions in W of their
+    vertices, shape (m, k), and the ascending positions in U of the boundary
+    vertices each one touches, shape (m, b).
     """
-    pos = np.empty(M.shape[0], dtype=int)
-    pos[U] = np.arange(U.size)
-    pos[W] = np.arange(W.size)
-    interior = np.zeros(M.shape[0], dtype=bool)
-    interior[W] = True
-    r, j = np.nonzero((M != 0)[W])  # r is a position in W, j a vertex
-    keep = W[r] != j
-    r, j = r[keep], j[keep]
-    inner = interior[j]
-    if np.any(inner):
-        labels = _labels(csr_array((np.ones(np.count_nonzero(inner)), (r[inner], pos[j[inner]])), shape=(W.size, W.size)))
+    sel = inner[i] & (i != j)
+    r, j = pos[i[sel]], j[sel]  # r is a position in W, ascending; j a vertex
+    ij = inner[j]
+    if whole:
+        labels = np.zeros(n_w, dtype=np.intp)
+    elif np.any(ij):
+        labels = _labels(csr_array((np.ones(np.count_nonzero(ij)), (r[ij], pos[j[ij]])), shape=(n_w, n_w)))
     else:  # isolated vertices, numbered as _labels numbers them
-        labels = np.arange(W.size)
-    comp, col = np.divmod(np.unique(labels[r[~inner]] * U.size + pos[j[~inner]]), U.size)
+        labels = np.arange(n_w)
+    comp, col = np.divmod(np.unique(labels[r[~ij]] * n_u + pos[j[~ij]]), n_u)
     size = np.bincount(labels)
     n_boundary = np.bincount(comp, minlength=size.size)
     members = np.argsort(labels, kind="stable")
     first = np.cumsum(size) - size
     first_col = np.cumsum(n_boundary) - n_boundary
-    shapes = size * (U.size + 1) + n_boundary
+    shapes = size * (n_u + 1) + n_boundary
     for shape in np.unique(shapes):
-        k, b = divmod(int(shape), U.size + 1)
+        k, b = divmod(int(shape), n_u + 1)
         cs = np.flatnonzero(shapes == shape)
         yield members[first[cs, None] + np.arange(k)], col[first_col[cs, None] + np.arange(b)]
 
@@ -178,65 +224,83 @@ def _stacked(A_ww: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     return -X[:, :, :b], rcond
 
 
-def _block(M: np.ndarray, Wc: np.ndarray, Uc: np.ndarray, singular: Callable[[], str]):
-    """Eliminate one block c: its extension h_c = -A_cc^{-1} B_c, its term
-    B_c^T h_c of the traced form, and its rcond.
+def _block(A_cc: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
+    """Eliminate one block c: its extension h_c = -A_cc^{-1} B_c and its rcond.
 
     A coupled block is factored by :func:`_cholesky`; a diagonal one (isolated
     vertices) is divided by its entries, each an exact 1 x 1 block of rcond 1.
     """
-    A_cc = M[np.ix_(Wc, Wc)]
-    B = M[np.ix_(Wc, Uc)]
     if _coupled(A_cc):
         cho, rcond = _cholesky(A_cc, singular)
-        h = -sla.cho_solve(cho, B)
-    else:
-        d = np.diagonal(A_cc)
-        rcond = 1.0 if np.all(d > 0.0) else 0.0
-        _guard(rcond, singular)
-        h = -B / d[:, None]
-    return h, M[np.ix_(Uc, Wc)] @ h, rcond
+        return -sla.cho_solve(cho, B), rcond
+    d = np.diagonal(A_cc)
+    rcond = 1.0 if np.all(d > 0.0) else 0.0
+    _guard(rcond, singular)
+    return -B / d[:, None], rcond
 
 
-def _kron(M: np.ndarray, U: np.ndarray, W: np.ndarray, S: np.ndarray, singular: Callable[[], str]):
-    """Eliminate a split interior component by component.
+def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], str]):
+    """Eliminate the interior of a sparse form, component by component.
 
-    Adds each component's term to ``S`` in place; returns the extension
-    operator and the smallest rcond over the blocks.
+    An interior of at most ``STACK_MAX`` vertices is one block; a larger one
+    is split by :func:`_split`. Each block c contributes B_c^T h_c on its
+    boundary columns; the contributions to an entry are summed before they
+    are added to A_UU. Returns the traced form as a CSR matrix, the blocks
+    (w, u, h) of the extension operator and the smallest rcond.
     """
-    H = np.zeros((W.size, U.size))
+    n, n_u = A.n, U.size
+    i, j, a = _entries(A)
+    get = _lookup(i, j, a, n)
+    pos = np.empty(n, dtype=np.intp)
+    pos[U] = np.arange(n_u)
+    pos[W] = np.arange(W.size)
+    inner = np.zeros(n, dtype=bool)
+    inner[W] = True
+    uu = ~inner[i] & ~inner[j]
+    keys, terms = [pos[i[uu]] * n_u + pos[j[uu]]], [a[uu]]
+    blocks = []
     rcond = 1.0
-    for w, u in _split(M, U, W):
+    for w, u in _split(i, j, pos, inner, n_u, W.size, W.size <= STACK_MAX):
         Wg, Ug = W[w], U[u]
         if w.shape[0] == 1 or w.shape[1] > STACK_MAX:
             for wc, uc, Wc, Uc in zip(w, u, Wg, Ug):
-                h, P, rc = _block(M, Wc, Uc, singular)
-                S[np.ix_(uc, uc)] += P
-                H[np.ix_(wc, uc)] = h
+                _check_dense((Wc.size, Wc.size + Uc.size), "an interior block")
+                B = get(Wc[:, None], Uc[None, :])
+                h, rc = _block(get(Wc[:, None], Wc[None, :]), B, singular)
+                keys.append((uc[:, None] * n_u + uc[None, :]).ravel())
+                terms.append((B.T @ h).ravel())
+                blocks.append((wc, uc, h))
                 rcond = min(rcond, rc)
             continue
-        B = M[Wg[:, :, None], Ug[:, None, :]]
-        h, rc = _stacked(M[Wg[:, :, None], Wg[:, None, :]], B, singular)
-        # sum the terms of each entry before adding them to S: fewer roundings
-        keys, at = np.unique(u[:, :, None] * U.size + u[:, None, :], return_inverse=True)
-        S.flat[keys] += np.bincount(at.ravel(), (np.swapaxes(B, 1, 2) @ h).ravel())
-        H[w[:, :, None], u[:, None, :]] = h
+        B = get(Wg[:, :, None], Ug[:, None, :])
+        h, rc = _stacked(get(Wg[:, :, None], Wg[:, None, :]), B, singular)
+        keys.append((u[:, :, None] * n_u + u[:, None, :]).ravel())
+        terms.append((np.swapaxes(B, 1, 2) @ h).ravel())
+        blocks.append((w, u, h))
         rcond = min(rcond, rc)
-    return H, rcond
+    # entry sums: A_UU first, then the summed block terms
+    uniq, at = np.unique(np.concatenate(keys), return_inverse=True)
+    n_uu = keys[0].size
+    s = np.bincount(at[:n_uu], terms[0], uniq.size) + np.bincount(at[n_uu:], np.concatenate(terms[1:] or [[]]), uniq.size)
+    r, c = np.divmod(uniq, n_u)
+    s = (s + s[np.searchsorted(uniq, c * n_u + r)]) / 2.0  # the structure is symmetric
+    return _csr_from_entries(r, c, s, n_u), tuple(blocks), rcond
 
 
 def trace(A: FormMatrix, subset) -> TraceResult:
     """Trace (harmonic restriction) of a form onto a subset of vertices.
 
-    An interior W of at most ``STACK_MAX`` vertices is one block. A larger
-    one is split into the connected components of its block A_WW: the
-    components of one shape, at most ``STACK_MAX`` vertices with the same
-    number of boundary neighbours, share one batched solve, and any other
-    component is one block. Each component c adds B_c^T h_c to the traced
-    form, where B_c holds its boundary columns and h_c = -A_cc^{-1} B_c is
-    its part of the extension operator. Isolated interior vertices are
-    eliminated by exact divisions, so on the dyadic interval the series law
-    holds bit for bit at every level.
+    A form of at most ``DENSE_N_MAX`` vertices is eliminated densely, as one
+    block. On a larger one the interior W is eliminated on the CSR matrix: an
+    interior of at most ``STACK_MAX`` vertices is one block, and a larger one
+    is split into the connected components of its block A_WW. The components
+    of one shape, at most ``STACK_MAX`` vertices with the same number of
+    boundary neighbours, share one batched solve, and any other component is
+    one block. Each component c adds B_c^T h_c to the traced form, where B_c
+    holds its boundary columns and h_c = -A_cc^{-1} B_c is its block of the
+    extension operator. Isolated interior vertices are eliminated by exact
+    divisions, so on the dyadic interval the series law holds bit for bit at
+    every level.
 
     Raises
     ------
@@ -245,10 +309,7 @@ def trace(A: FormMatrix, subset) -> TraceResult:
         component is disconnected from the subset and carries no killing.
     """
     U = _check_subset(subset, A.n)
-    mask = np.ones(A.n, dtype=bool)
-    mask[U] = False
-    W = np.flatnonzero(mask)
-    M = A.matrix
+    W = _interior(U, A.n)
 
     def singular() -> str:
         bad = _offending_components(A, U)
@@ -256,35 +317,40 @@ def trace(A: FormMatrix, subset) -> TraceResult:
             return f"components disconnected from the subset with no killing: {bad}"
         return "interior block is numerically singular"
 
-    S = M[np.ix_(U, U)]
-    if W.size == 0:
-        H, rcond = np.zeros((0, U.size)), 1.0
-    elif W.size <= STACK_MAX:
-        H, P, rcond = _block(M, W, U, singular)
-        S += P
+    if A.n > DENSE_N_MAX:
+        S, blocks, rcond = _kron(A, U, W, singular)
     else:
-        H, rcond = _kron(M, U, W, S, singular)
-    S = (S + S.T) / 2.0
-    return TraceResult(subset=U, traced_form=FormMatrix(S), extension_operator=H, rcond=rcond)
+        M = A.matrix
+        S = M[np.ix_(U, U)]
+        blocks, rcond = (), 1.0
+        if W.size:
+            h, rcond = _block(M[np.ix_(W, W)], M[np.ix_(W, U)], singular)
+            S += M[np.ix_(U, W)] @ h
+            blocks = ((np.arange(W.size), np.arange(U.size), h),)
+        S = (S + S.T) / 2.0
+    return TraceResult(subset=U, traced_form=FormMatrix(S), rcond=rcond, interior=W, blocks=blocks)
 
 
 def harmonic_extension(tr: TraceResult, f) -> np.ndarray:
     """Extend boundary values to the unique energy minimizer on all vertices.
 
     The result agrees with ``f`` exactly on the subset and carries the
-    interior values ``H @ f``.
+    interior values ``H @ f``, computed block by block.
     """
     fv = _as_vector(f, len(tr.subset), "boundary values")
     g = np.empty(tr.n_total)
     g[tr.subset] = fv
-    g[tr.complement()] = tr.extension_operator @ fv
+    inner = np.empty(tr.interior.size)
+    for w, u, h in tr.blocks:
+        inner[w] = (h @ fv[u][..., None])[..., 0]
+    g[tr.interior] = inner
     return g
 
 
 def _require_conservative(A: FormMatrix, op: str) -> None:
     kappa = killing_vector(A)
     # killing-free means zero row sums, so negative ones count as killing too
-    if not np.all(_killing_free(np.abs(kappa), _scale(A.matrix))):
+    if not np.all(_killing_free(np.abs(kappa), _scale(A))):
         i = int(np.argmax(np.abs(kappa)))
         raise UnsupportedRegimeError(
             f"{op} is defined only for killing-free forms; row {i} has killing weight {float(kappa[i])!r}"
@@ -307,7 +373,7 @@ def effective_resistance(A: FormMatrix, x: int, y: int) -> float:
             f"vertices {x} and {y} lie in different components; resistance is infinite"
         )
     # other components would float in the interior block, so trace inside x's
-    S = trace(FormMatrix(A.matrix[np.ix_(comp, comp)]), np.searchsorted(comp, [x, y])).traced_form.matrix
+    S = trace(_principal(A, comp), np.searchsorted(comp, [x, y])).traced_form.matrix
     c_eff = -S[0, 1]
     if c_eff <= 0.0:
         raise InfiniteResistanceError(

@@ -202,10 +202,10 @@ def test_seq_check_malformed_exit_1(tmp_path, capsys, seq):
 
 def test_seq_build_above_dyadic_guard_exit_1(tmp_path, capsys):
     seq = tmp_path / "seq.json"
-    assert main(["seq", "build", "dyadic", "--levels", "14", "--output", str(seq)]) == 1
+    assert main(["seq", "build", "dyadic", "--levels", "21", "--output", str(seq)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "validation"
-    assert "size guard 13" in err["error"]["message"]
+    assert "size guard 20" in err["error"]["message"]
     assert not seq.exists()
 
 

@@ -76,7 +76,7 @@ class TestDyadic:
         assert delta / 10 <= dev <= delta
 
     def test_size_guard(self):
-        for levels in (14, 21):
+        for levels in (21, 22):
             with pytest.raises(ValidationError, match="size guard"):
                 build_dyadic_interval(levels)
 

@@ -31,7 +31,7 @@ from .gelfand import (
     vanishes_nowhere,
 )
 from .network import COMPAT_RELTOL, AtomicMeasure, Network, assemble, form_to_csv, is_markov
-from .network import _json_numbers, _json_object, _matrix_csv
+from .network import _json_numbers, _json_object, _matrix_csv, _read_json, _writing
 from .sequences import (
     build_dyadic_interval,
     build_sierpinski_gasket,
@@ -60,19 +60,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _load_json(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"malformed JSON in {path} at byte offset {e.pos}: {e.msg}") from None
-
-
 def _load_network(path) -> Network:
-    return Network.from_dict(_load_json(path))
+    return Network.from_dict(_read_json(path))
 
 
 def _load_vector(path) -> np.ndarray:
@@ -86,7 +75,7 @@ def _load_vector(path) -> np.ndarray:
 
 
 def _load_measure(path, n: int) -> AtomicMeasure:
-    data = _load_json(path)
+    data = _read_json(path)
     if isinstance(data, dict) and "weights" in data:
         data = data["weights"]
     w = _json_numbers(data, f"measure in {path}")
@@ -97,9 +86,20 @@ def _load_measure(path, n: int) -> AtomicMeasure:
 
 def _emit(text: str, output) -> None:
     if output:
-        Path(output).write_text(text)
+        with _writing(output) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _outdir(path) -> Path:
+    """The output directory, created if missing; a file in its place raises ValidationError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ValidationError(f"cannot create directory {path}: {e}") from None
+    return out
 
 
 def _json_out(obj, output) -> None:
@@ -206,7 +206,7 @@ def cmd_gelfand_embed(args):
 
 
 def _load_algebra(path) -> AlgebraSpec:
-    d = _load_json(path)
+    d = _read_json(path)
     _json_object(d, "algebra", "points", "generators")
     return AlgebraSpec(d["points"], [_json_numbers(g, f"generator {k}") for k, g in enumerate(d["generators"])])
 
@@ -264,13 +264,12 @@ def cmd_demo_counterexample(args):
         points = tuple(float(tok) for tok in args.set.split(",") if tok != "")
     except ValueError:
         raise ValidationError(f"--set expects comma-separated numbers, got {args.set!r}") from None
+    outdir = _outdir(args.outdir)
     rows = counterexample_demo(args.levels, points=points, n_min=args.min_level)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     csv = "level,energy,gamma_mass\n" + "".join(
         f"{int(n)},{_fmt(e)},{_fmt(g)}\n" for n, e, g in rows
     )
-    (outdir / "counterexample.csv").write_text(csv)
+    _emit(csv, outdir / "counterexample.csv")
     svg = polyline_plot(
         rows[:, 0],
         np.log10(rows[:, 2]),
@@ -278,7 +277,7 @@ def cmd_demo_counterexample(args):
         xlabel="level",
         ylabel="log10 mass",
     )
-    (outdir / "counterexample.svg").write_text(svg)
+    _emit(svg, outdir / "counterexample.svg")
     print(f"wrote {outdir / 'counterexample.csv'} and {outdir / 'counterexample.svg'}")
     return 0
 
@@ -322,21 +321,14 @@ def _parse_two(text, flag):
 
 
 def cmd_reproduce_all(args):
+    outdir = _outdir(args.outdir)
     results = acceptance.run_all(quick=args.quick, gasket_factor=args.gasket_factor)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     lines = [r.line() for r in results]
     table = "\n".join(lines) + "\n"
-    (outdir / "report.txt").write_text(table)
-    (outdir / "report.json").write_text(
-        json.dumps(
-            [
-                {"name": r.name, "passed": r.passed, "details": r.details, "seconds": r.seconds}
-                for r in results
-            ],
-            indent=1,
-        )
-        + "\n"
+    _emit(table, outdir / "report.txt")
+    _json_out(
+        [{"name": r.name, "passed": r.passed, "details": r.details, "seconds": r.seconds} for r in results],
+        outdir / "report.json",
     )
     sys.stdout.write(table)
     failed = [r.name for r in results if not r.passed]

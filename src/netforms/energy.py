@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gelfand import EmbeddingResult
 from .network import CLAMP_RELTOL, IDENTITY_RELTOL, FormMatrix, evaluate, killing_vector
-from .network import _as_vector, _entries, _product, _readonly, _require_markov, _scale
+from .network import _as_vector, _entries, _readonly, _require_markov, _scale
 from .sequences import MAX_DYADIC_LEVELS, build_dyadic_interval
 
 __all__ = [
@@ -72,8 +72,8 @@ def energy_measure(A: FormMatrix, f) -> EnergyMeasure:
 
     # defining identity with indicator test functions:
     # gamma(x) = E(1_x f, f) - 1/2 E(1_x, f^2) = f(x) (A f)(x) - 1/2 (A f^2)(x)
-    Af = _product(A, fv)
-    Af2 = _product(A, fv * fv)
+    Af = A.csr @ fv
+    Af2 = A.csr @ (fv * fv)
     via_identity = fv * Af - 0.5 * Af2
 
     s = _scale(A) * _scale(fv) ** 2

@@ -20,7 +20,7 @@ from scipy.sparse import coo_array
 
 from .errors import DescentError, NotInAlgebraError, ValidationError
 from .network import RELTOL, AtomicMeasure, FormMatrix
-from .network import _as_vector, _check_dense, _entries, _groups, _labels, _product, _readonly, _scale
+from .network import _as_vector, _check_dense, _entries, _groups, _labels, _readonly, _scale
 
 __all__ = [
     "AlgebraSpec",
@@ -241,17 +241,16 @@ def transfer_form(A: FormMatrix, emb: EmbeddingResult) -> FormMatrix:
     out = FormMatrix(Ahat)
 
     rng = np.random.default_rng(0)
-    scale = _scale(A) * A.n
-    for _ in range(8):
-        fh = rng.standard_normal(m)
-        gh = rng.standard_normal(m)
-        up = float(fh[emb.class_of] @ _product(A, gh[emb.class_of]))
-        down = float(fh @ Ahat @ gh)
-        if abs(up - down) > RELTOL * scale * max(1.0, abs(up)):
-            raise DescentError(
-                f"form does not descend to the quotient: witness pair gives {up!r} upstairs "
-                f"vs {down!r} on classes"
-            )
+    fh, gh = np.swapaxes(rng.standard_normal((8, 2, m)), 0, 1)  # eight probe pairs, one per row
+    up = np.sum(fh[:, k] * (A.csr @ gh[:, k].T).T, axis=1)
+    down = np.sum((fh @ Ahat) * gh, axis=1)
+    bad = np.abs(up - down) > RELTOL * _scale(A) * A.n * np.maximum(1.0, np.abs(up))
+    if np.any(bad):
+        t = int(np.argmax(bad))
+        raise DescentError(
+            f"form does not descend to the quotient: witness pair gives {float(up[t])!r} upstairs "
+            f"vs {float(down[t])!r} on classes"
+        )
     return out
 
 

@@ -16,8 +16,10 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -75,8 +77,9 @@ PROFILE_RELTOL = 1e-12
 #: (1 GiB; an n x n view passes for n <= 11,585).
 DENSE_BYTES_MAX = 2**30
 
-#: Largest network that assemble builds, and trace eliminates, densely: below
-#: it one n x n array is cheaper than the fixed cost of a scipy sparse matrix.
+#: Largest network that assemble builds densely, whose killing_vector takes
+#: numpy's row sums (both pinned bit for bit), and that trace eliminates
+#: densely (faster than the component-wise path at this size).
 DENSE_N_MAX = 64
 
 
@@ -84,7 +87,7 @@ def _scale(m) -> float:
     """Magnitude max(1, max|m|) that relative tolerances multiply; a form's
     magnitude is that of its stored entries."""
     if isinstance(m, FormMatrix):
-        m = m._dense if m._dense is not None else m.csr.data
+        m = m.csr.data
     return max(1.0, float(np.max(np.abs(m), initial=0.0)))
 
 
@@ -122,6 +125,32 @@ def _is_int(x) -> bool:
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _read_json(path):
+    """The JSON value of a file; a file that cannot be read or parsed raises
+    ValidationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ValidationError(f"cannot read {path}: {e}") from None
+    except json.JSONDecodeError as e:  # e.pos counts characters
+        offset = len(e.doc[: e.pos].encode("utf-8"))
+        raise ValidationError(f"malformed JSON in {path} at byte offset {offset}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # bad UTF-8, an over-long integer, deep nesting
+        raise ValidationError(f"malformed JSON in {path}: {type(e).__name__}: {e}") from None
+
+
+@contextmanager
+def _writing(path):
+    """A text file opened for writing; an OSError (a missing directory, a
+    directory in the way, a full disk) raises ValidationError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from None
 
 
 def _json_object(d, what: str, *keys: str) -> None:
@@ -316,7 +345,7 @@ class Network:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "killing", _readonly(kap))
+        object.__setattr__(self, "killing", _readonly(kap + 0.0))  # -0.0 to 0.0, so equal networks hash equal
 
     @classmethod
     def from_arrays(cls, vertices, u, v, c, killing=None) -> "Network":
@@ -413,20 +442,10 @@ def _csr_from_entries(rows, cols, vals, n: int) -> csr_array:
 
 
 def _entries(A: "FormMatrix"):
-    """Row indices, column indices and values of the nonzero entries of a
-    form, row-major: read from the dense view on a form of at most
-    ``DENSE_N_MAX`` vertices, from the CSR matrix on a larger one."""
-    if A.n <= DENSE_N_MAX:
-        i, j = np.nonzero(A.matrix)
-        return i, j, A.matrix[i, j]
+    """Row indices, column indices and values of the stored entries of a
+    form's CSR matrix, row-major."""
     M = A.csr
     return np.repeat(np.arange(A.n), np.diff(M.indptr)), M.indices, M.data
-
-
-def _product(A: "FormMatrix", x: np.ndarray) -> np.ndarray:
-    """A @ x, on the dense view of a form of at most ``DENSE_N_MAX``
-    vertices and on the CSR matrix of a larger one."""
-    return (A.matrix if A.n <= DENSE_N_MAX else A.csr) @ x
 
 
 class FormMatrix:
@@ -597,7 +616,7 @@ def evaluate(A: FormMatrix, f, g=None) -> float:
     """Evaluate the bilinear form f^T A g (g defaults to f)."""
     fv = _as_vector(f, A.n, "f")
     gv = fv if g is None else _as_vector(g, A.n, "g")
-    return float(fv @ _product(A, gv))
+    return float(fv @ (A.csr @ gv))
 
 
 def unit_contraction(u) -> np.ndarray:
@@ -679,13 +698,6 @@ def components(A) -> list[np.ndarray]:
     ordered by their smallest vertex.
     """
     return _groups(_labels(A))
-
-
-def _principal(A: FormMatrix, idx) -> FormMatrix:
-    """The form restricted to the vertices ``idx`` (rows and columns)."""
-    if A.n <= DENSE_N_MAX:
-        return FormMatrix(A.matrix[np.ix_(idx, idx)])
-    return FormMatrix(A.csr[idx][:, idx])
 
 
 def _matrix_csv(m: np.ndarray) -> str:

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .network import COMPAT_RELTOL, PROFILE_RELTOL, FormMatrix, Network, assemble, evaluate
-from .network import _as_vector, _index, _indices, _json_numbers, _json_object, _scale, _tolerance
+from .network import _as_vector, _index, _indices, _json_numbers, _json_object, _read_json, _scale, _tolerance, _writing
 from .trace import trace
 
 __all__ = [
@@ -276,16 +276,11 @@ def sequence_from_dict(d: dict) -> CompatibleSequence:
 
 
 def save_sequence(seq: CompatibleSequence, path) -> None:
-    with open(path, "w") as fh:
+    with _writing(path) as fh:
         json.dump(sequence_to_dict(seq), fh, indent=1)
         fh.write("\n")
 
 
 def load_sequence(path) -> CompatibleSequence:
     """Load and structurally validate a sequence from its JSON file."""
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"malformed JSON in {path} at byte offset {e.pos}: {e.msg}") from None
-    return sequence_from_dict(d)
+    return sequence_from_dict(_read_json(path))

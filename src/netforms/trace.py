@@ -30,7 +30,7 @@ from .errors import (
 )
 from .network import DENSE_N_MAX, SINGULAR_RCOND, FormMatrix, components, evaluate, killing_vector
 from .network import _as_vector, _check_dense, _csr_from_entries, _entries, _groups, _indices, _killing_free
-from .network import _labels, _principal, _scale, _vertex
+from .network import _labels, _scale, _vertex
 
 __all__ = [
     "TraceResult",
@@ -41,9 +41,8 @@ __all__ = [
     "sup_formula_value",
 ]
 
-#: Largest interior a trace eliminates as one block, and largest interior
-#: component stacked with the components of its shape. At least 59, so no
-#: trace of a network of at most 60 vertices splits.
+#: Largest interior component that a trace stacks with the components of its
+#: shape; a larger one is eliminated on its own.
 STACK_MAX = 64
 
 
@@ -173,22 +172,19 @@ def _lookup(i: np.ndarray, j: np.ndarray, a: np.ndarray, n: int):
     return get
 
 
-def _split(i, j, pos, inner, n_u: int, n_w: int, whole: bool):
+def _split(i, j, pos, inner, n_u: int, n_w: int):
     """The components of the interior block, grouped by shape.
 
     ``i``, ``j`` are the stored entries of the form, row-major; ``pos`` maps a
-    vertex to its position in U or in W and ``inner`` marks W. With ``whole``
-    the interior is one block. Yields, per group of components with ``k``
-    vertices and ``b`` boundary columns, the positions in W of their
-    vertices, shape (m, k), and the ascending positions in U of the boundary
-    vertices each one touches, shape (m, b).
+    vertex to its position in U or in W and ``inner`` marks W. Yields, per
+    group of components with ``k`` vertices and ``b`` boundary columns, the
+    positions in W of their vertices, shape (m, k), and the ascending
+    positions in U of the boundary vertices each one touches, shape (m, b).
     """
     sel = inner[i] & (i != j)
     r, j = pos[i[sel]], j[sel]  # r is a position in W, ascending; j a vertex
     ij = inner[j]
-    if whole:
-        labels = np.zeros(n_w, dtype=np.intp)
-    elif np.any(ij):
+    if np.any(ij):
         labels = _labels(csr_array((np.ones(np.count_nonzero(ij)), (r[ij], pos[j[ij]])), shape=(n_w, n_w)))
     else:  # isolated vertices, numbered as _labels numbers them
         labels = np.arange(n_w)
@@ -242,11 +238,11 @@ def _block(A_cc: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
 def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], str]):
     """Eliminate the interior of a sparse form, component by component.
 
-    An interior of at most ``STACK_MAX`` vertices is one block; a larger one
-    is split by :func:`_split`. Each block c contributes B_c^T h_c on its
-    boundary columns; the contributions to an entry are summed before they
-    are added to A_UU. Returns the traced form as a CSR matrix, the blocks
-    (w, u, h) of the extension operator and the smallest rcond.
+    The interior is split into its components by :func:`_split`. Each
+    component c contributes B_c^T h_c on its boundary columns; the
+    contributions to an entry are summed before they are added to A_UU.
+    Returns the traced form as a CSR matrix, the blocks (w, u, h) of the
+    extension operator and the smallest rcond.
     """
     n, n_u = A.n, U.size
     i, j, a = _entries(A)
@@ -260,7 +256,7 @@ def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], st
     keys, terms = [pos[i[uu]] * n_u + pos[j[uu]]], [a[uu]]
     blocks = []
     rcond = 1.0
-    for w, u in _split(i, j, pos, inner, n_u, W.size, W.size <= STACK_MAX):
+    for w, u in _split(i, j, pos, inner, n_u, W.size):
         Wg, Ug = W[w], U[u]
         if w.shape[0] == 1 or w.shape[1] > STACK_MAX:
             for wc, uc, Wc, Uc in zip(w, u, Wg, Ug):
@@ -291,9 +287,8 @@ def trace(A: FormMatrix, subset) -> TraceResult:
     """Trace (harmonic restriction) of a form onto a subset of vertices.
 
     A form of at most ``DENSE_N_MAX`` vertices is eliminated densely, as one
-    block. On a larger one the interior W is eliminated on the CSR matrix: an
-    interior of at most ``STACK_MAX`` vertices is one block, and a larger one
-    is split into the connected components of its block A_WW. The components
+    block. On a larger one the interior W is eliminated on the CSR matrix,
+    split into the connected components of its block A_WW. The components
     of one shape, at most ``STACK_MAX`` vertices with the same number of
     boundary neighbours, share one batched solve, and any other component is
     one block. Each component c adds B_c^T h_c to the traced form, where B_c
@@ -367,14 +362,15 @@ def effective_resistance(A: FormMatrix, x: int, y: int) -> float:
     if x == y:
         raise ValidationError("effective resistance requires two distinct vertices")
     _require_conservative(A, "effective resistance")
-    comp = next(c for c in components(A) if x in c)
-    if y not in comp:
+    labels = _labels(A)
+    if labels[x] != labels[y]:
         raise InfiniteResistanceError(
             f"vertices {x} and {y} lie in different components; resistance is infinite"
         )
-    # other components would float in the interior block, so trace inside x's
-    S = trace(_principal(A, comp), np.searchsorted(comp, [x, y])).traced_form.matrix
-    c_eff = -S[0, 1]
+    # the other components would float in the interior block, so they join the subset
+    others = np.flatnonzero(labels != labels[x])
+    S = trace(A, np.concatenate([[x, y], others])).traced_form
+    c_eff = -float(S.csr[0, 1])
     if c_eff <= 0.0:
         raise InfiniteResistanceError(
             f"two-point trace between {x} and {y} has no positive conductance"

@@ -94,6 +94,57 @@ def test_malformed_json_exit_1_names_offset(tmp_path, capsys):
     assert "byte offset 31" in err["error"]["message"]
 
 
+def test_malformed_json_offset_counts_bytes(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": ["\u00e9", 1], "edges": [}', encoding="utf-8")  # é is two bytes
+    assert main(["net", "validate", str(bad)]) == 1
+    assert "byte offset 34" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe", b"[" * 100_000, b"1" * 5000], ids=["not-utf8", "deep", "long-int"])
+def test_unparsable_json_exit_1(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    assert main(["net", "validate", str(bad)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "malformed JSON" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("args", [["check"], ["profile", "--f", "f.csv"]], ids=["check", "profile"])
+def test_seq_missing_file_exit_1(tmp_path, capsys, args):
+    assert main(["seq", args[0], str(tmp_path / "missing.json"), *args[1:]]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "cannot read" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", [
+    ["net", "assemble", "{net}"],
+    ["trace", "--net", "{net}", "--subset", "0,2"],
+    ["seq", "build", "dyadic", "--levels", "2"],
+], ids=["net-assemble", "trace", "seq-build"])
+def test_output_into_missing_directory_exit_1(path3_file, tmp_path, capsys, command):
+    out = tmp_path / "nodir" / "out"
+    argv = [a.format(net=path3_file) for a in command] + ["--output", str(out)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "cannot write" in err["error"]["message"]
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", [["demo", "counterexample", "--levels", "4"], ["reproduce-all", "--quick"]],
+                         ids=["demo-counterexample", "reproduce-all"])
+def test_outdir_is_a_file_exit_1(path3_file, capsys, command):
+    before = path3_file.read_bytes()
+    assert main([*command, "--outdir", str(path3_file)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "cannot create directory" in err["error"]["message"]
+    assert path3_file.read_bytes() == before
+
+
 def test_unknown_flag_exit_1(path3_file, capsys):
     assert main(["trace", "--net", str(path3_file), "--subset", "0,2", "--bogus"]) == 1
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"

@@ -231,6 +231,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             net.killing[0] = 1.0
 
+    def test_equal_networks_hash_equal(self):
+        # -0.0 == 0.0, so the killing weights are equal; their bytes differ unless normalized
+        a = Network(2, [(0, 1, 1.0)], killing=[-0.0, 0.0])
+        b = Network(2, [(0, 1, 1.0)], killing=[0.0, 0.0])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
 
 def bfs_components(m):
     """Oracle: breadth-first search over the nonzero off-diagonals."""

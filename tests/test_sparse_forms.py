@@ -1,7 +1,8 @@
 """Array-backed networks and CSR forms against a dense oracle kept here.
 
-Forms of at most ``DENSE_N_MAX`` vertices are worked on densely and larger
-ones on their CSR matrix, so the random networks straddle that size.
+Forms of at most ``DENSE_N_MAX`` vertices are assembled, row-summed and
+traced densely and larger ones on their CSR matrix, so the random networks
+straddle that size.
 """
 
 import json

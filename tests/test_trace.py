@@ -198,13 +198,18 @@ class TestEffectiveResistance:
         with pytest.raises(ValidationError):
             effective_resistance(path3, 1, 1)
 
-    def test_other_component_does_not_float(self):
-        # {2, 3} would float in the interior block of the trace onto {0, 1}
-        A = assemble(Network(4, [(0, 1, 1.0), (2, 3, 1.0)]))
-        assert effective_resistance(A, 0, 1) == 1.0
-        assert effective_resistance(A, 3, 2) == 1.0
-        A = assemble(Network(5, [(0, 3, 2.0), (3, 4, 2.0), (1, 2, 1.0)]))
-        assert abs(effective_resistance(A, 4, 0) - 1.0) <= 1e-14
+    @pytest.mark.parametrize("net, x, y, tol", [
+        (lambda: Network(4, [(0, 1, 1.0), (2, 3, 1.0)]), 0, 1, 0.0),
+        (lambda: Network(4, [(0, 1, 1.0), (2, 3, 1.0)]), 3, 2, 0.0),
+        (lambda: Network(5, [(0, 3, 2.0), (3, 4, 2.0), (1, 2, 1.0)]), 4, 0, 1e-14),
+        # above DENSE_N_MAX: a dense view of the 12,002-vertex traced form
+        # would exceed DENSE_BYTES_MAX
+        (lambda: Network.from_arrays(12_003, np.r_[0, 1, 3:12_002], np.r_[1, 2, 4:12_003],
+                                     np.r_[2.0, 2.0, np.ones(11_999)]), 2, 0, 0.0),
+    ], ids=["edge-beside-edge", "reversed-pair", "path-beside-edge", "beside-12000-path"])
+    def test_other_component_does_not_float(self, net, x, y, tol):
+        # the other components would float in the interior block of the trace onto {x, y}
+        assert abs(effective_resistance(assemble(net()), x, y) - 1.0) <= tol
 
     def test_near_zero_bridge(self):
         A = assemble(Network(4, [(0, 1, 1.0), (1, 2, 1e-20), (2, 3, 1.0)]))

@@ -12,6 +12,7 @@ colored.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -340,6 +341,7 @@ def cmd_reproduce_all(args):
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache  # argparse parsers are reusable, and building this one dominates a short command
 def _build_parser() -> _Parser:
     p = _Parser(prog="netforms", description="Dirichlet and resistance forms on finite networks")
     sub = p.add_subparsers(dest="command", required=True)

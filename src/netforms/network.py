@@ -73,8 +73,8 @@ PROFILE_RELTOL = 1e-12
 # Size guards.
 
 #: Largest dense float64 array a form operation allocates: the dense view
-#: ``FormMatrix.matrix``, a trace's extension operator and its dense blocks
-#: (1 GiB; an n x n view passes for n <= 11,585).
+#: ``FormMatrix.matrix`` and a trace's dense blocks (1 GiB; an n x n view
+#: passes for n <= 11,585).
 DENSE_BYTES_MAX = 2**30
 
 #: Largest network that assemble builds densely, whose killing_vector takes
@@ -422,23 +422,23 @@ class Network:
         return cls(labels, edges, killing)
 
 
-def _csr(indptr, indices, data, n: int) -> csr_array:
+def _csr(indptr, indices, data, shape) -> csr_array:
     """Read-only CSR matrix from canonical arrays (rows ascending, columns
     ascending within each row, no repeats, no stored zeros)."""
-    M = csr_array((data, indices, indptr), shape=(n, n))
+    M = csr_array((data, indices, indptr), shape=shape)
     M.has_canonical_format = True
     for a in (M.data, M.indices, M.indptr):
         a.setflags(write=False)
     return M
 
 
-def _csr_from_entries(rows, cols, vals, n: int) -> csr_array:
+def _csr_from_entries(rows, cols, vals, shape) -> csr_array:
     """CSR matrix of entries already in row-major order; zeros are dropped."""
     keep = vals != 0.0
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return _csr(indptr, cols.astype(np.int64, copy=False), vals.astype(float, copy=False), n)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return _csr(indptr, cols.astype(np.int64, copy=False), vals.astype(float, copy=False), shape)
 
 
 def _entries(A: "FormMatrix"):
@@ -488,7 +488,7 @@ class FormMatrix:
                     f"form matrix is not symmetric: A[{i},{j}]={float(M[i, j])!r} != A[{j},{i}]={float(M[j, i])!r}"
                 )
             object.__setattr__(self, "_dense", None)
-            object.__setattr__(self, "_sparse", _csr(M.indptr, M.indices, M.data, M.shape[0]))
+            object.__setattr__(self, "_sparse", _csr(M.indptr, M.indices, M.data, M.shape))
             return
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -523,7 +523,7 @@ class FormMatrix:
         """The CSR matrix: canonical (sorted, no stored zeros) and read-only."""
         if self._sparse is None:
             i, j = np.nonzero(self._dense)
-            object.__setattr__(self, "_sparse", _csr_from_entries(i, j, self._dense[i, j], self.n))
+            object.__setattr__(self, "_sparse", _csr_from_entries(i, j, self._dense[i, j], self._dense.shape))
         return self._sparse
 
     def __repr__(self):
@@ -601,7 +601,7 @@ def assemble(net: Network) -> FormMatrix:
     rows = np.insert(rows, at, np.arange(n))
     cols = np.insert(cols, at, np.arange(n))
     vals = np.insert(-c, at, diag)
-    return FormMatrix(_csr_from_entries(rows, cols, vals, n))
+    return FormMatrix(_csr_from_entries(rows, cols, vals, (n, n)))
 
 
 def _laplacian(C: np.ndarray, kappa) -> FormMatrix:

@@ -14,13 +14,13 @@ factor and the boundary columns it touches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, issparse
 
 from .errors import (
     InfiniteResistanceError,
@@ -62,34 +62,17 @@ class TraceResult:
         for a stacked one, and 1.0 for an empty interior.
     interior : ndarray
         The complement W of U in ascending order.
-    blocks : tuple
-        The extension operator block by block: triples ``(w, u, h)`` of
-        positions in W, shape (..., k), positions in U, shape (..., b), and
-        h = -A_ww^{-1} B, shape (..., k, b), with one leading axis for a stack.
-    extension_operator : ndarray, shape (|W|, |U|)
-        Maps boundary values to the interior values of the energy minimizer.
-        Dense and read-only, assembled from the blocks on first access after
-        a check against ``DENSE_BYTES_MAX``; :func:`harmonic_extension`
-        works from the blocks and never needs it.
+    extension_operator : csr_array, shape (|W|, |U|)
+        H = -A_WW^{-1} A_WU, canonical and read-only. It maps boundary values to
+        the interior values of the energy minimizer; for a Markov form, row x
+        holds the chances that the walk from x first enters U at each vertex.
     """
 
     subset: np.ndarray
     traced_form: FormMatrix
     rcond: float
     interior: np.ndarray
-    blocks: tuple = field(repr=False)
-    _extension: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    @property
-    def extension_operator(self) -> np.ndarray:
-        if self._extension is None:
-            _check_dense((self.interior.size, self.subset.size), "an extension operator")
-            H = np.zeros((self.interior.size, self.subset.size))
-            for w, u, h in self.blocks:
-                H[w[..., :, None], u[..., None, :]] = h
-            H.setflags(write=False)
-            object.__setattr__(self, "_extension", H)
-        return self._extension
+    extension_operator: csr_array
 
     @property
     def n_total(self) -> int:
@@ -241,8 +224,7 @@ def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], st
     The interior is split into its components by :func:`_split`. Each
     component c contributes B_c^T h_c on its boundary columns; the
     contributions to an entry are summed before they are added to A_UU.
-    Returns the traced form as a CSR matrix, the blocks (w, u, h) of the
-    extension operator and the smallest rcond.
+    Returns the traced form as CSR, the extension blocks and the smallest rcond.
     """
     n, n_u = A.n, U.size
     i, j, a = _entries(A)
@@ -254,8 +236,7 @@ def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], st
     inner[W] = True
     uu = ~inner[i] & ~inner[j]
     keys, terms = [pos[i[uu]] * n_u + pos[j[uu]]], [a[uu]]
-    blocks = []
-    rcond = 1.0
+    blocks, rcond = [], 1.0
     for w, u in _split(i, j, pos, inner, n_u, W.size):
         Wg, Ug = W[w], U[u]
         if w.shape[0] == 1 or w.shape[1] > STACK_MAX:
@@ -280,7 +261,43 @@ def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], st
     s = np.bincount(at[:n_uu], terms[0], uniq.size) + np.bincount(at[n_uu:], np.concatenate(terms[1:] or [[]]), uniq.size)
     r, c = np.divmod(uniq, n_u)
     s = (s + s[np.searchsorted(uniq, c * n_u + r)]) / 2.0  # the structure is symmetric
-    return _csr_from_entries(r, c, s, n_u), tuple(blocks), rcond
+    return _csr_from_entries(r, c, s, (n_u, n_u)), blocks, rcond
+
+
+def _extension(blocks, n_w: int, n_u: int) -> csr_array:
+    """The extension operator as a CSR matrix from its blocks ``(w, u, h)``, with
+    w and u as :func:`_split` yields them. Each row lies in one block, whose
+    columns ascend, so a stable sort on the rows makes the order row-major."""
+    parts = [(np.repeat(w, h.shape[-1]), np.repeat(u[..., None, :], h.shape[-2], axis=-2), h) for w, u, h in blocks]
+    empty = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)  # for an empty interior
+    rows, cols, vals = (np.concatenate([a.ravel() for a in arrays]) for arrays in zip(*parts, empty))
+    order = np.argsort(rows, kind="stable")
+    return _csr_from_entries(rows[order], cols[order], vals[order], (n_w, n_u))
+
+
+def _eliminate(A: FormMatrix, subset):
+    """Check the subset U and eliminate its complement W: returns U, W, the
+    traced form (an ndarray up to ``DENSE_N_MAX`` vertices, CSR above), the
+    blocks of the extension operator and the smallest rcond."""
+    U = _check_subset(subset, A.n)
+    W = _interior(U, A.n)
+
+    def singular() -> str:
+        bad = _offending_components(A, U)
+        if bad:
+            return f"components disconnected from the subset with no killing: {bad}"
+        return "interior block is numerically singular"
+
+    if A.n > DENSE_N_MAX:
+        return (U, W, *_kron(A, U, W, singular))
+    M = A.matrix
+    S = M[np.ix_(U, U)]
+    blocks, rcond = [], 1.0
+    if W.size:
+        h, rcond = _block(M[np.ix_(W, W)], M[np.ix_(W, U)], singular)
+        S += M[np.ix_(U, W)] @ h
+        blocks = [(np.arange(W.size), np.arange(U.size), h)]
+    return U, W, (S + S.T) / 2.0, blocks, rcond
 
 
 def trace(A: FormMatrix, subset) -> TraceResult:
@@ -293,9 +310,9 @@ def trace(A: FormMatrix, subset) -> TraceResult:
     boundary neighbours, share one batched solve, and any other component is
     one block. Each component c adds B_c^T h_c to the traced form, where B_c
     holds its boundary columns and h_c = -A_cc^{-1} B_c is its block of the
-    extension operator. Isolated interior vertices are eliminated by exact
-    divisions, so on the dyadic interval the series law holds bit for bit at
-    every level.
+    extension operator, which is returned as one CSR matrix. Isolated
+    interior vertices are eliminated by exact divisions, so on the dyadic
+    interval the series law holds bit for bit at every level.
 
     Raises
     ------
@@ -303,42 +320,20 @@ def trace(A: FormMatrix, subset) -> TraceResult:
         If an interior block is singular, which happens exactly when some
         component is disconnected from the subset and carries no killing.
     """
-    U = _check_subset(subset, A.n)
-    W = _interior(U, A.n)
-
-    def singular() -> str:
-        bad = _offending_components(A, U)
-        if bad:
-            return f"components disconnected from the subset with no killing: {bad}"
-        return "interior block is numerically singular"
-
-    if A.n > DENSE_N_MAX:
-        S, blocks, rcond = _kron(A, U, W, singular)
-    else:
-        M = A.matrix
-        S = M[np.ix_(U, U)]
-        blocks, rcond = (), 1.0
-        if W.size:
-            h, rcond = _block(M[np.ix_(W, W)], M[np.ix_(W, U)], singular)
-            S += M[np.ix_(U, W)] @ h
-            blocks = ((np.arange(W.size), np.arange(U.size), h),)
-        S = (S + S.T) / 2.0
-    return TraceResult(subset=U, traced_form=FormMatrix(S), rcond=rcond, interior=W, blocks=blocks)
+    U, W, S, blocks, rcond = _eliminate(A, subset)
+    return TraceResult(U, FormMatrix(S), rcond, W, _extension(blocks, W.size, U.size))
 
 
 def harmonic_extension(tr: TraceResult, f) -> np.ndarray:
     """Extend boundary values to the unique energy minimizer on all vertices.
 
     The result agrees with ``f`` exactly on the subset and carries the
-    interior values ``H @ f``, computed block by block.
+    interior values ``H @ f``, one sparse product with the extension operator.
     """
     fv = _as_vector(f, len(tr.subset), "boundary values")
     g = np.empty(tr.n_total)
     g[tr.subset] = fv
-    inner = np.empty(tr.interior.size)
-    for w, u, h in tr.blocks:
-        inner[w] = (h @ fv[u][..., None])[..., 0]
-    g[tr.interior] = inner
+    g[tr.interior] = tr.extension_operator @ fv
     return g
 
 
@@ -369,8 +364,10 @@ def effective_resistance(A: FormMatrix, x: int, y: int) -> float:
         )
     # the other components would float in the interior block, so they join the subset
     others = np.flatnonzero(labels != labels[x])
-    S = trace(A, np.concatenate([[x, y], others])).traced_form
-    c_eff = -float(S.csr[0, 1])
+    S = _eliminate(A, np.concatenate([[x, y], others]))[2]
+    if not np.all(np.isfinite(S.data if issparse(S) else S)):  # as FormMatrix(S) would check
+        raise ValidationError("form matrix contains non-finite entries")
+    c_eff = -float(S[0, 1])
     if c_eff <= 0.0:
         raise InfiniteResistanceError(
             f"two-point trace between {x} and {y} has no positive conductance"

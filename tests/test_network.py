@@ -1,8 +1,10 @@
 import importlib
 import inspect
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from netforms import (
     AlgebraSpec,
@@ -28,7 +30,7 @@ from netforms import network
 from netforms.cli import _build_parser
 from netforms.random_networks import random_connected_network, random_markov_form
 
-from conftest import edge_sum_energy
+from conftest import edge_sum_energy, networks
 
 
 def quadratic_to_matrix(q, n):
@@ -238,6 +240,12 @@ class TestTypes:
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(networks())
+    def test_json_round_trip(self, net):
+        back = Network.from_dict(json.loads(json.dumps(net.to_dict())))
+        assert back == net and hash(back) == hash(net)
 
 
 def bfs_components(m):

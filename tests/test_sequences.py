@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netforms import (
     CompatibleSequence,
@@ -17,7 +19,9 @@ from netforms import (
     load_sequence,
     save_sequence,
 )
-from netforms.sequences import sequence_from_dict
+from netforms.sequences import sequence_from_dict, sequence_to_dict
+
+from conftest import networks
 
 
 def dyadic_square_energy(n):
@@ -179,7 +183,23 @@ class TestGasket:
             assert build_sierpinski_gasket(n).networks[-1].n == count
 
 
+@st.composite
+def sequences(draw) -> CompatibleSequence:
+    """Sequences of random networks, coarse to fine, with random injective inclusions."""
+    nets = sorted(draw(st.lists(networks(), min_size=1, max_size=4)), key=lambda net: net.n)
+    incs = tuple(np.array(draw(st.permutations(range(b.n)))[: a.n]) for a, b in zip(nets, nets[1:]))
+    return CompatibleSequence(tuple(nets), incs)
+
+
 class TestSerialization:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(sequences())
+    def test_json_round_trip(self, seq):
+        back = sequence_from_dict(json.loads(json.dumps(sequence_to_dict(seq))))
+        assert back.networks == seq.networks and len(back.inclusions) == len(seq.inclusions)
+        for a, b in zip(back.inclusions, seq.inclusions):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_dyadic_roundtrip_identical(self, tmp_path):
         seq = build_dyadic_interval(4)
         path = tmp_path / "seq.json"

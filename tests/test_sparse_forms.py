@@ -218,16 +218,25 @@ class TestCsrForms:
         with pytest.raises(ValidationError, match="needs 1152000000 bytes"):
             A.matrix
 
-    def test_extension_operator_is_lazy_and_guarded(self):
-        n = 40_000  # W and U of 20,000 vertices: a 3.2 GB extension operator
+    def test_extension_operator_is_sparse(self):
+        n = 40_000  # W and U of 20,000 vertices: a 3.2 GB dense extension operator
         k = np.arange(n - 1)
         A = assemble(Network.from_arrays(n, k, k + 1, np.ones(n - 1)))
-        tr = trace(A, np.arange(0, n, 2))
-        assert tr.traced_form.n == 20_000 and tr.traced_form.csr.nnz == 3 * 20_000 - 2
-        g = harmonic_extension(tr, np.arange(0, n, 2, dtype=float))
+        traced = []  # the trace builds its extension operator, so its peak covers reading it
+        assert peak_bytes(lambda: traced.append(trace(A, np.arange(0, n, 2)))) < 8 * 20_000 * 20_000 // 16
+        (tr,) = traced
+        H = tr.extension_operator
+        assert isinstance(H, csr_array) and H.shape == (20_000, 20_000) and H.nnz == 2 * 20_000 - 1
+        assert H.has_canonical_format and not H.data.flags.writeable
+        # interior vertex 2m + 1 sits halfway between 2m and 2m + 2; the last one, n - 1, is a leaf
+        m = np.arange(19_999)
+        assert np.array_equal(H.indptr, np.r_[0, 2 * m + 2, 2 * 20_000 - 1])
+        assert np.array_equal(H.indices, np.r_[np.stack([m, m + 1], axis=1).ravel(), 19_999])
+        assert np.array_equal(H.data, np.r_[np.full(2 * 19_999, 0.5), 1.0])
+        f = np.arange(0, n, 2, dtype=float)
+        g = harmonic_extension(tr, f)
         assert np.array_equal(g, np.minimum(np.arange(n, dtype=float), n - 2))
-        with pytest.raises(ValidationError, match=r"an extension operator of shape \(20000, 20000\)"):
-            tr.extension_operator
+        assert np.array_equal(g[tr.interior], H @ f)
 
     def test_from_arrays_checks_like_triples(self):
         for u, v, c, message in (

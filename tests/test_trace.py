@@ -168,6 +168,26 @@ class TestHarmonicExtension:
         with pytest.raises(ValidationError):
             harmonic_extension(trace(path3, [0, 2]), [1.0, 0.0, 3.0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_gasket_one_fifth_two_fifths_rule(self, n):
+        # the walk from a level-1 midpoint first meets the corners at its two
+        # neighbours with chance 2/5 each and at the opposite one with 1/5, at every level
+        seq = build_sierpinski_gasket(5)
+
+        def at_level_n(level):
+            idx = np.arange(seq.networks[level].n)
+            for m in seq.inclusions[level:n]:
+                idx = m[idx]
+            return idx
+
+        corners1 = seq.inclusions[0]
+        mids1 = np.setdiff1d(np.arange(seq.networks[1].n), corners1)
+        tr = trace(seq.form(n), at_level_n(0))
+        rows = tr.extension_operator[np.searchsorted(tr.interior, at_level_n(1)[mids1])].toarray()
+        neighbours = seq.networks[1].conductance_matrix()[np.ix_(mids1, corners1)] > 0.0
+        assert mids1.size == 3 and np.all(np.sum(neighbours, axis=1) == 2)
+        assert np.max(np.abs(rows - np.where(neighbours, 0.4, 0.2))) <= 1e-13
+
 
 class TestEffectiveResistance:
     def test_single_edge(self):
@@ -214,6 +234,45 @@ class TestEffectiveResistance:
     def test_near_zero_bridge(self):
         A = assemble(Network(4, [(0, 1, 1.0), (1, 2, 1e-20), (2, 3, 1.0)]))
         assert effective_resistance(A, 0, 3) == pytest.approx(1e20, rel=1e-12)
+
+    @pytest.mark.parametrize("tail", [0, 70], ids=["dense", "sparse"])
+    def test_non_finite_trace_raises(self, tail):
+        # killing-free, with positive diagonals and finite entries, but the
+        # elimination of vertex 2 overflows, as a FormMatrix of the trace would report
+        p, d = 2.0**1000, 2.0**948
+        n = 3 + tail
+        M = np.zeros((n, n))
+        M[:3, :3] = [[3 * p, -2 * p, -p], [-2 * p, p + d, p - d], [-p, p - d, d]]
+        for a, b in zip([0] + list(range(3, n - 1)), range(3, n)):  # a unit path hanging off vertex 0
+            M[a, b] = M[b, a] = -1.0
+            M[a, a] += 1.0
+            M[b, b] += 1.0
+        with pytest.raises(ValidationError, match="non-finite"), np.errstate(over="ignore"):
+            effective_resistance(FormMatrix(M), 0, 1)
+
+
+rayleigh_cases = st.tuples(
+    st.one_of(st.integers(3, 12), st.integers(60, 120)),  # both sides of DENSE_N_MAX
+    st.floats(1.0, 100.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+class TestRayleighMonotonicity:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(rayleigh_cases)
+    def test_raising_a_conductance_never_raises_resistance(self, case):
+        n, factor, seed = case
+        rng = np.random.default_rng(seed)
+        net = random_connected_network(rng, n_max=n, n_min=n, with_killing=False)
+        k = int(rng.integers(net.c.size))
+        raised = Network.from_arrays(n, net.u, net.v, np.where(np.arange(net.c.size) == k, net.c * factor, net.c))
+        A0, A1 = assemble(net), assemble(raised)
+        R = resistance_matrix(A0)
+        for x, y in (rng.choice(n, size=2, replace=False) for _ in range(3)):
+            r0, r1 = effective_resistance(A0, x, y), effective_resistance(A1, x, y)
+            assert r1 <= r0 * (1.0 + 1e-12)
+            assert abs(r0 - R[x, y]) <= 1e-9 * max(1.0, float(np.max(R)))
 
 
 class TestResistanceMatrix:
@@ -432,7 +491,7 @@ class TestSplitTrace:
         S, H = dense_schur(A, np.array([0, 2]))
         assert tr.rcond == pytest.approx(1.0)
         assert np.allclose(tr.traced_form.matrix, S, rtol=1e-15, atol=0.0)
-        assert np.allclose(tr.extension_operator, H, rtol=1e-15, atol=0.0)
+        assert np.allclose(tr.extension_operator.toarray(), H, rtol=1e-15, atol=0.0)
 
     def test_rcond_of_cholesky_block_and_empty_interior(self, path3, triangle):
         assert trace(path3, [0, 1, 2]).rcond == 1.0

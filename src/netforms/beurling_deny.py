@@ -47,6 +47,12 @@ class JumpKillingDecomposition:
             raise ValidationError(f"jump kernel must be square, got shape {J.shape}")
         if k.shape != (J.shape[0],):
             raise ValidationError("kappa length must match the jump kernel size")
+        if not np.all(np.isfinite(J)):
+            i, j = np.argwhere(~np.isfinite(J))[0]
+            raise ValidationError(f"jump kernel entry ({i},{j}) = {float(J[i, j])!r} is not finite")
+        if not np.all(np.isfinite(k)):
+            i = int(np.flatnonzero(~np.isfinite(k))[0])
+            raise ValidationError(f"kappa[{i}] = {float(k[i])!r} is not finite")
         if np.any(np.diag(J) != 0.0):
             raise ValidationError("jump kernel must have zero diagonal")
         if not np.array_equal(J, J.T):

@@ -238,7 +238,7 @@ def transfer_form(A: FormMatrix, emb: EmbeddingResult) -> FormMatrix:
     i, j, a = _entries(A)
     Ahat = np.bincount(k[i] * m + k[j], a, minlength=m * m).reshape(m, m)
     Ahat = (Ahat + Ahat.T) / 2.0
-    out = FormMatrix(Ahat)
+    out = FormMatrix._trusted(Ahat)
 
     rng = np.random.default_rng(0)
     fh, gh = np.swapaxes(rng.standard_normal((8, 2, m)), 0, 1)  # eight probe pairs, one per row

@@ -87,7 +87,7 @@ def _scale(m) -> float:
     """Magnitude max(1, max|m|) that relative tolerances multiply; a form's
     magnitude is that of its stored entries."""
     if isinstance(m, FormMatrix):
-        m = m.csr.data
+        m = m._dense if m._sparse is None else m._sparse.data
     return max(1.0, float(np.max(np.abs(m), initial=0.0)))
 
 
@@ -405,7 +405,7 @@ class Network:
         integers, so no value is silently coerced.
         """
         _json_object(d, "network", "vertices", "edges")
-        labels = tuple(tuple(x) if isinstance(x, list) else x for x in d["vertices"])
+        labels = tuple(map(_label, d["vertices"]))
         edges = []
         for k, e in enumerate(d["edges"]):
             if not isinstance(e, dict) or not {"u", "v", "c"} <= set(e):
@@ -420,6 +420,12 @@ class Network:
         if killing is not None:
             killing = _json_numbers(killing, "network 'killing'")
         return cls(labels, edges, killing)
+
+
+def _label(x):
+    """A vertex label from JSON: lists, at any depth, become tuples, as
+    ``to_dict`` wrote them."""
+    return tuple(map(_label, x)) if isinstance(x, list) else x
 
 
 def _csr(indptr, indices, data, shape) -> csr_array:
@@ -442,10 +448,20 @@ def _csr_from_entries(rows, cols, vals, shape) -> csr_array:
 
 
 def _entries(A: "FormMatrix"):
-    """Row indices, column indices and values of the stored entries of a
-    form's CSR matrix, row-major."""
-    M = A.csr
+    """Row indices, column indices and values of the nonzero entries of a
+    form, row-major: read off its CSR matrix when it holds one, else off its
+    dense array, with no CSR matrix built."""
+    if A._sparse is None:
+        i, j = np.nonzero(A._dense)
+        return i, j, A._dense[i, j]
+    M = A._sparse
     return np.repeat(np.arange(A.n), np.diff(M.indptr)), M.indices, M.data
+
+
+def _check_finite(m) -> None:
+    """Raise ValidationError if a dense or sparse form matrix has a non-finite entry."""
+    if not np.all(np.isfinite(m.data if issparse(m) else m)):
+        raise ValidationError("form matrix contains non-finite entries")
 
 
 class FormMatrix:
@@ -458,25 +474,33 @@ class FormMatrix:
     Construction enforces exact symmetry and finiteness; whether the matrix
     additionally satisfies the Markov sign conditions is checked separately
     by :func:`is_markov`.
+
+    A form derives each of its invariants at most once, on first use, and
+    keeps it: the CSR matrix, the dense view, the read-only component labels
+    behind :func:`components`, and the :func:`is_markov` report at the default
+    tolerance. The forms the package builds itself (:func:`assemble`,
+    ``recompose``, ``trace``, ``transfer_form``) are symmetric and canonical by
+    construction; they skip the symmetry and canonical-form checks and the
+    copy, and keep only the finiteness check, since sums of finite entries can
+    overflow.
     """
 
-    __slots__ = ("_dense", "_sparse")
+    __slots__ = ("_dense", "_sparse", "_component_labels", "_markov_report")
 
     def __init__(self, matrix):
         self.__post_init__(matrix)
 
     def __post_init__(self, matrix):
-        """Check and store the matrix: the validation every form pays, kept
-        apart from ``__init__`` so that a profiler can time it on its own
-        (``perfbench/spans.py`` wraps it)."""
+        """Check and store the matrix: the validation every form built through
+        the public constructor pays, kept apart from ``__init__`` so that a
+        profiler can time it on its own (``perfbench/spans.py`` wraps it)."""
         if issparse(matrix):
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ValidationError(f"form matrix must be square, got shape {matrix.shape}")
             M = csr_array(matrix, dtype=float, copy=True)
             M.sum_duplicates()
             M.eliminate_zeros()
-            if not np.all(np.isfinite(M.data)):
-                raise ValidationError("form matrix contains non-finite entries")
+            _check_finite(M)
             T = M.tocsc()  # the CSR arrays of the transpose
             if not (
                 np.array_equal(M.indptr, T.indptr)
@@ -487,21 +511,39 @@ class FormMatrix:
                 raise ValidationError(
                     f"form matrix is not symmetric: A[{i},{j}]={float(M[i, j])!r} != A[{j},{i}]={float(M[j, i])!r}"
                 )
-            object.__setattr__(self, "_dense", None)
-            object.__setattr__(self, "_sparse", _csr(M.indptr, M.indices, M.data, M.shape))
+            self._store(None, _csr(M.indptr, M.indices, M.data, M.shape))
             return
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"form matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("form matrix contains non-finite entries")
+        _check_finite(m)
         if not np.array_equal(m, m.T):
             i, j = np.argwhere(m != m.T)[0]
             raise ValidationError(
                 f"form matrix is not symmetric: A[{i},{j}]={float(m[i, j])!r} != A[{j},{i}]={float(m[j, i])!r}"
             )
-        object.__setattr__(self, "_dense", _readonly(m))
-        object.__setattr__(self, "_sparse", None)
+        self._store(_readonly(m), None)
+
+    @classmethod
+    def _trusted(cls, matrix) -> "FormMatrix":
+        """The form of a square float64 matrix that is exactly symmetric by
+        construction: an array the caller hands over, or a canonical
+        read-only CSR matrix. Only the finiteness check runs."""
+        _check_finite(matrix)
+        form = object.__new__(cls)
+        if issparse(matrix):
+            form._store(None, matrix)
+        else:
+            matrix.setflags(write=False)
+            form._store(matrix, None)
+        return form
+
+    def _store(self, dense, sparse) -> None:
+        """Set the stored matrices; the invariants start unfilled."""
+        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_sparse", sparse)
+        object.__setattr__(self, "_component_labels", None)
+        object.__setattr__(self, "_markov_report", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormMatrix is immutable")
@@ -522,8 +564,7 @@ class FormMatrix:
     def csr(self) -> csr_array:
         """The CSR matrix: canonical (sorted, no stored zeros) and read-only."""
         if self._sparse is None:
-            i, j = np.nonzero(self._dense)
-            object.__setattr__(self, "_sparse", _csr_from_entries(i, j, self._dense[i, j], self._dense.shape))
+            object.__setattr__(self, "_sparse", _csr_from_entries(*_entries(self), self._dense.shape))
         return self._sparse
 
     def __repr__(self):
@@ -601,7 +642,7 @@ def assemble(net: Network) -> FormMatrix:
     rows = np.insert(rows, at, np.arange(n))
     cols = np.insert(cols, at, np.arange(n))
     vals = np.insert(-c, at, diag)
-    return FormMatrix(_csr_from_entries(rows, cols, vals, (n, n)))
+    return FormMatrix._trusted(_csr_from_entries(rows, cols, vals, (n, n)))
 
 
 def _laplacian(C: np.ndarray, kappa) -> FormMatrix:
@@ -609,7 +650,7 @@ def _laplacian(C: np.ndarray, kappa) -> FormMatrix:
     A = -C + 0.0  # adding 0.0 normalizes -0.0 entries
     idx = np.arange(C.shape[0])
     A[idx, idx] = np.sum(C, axis=1) + kappa
-    return FormMatrix(A)
+    return FormMatrix._trusted(A)
 
 
 def evaluate(A: FormMatrix, f, g=None) -> float:
@@ -634,9 +675,18 @@ def is_markov(A: FormMatrix, tol: float | None = None) -> MarkovReport:
 
     ``tol`` defaults to ``RELTOL * max(1, max|A|)``; a given one must be finite
     and nonnegative. Returns a report listing every violation; the report is
-    truthy iff there are none.
+    truthy iff there are none. The report at the default tolerance is kept
+    on the form, so a form is checked once however often it is asked.
     """
-    tol = RELTOL * _scale(A) if tol is None else _tolerance(tol)
+    if tol is not None:
+        return _markov(A, _tolerance(tol))
+    if A._markov_report is None:
+        object.__setattr__(A, "_markov_report", _markov(A, RELTOL * _scale(A)))
+    return A._markov_report
+
+
+def _markov(A: FormMatrix, tol: float) -> MarkovReport:
+    """The Markov check of :func:`is_markov` at a given tolerance."""
     i, j, a = _entries(A)
     bad = (a > tol) & (i != j)
     violations = [
@@ -679,9 +729,14 @@ def killing_vector(A: FormMatrix) -> np.ndarray:
 def _labels(support) -> np.ndarray:
     """Component label per vertex of a form or of a square dense or sparse
     support array, numbered by smallest vertex: the package's one partition
-    representation."""
-    graph = support.csr if isinstance(support, FormMatrix) else csr_array(support)
-    return connected_components(graph, directed=False)[1]
+    representation. A form computes its labels once and keeps them read-only."""
+    if not isinstance(support, FormMatrix):
+        return connected_components(csr_array(support), directed=False)[1]
+    if support._component_labels is None:
+        labels = connected_components(support.csr, directed=False)[1]
+        labels.setflags(write=False)
+        object.__setattr__(support, "_component_labels", labels)
+    return support._component_labels
 
 
 def _groups(labels) -> list[np.ndarray]:

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
-from scipy.sparse import csr_array, issparse
+from scipy.sparse import csr_array
 
 from .errors import (
     InfiniteResistanceError,
@@ -28,9 +27,9 @@ from .errors import (
     UnsupportedRegimeError,
     ValidationError,
 )
-from .network import DENSE_N_MAX, SINGULAR_RCOND, FormMatrix, components, evaluate, killing_vector
-from .network import _as_vector, _check_dense, _csr_from_entries, _entries, _groups, _indices, _killing_free
-from .network import _labels, _scale, _vertex
+from .network import DENSE_N_MAX, SINGULAR_RCOND, FormMatrix, evaluate, killing_vector
+from .network import _as_vector, _check_dense, _check_finite, _csr_from_entries, _entries, _groups, _indices
+from .network import _killing_free, _labels, _scale, _vertex
 
 __all__ = [
     "TraceResult",
@@ -119,19 +118,20 @@ def _guard(rcond: float, singular: Callable[[], str]) -> None:
         raise SingularBlockError(f"{singular()} (rcond estimate {rcond:.3e})")
 
 
-def _cholesky(M: np.ndarray, singular: Callable[[], str]):
-    """Cholesky factor of a positive definite block and its LAPACK reciprocal
-    condition estimate; the package's one factorization, guarded by :func:`_guard`."""
-    try:
-        cho = sla.cho_factor(M, lower=True)
-    except np.linalg.LinAlgError:
-        rcond = 0.0
-    else:  # LAPACK rejects an empty block, which needs no check
-        pocon = lapack.get_lapack_funcs(("pocon",), (M,))[0]
-        rcond, info = pocon(cho[0], np.linalg.norm(M, 1), uplo=b"L") if M.size else (1.0, 0)
+def _cholesky(M: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
+    """Solution X of M X = B for a positive definite block M, by its Cholesky
+    factor, and LAPACK's reciprocal condition estimate of M: the package's one
+    factorization, guarded by :func:`_guard`. LAPACK is called directly, with
+    the routines and arguments of ``scipy.linalg.cho_factor``/``cho_solve``."""
+    if M.size == 0:  # LAPACK rejects an empty block, which needs no check
+        return np.empty(B.shape), 1.0
+    c, info = lapack.dpotrf(M, lower=1, clean=0)
+    rcond = 0.0
+    if info == 0:
+        rcond, info = lapack.dpocon(c, np.max(np.sum(np.abs(M), axis=0)), uplo="L")  # the 1-norm of M
         rcond = rcond if info == 0 else 0.0
     _guard(rcond, singular)
-    return cho, rcond
+    return lapack.dpotrs(c, B, lower=1)[0], rcond
 
 
 def _coupled(A_WW: np.ndarray) -> bool:
@@ -210,8 +210,8 @@ def _block(A_cc: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     vertices) is divided by its entries, each an exact 1 x 1 block of rcond 1.
     """
     if _coupled(A_cc):
-        cho, rcond = _cholesky(A_cc, singular)
-        return -sla.cho_solve(cho, B), rcond
+        X, rcond = _cholesky(A_cc, B, singular)
+        return -X, rcond
     d = np.diagonal(A_cc)
     rcond = 1.0 if np.all(d > 0.0) else 0.0
     _guard(rcond, singular)
@@ -321,7 +321,7 @@ def trace(A: FormMatrix, subset) -> TraceResult:
         component is disconnected from the subset and carries no killing.
     """
     U, W, S, blocks, rcond = _eliminate(A, subset)
-    return TraceResult(U, FormMatrix(S), rcond, W, _extension(blocks, W.size, U.size))
+    return TraceResult(U, FormMatrix._trusted(S), rcond, W, _extension(blocks, W.size, U.size))
 
 
 def harmonic_extension(tr: TraceResult, f) -> np.ndarray:
@@ -365,8 +365,7 @@ def effective_resistance(A: FormMatrix, x: int, y: int) -> float:
     # the other components would float in the interior block, so they join the subset
     others = np.flatnonzero(labels != labels[x])
     S = _eliminate(A, np.concatenate([[x, y], others]))[2]
-    if not np.all(np.isfinite(S.data if issparse(S) else S)):  # as FormMatrix(S) would check
-        raise ValidationError("form matrix contains non-finite entries")
+    _check_finite(S)  # as the traced form would
     c_eff = -float(S[0, 1])
     if c_eff <= 0.0:
         raise InfiniteResistanceError(
@@ -385,14 +384,14 @@ def resistance_matrix(A: FormMatrix) -> np.ndarray:
     1e-20 bridge) raises SingularBlockError.
     """
     _require_conservative(A, "resistance matrix")
-    comps = components(A)
-    if len(comps) > 1:
+    labels = _labels(A)
+    if labels.max() > 0:
         raise InfiniteResistanceError(
-            f"network is disconnected; components: {[c.tolist() for c in comps]}"
+            f"network is disconnected; components: {[c.tolist() for c in _groups(labels)]}"
         )
-    cho, _ = _cholesky(A.matrix[1:, 1:], lambda: "form grounded at vertex 0 is numerically singular")
+    X, _ = _cholesky(A.matrix[1:, 1:], np.eye(A.n - 1), lambda: "form grounded at vertex 0 is numerically singular")
     G = np.zeros((A.n, A.n))
-    G[1:, 1:] = sla.cho_solve(cho, np.eye(A.n - 1))
+    G[1:, 1:] = X
     d = np.diag(G)
     R = d[:, None] + d[None, :] - 2.0 * G
     R = (R + R.T) / 2.0

@@ -33,14 +33,18 @@ def edge_sum_energy(net: Network, f, g=None) -> float:
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-_label = st.one_of(st.integers(), _finite, st.text(max_size=3), st.tuples(st.integers(), st.integers()), st.tuples(_finite, _finite))
+_label = st.recursive(
+    st.one_of(st.integers(), _finite, st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
 
 
 @st.composite
 def networks(draw, max_n: int = 8) -> Network:
-    """Networks with integer, float, string or flat tuple labels (the builders
-    make integers, floats and tuples), any finite positive conductances and
-    any finite killing weights >= 0."""
+    """Networks with integer, float, string or tuple labels, tuples nested to
+    any depth (the builders make integers, floats and tuples), any finite
+    positive conductances and any finite killing weights >= 0."""
     n = draw(st.integers(1, max_n))
     vertices = draw(st.one_of(st.just(n), st.lists(_label, min_size=n, max_size=n)))
     ordered_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]

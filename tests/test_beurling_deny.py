@@ -127,6 +127,10 @@ class TestRecompose:
             JumpKillingDecomposition(jump=np.array([[0.0, -1.0], [-1.0, 0.0]]), kappa=np.zeros(2))
         with pytest.raises(ValidationError, match="negative"):
             JumpKillingDecomposition(jump=np.zeros((2, 2)), kappa=np.array([-1.0, 0.0]))
+        with pytest.raises(ValidationError, match=r"jump kernel entry \(0,1\) = inf is not finite"):
+            JumpKillingDecomposition(jump=np.array([[0.0, np.inf], [np.inf, 0.0]]), kappa=np.zeros(2))
+        with pytest.raises(ValidationError, match=r"kappa\[1\] = nan is not finite"):
+            JumpKillingDecomposition(jump=np.zeros((2, 2)), kappa=np.array([0.0, np.nan]))
 
 
 class TestIdentities:

@@ -26,12 +26,14 @@ from netforms import (
     components,
     counterexample_demo,
     decompose,
+    effective_resistance,
     energy_measure,
     evaluate,
     harmonic_extension,
     is_markov,
     killing_vector,
     recompose,
+    resistance_matrix,
     trace,
 )
 from netforms import network
@@ -276,6 +278,84 @@ class TestCsrForms:
         f = rng.standard_normal(U.size)
         g = harmonic_extension(tr, f)
         assert np.array_equal(g[U], f) and np.array_equal(g[W], tr.extension_operator @ f)
+
+
+# ------------------------------------------- trusted forms and their memos
+
+
+def outcome(fn, *args):
+    """What a call gives: its result, or the type and message of its error."""
+    try:
+        return "ok", fn(*args)
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def trace_bits(tr):
+    H = tr.extension_operator
+    return tr.traced_form.matrix.tobytes(), H.indptr.tobytes(), H.indices.tobytes(), H.data.tobytes(), tr.rcond
+
+
+class TestTrustedForms:
+    """Forms the package builds skip the symmetry and canonical-form checks
+    and derive their invariants once; they must read exactly as the same
+    matrix handed to the public constructor does."""
+
+    @pytest.mark.parametrize("n", [3, DENSE_N_MAX + 1])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_row_sum_is_rejected(self, n):
+        # two finite conductances at vertex 1 sum to an infinite diagonal, densely at 3 vertices, as CSR at 65
+        net = Network.from_arrays(n, np.array([0, 1]), np.array([1, 2]), np.array([1e308, 1e308]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            assemble(net)
+
+    @oracle_settings
+    @given(network_cases, st.integers(0, 2**32 - 1))
+    def test_trusted_reads_as_public(self, net, seed):
+        rng = np.random.default_rng(seed)
+        U = np.sort(rng.choice(net.n, size=int(rng.integers(1, net.n + 1)), replace=False))
+        x, y = rng.choice(net.n, size=2, replace=False) if net.n > 1 else (0, 0)
+        A = assemble(net)
+        results = []
+        for B in (A, FormMatrix(A.matrix), FormMatrix(A.csr)):
+            report = is_markov(B)
+            tr = outcome(trace, B, U)
+            R = outcome(resistance_matrix, B)
+            results.append(
+                (
+                    (report.ok, report.violations, report.tol),
+                    [c.tolist() for c in components(B)],
+                    (tr[0], trace_bits(tr[1])) if tr[0] == "ok" else tr,
+                    (R[0], R[1].tobytes()) if R[0] == "ok" else R,
+                    outcome(effective_resistance, B, x, y),
+                )
+            )
+        assert results[0] == results[1] == results[2]
+        labels = network._labels(A)
+        assert labels is network._labels(A) and not labels.flags.writeable
+        assert not A.matrix.flags.writeable
+
+    def test_each_invariant_is_derived_once(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        net = Network(40, [(k, k + 1, float(c)) for k, c in enumerate(rng.uniform(0.5, 2.0, 39))] + [(0, 39, 1.0)])
+        A = assemble(net)
+        calls = {"components": 0, "markov": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(network, "connected_components", counted("components", network.connected_components))
+        monkeypatch.setattr(network, "_markov", counted("markov", network._markov))
+        assert is_markov(A)
+        decompose(A)
+        energy_measure(A, rng.standard_normal(40))
+        R = resistance_matrix(A)
+        assert abs(effective_resistance(A, 3, 17) - R[3, 17]) <= 1e-12
+        assert calls == {"components": 1, "markov": 1}
 
 
 # ---------------------------------------------------- tolerances and inclusions

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import RELTOL, FormMatrix, Network, conductance_matrix
-from .network import _laplacian, _readonly, _require_markov, _scale
+from .network import _as_vector, _laplacian, _readonly, _reals, _require_markov, _scale
 
 __all__ = [
     "JumpKillingDecomposition",
@@ -41,18 +41,13 @@ class JumpKillingDecomposition:
     local_part: float = 0.0
 
     def __post_init__(self):
-        J = np.asarray(self.jump, dtype=float)
-        k = np.asarray(self.kappa, dtype=float)
+        J = _reals(self.jump, "jump kernel")
         if J.ndim != 2 or J.shape[0] != J.shape[1]:
             raise ValidationError(f"jump kernel must be square, got shape {J.shape}")
-        if k.shape != (J.shape[0],):
-            raise ValidationError("kappa length must match the jump kernel size")
+        k = _as_vector(self.kappa, J.shape[0], "kappa")
         if not np.all(np.isfinite(J)):
             i, j = np.argwhere(~np.isfinite(J))[0]
             raise ValidationError(f"jump kernel entry ({i},{j}) = {float(J[i, j])!r} is not finite")
-        if not np.all(np.isfinite(k)):
-            i = int(np.flatnonzero(~np.isfinite(k))[0])
-            raise ValidationError(f"kappa[{i}] = {float(k[i])!r} is not finite")
         if np.any(np.diag(J) != 0.0):
             raise ValidationError("jump kernel must have zero diagonal")
         if not np.array_equal(J, J.T):

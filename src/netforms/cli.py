@@ -32,7 +32,7 @@ from .gelfand import (
     vanishes_nowhere,
 )
 from .network import COMPAT_RELTOL, AtomicMeasure, Network, assemble, form_to_csv, is_markov
-from .network import _json_numbers, _json_object, _matrix_csv, _read_json, _writing
+from .network import _json_object, _matrix_csv, _read_json, _writing
 from .sequences import (
     build_dyadic_interval,
     build_sierpinski_gasket,
@@ -79,10 +79,10 @@ def _load_measure(path, n: int) -> AtomicMeasure:
     data = _read_json(path)
     if isinstance(data, dict) and "weights" in data:
         data = data["weights"]
-    w = _json_numbers(data, f"measure in {path}")
-    if w.shape != (n,):
-        raise ValidationError(f"measure in {path} has {w.size} weights, expected {n}")
-    return AtomicMeasure(w)
+    mu = AtomicMeasure(data)
+    if mu.n != n:
+        raise ValidationError(f"measure in {path} has {mu.n} weights, expected {n}")
+    return mu
 
 
 def _emit(text: str, output) -> None:
@@ -209,7 +209,7 @@ def cmd_gelfand_embed(args):
 def _load_algebra(path) -> AlgebraSpec:
     d = _read_json(path)
     _json_object(d, "algebra", "points", "generators")
-    return AlgebraSpec(d["points"], [_json_numbers(g, f"generator {k}") for k, g in enumerate(d["generators"])])
+    return AlgebraSpec(d["points"], d["generators"])
 
 
 def cmd_gelfand_pushforward(args):

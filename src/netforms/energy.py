@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gelfand import EmbeddingResult
 from .network import CLAMP_RELTOL, IDENTITY_RELTOL, FormMatrix, evaluate, killing_vector
-from .network import _as_vector, _entries, _readonly, _require_markov, _scale
+from .network import _as_vector, _entries, _readonly, _reals, _require_markov, _scale
 from .sequences import MAX_DYADIC_LEVELS, build_dyadic_interval
 
 __all__ = [
@@ -47,7 +47,7 @@ class EnergyMeasure:
     total: float = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.masses, dtype=float)
+        m = _reals(self.masses, "masses")
         object.__setattr__(self, "masses", _readonly(m))
         object.__setattr__(self, "total", float(np.sum(m)))
 

@@ -20,7 +20,7 @@ from scipy.sparse import coo_array
 
 from .errors import DescentError, NotInAlgebraError, ValidationError
 from .network import RELTOL, AtomicMeasure, FormMatrix
-from .network import _as_vector, _check_dense, _entries, _groups, _labels, _readonly, _scale
+from .network import _as_vector, _check_dense, _entries, _groups, _labels, _readonly, _real, _reals, _scale
 
 __all__ = [
     "AlgebraSpec",
@@ -59,10 +59,7 @@ class AlgebraSpec:
         pts = tuple(points)
         if len(pts) == 0:
             raise ValidationError("algebra spec needs at least one point")
-        try:
-            G = np.asarray(generators, dtype=float)
-        except ValueError:
-            raise ValidationError("generators must be a rectangular array of numbers") from None
+        G = _reals(generators, "generators")
         if G.ndim != 2:
             raise ValidationError("generators must be a 2-d array (one row per generator)")
         if G.shape[0] == 0:
@@ -129,7 +126,7 @@ class PushforwardMeasure:
     total: float
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", _readonly(np.asarray(self.atoms, dtype=float)))
+        object.__setattr__(self, "atoms", _readonly(_reals(self.atoms, "atoms")))
 
     @property
     def n_classes(self) -> int:
@@ -144,6 +141,7 @@ def embed(spec: AlgebraSpec, tol: float = 0.0) -> EmbeddingResult:
     classes are numbered in the order of their smallest member.
     """
     images = spec.generators.T.copy()
+    tol = _real(tol, "tolerance")
     if not tol >= 0:  # also rejects nan
         raise ValidationError(f"tolerance must be >= 0, got {tol!r}")
     if tol == 0.0:
@@ -214,7 +212,7 @@ def l2_isometry_check(f, mu: AtomicMeasure, emb: EmbeddingResult) -> tuple[float
     """
     if mu.n != emb.n_points:
         raise ValidationError("measure and embedding sizes differ")
-    fv = np.asarray(f, dtype=float)
+    fv = _as_vector(f, emb.n_points, "f")
     fhat = quotient_function(fv, emb)
     push = pushforward(mu, emb)
     lhs = float(np.sqrt(np.sum(fv * fv * mu.weights)))
@@ -275,6 +273,7 @@ def spectrum_closure_estimate(spec: AlgebraSpec, epsilon: float) -> ClosureEstim
     LIMIT_POINT_MIN_IMAGES images and no single image lies within epsilon/2
     of all of them, i.e. the nearby mass does not collapse to one image.
     """
+    epsilon = _real(epsilon, "epsilon")
     if not 0 < epsilon < np.inf:
         raise ValidationError(f"epsilon must be finite and > 0, got {epsilon!r}")
     images = embed(spec).images

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -91,14 +91,44 @@ def _scale(m) -> float:
     return max(1.0, float(np.max(np.abs(m), initial=0.0)))
 
 
-def _tolerance(tol) -> float:
-    """A tolerance as a float; nan, infinite, negative and non-numbers raise."""
-    if isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool):
+def _real(x, what: str) -> float:
+    """A real number as a float, by the package's one rule for numbers: Python
+    and numpy integers and floats pass; bools, strings, bytes, None, any other
+    object and an integer beyond the float range raise ValidationError."""
+    if type(x) is float:
+        return x
+    if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
         try:
-            t = float(tol)
-        except OverflowError:  # an int beyond the float range
-            t = math.inf
-        if math.isfinite(t) and t >= 0.0:
+            return float(x)
+        except OverflowError:
+            raise ValidationError(f"{what} is too large for a float") from None
+    raise ValidationError(f"{what} must be a real number, got {x!r}")
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """An array of real numbers as float64, by the rule of :func:`_real`: an
+    integer or float array passes whole, anything else entry by entry, and
+    ragged nesting raises."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return np.asarray(values, dtype=float)
+    ragged = f"{what} must be a rectangular array of real numbers"
+    try:
+        a = np.array(values, dtype=object)  # a copy, so that the entries can be replaced
+    except ValueError:  # nested arrays of clashing shapes
+        raise ValidationError(ragged) from None
+    for k, x in enumerate(a.flat):
+        if type(x) is not float:
+            if isinstance(x, (list, tuple, np.ndarray)):  # nested deeper on some branch
+                raise ValidationError(ragged)
+            at = ", ".join(map(str, np.unravel_index(k, a.shape)))
+            a.flat[k] = _real(x, f"{what}[{at}]" if at else what)
+    return a.astype(float)
+
+
+def _tolerance(tol) -> float:
+    """A tolerance: a finite number >= 0, by the rule of :func:`_real`."""
+    with suppress(ValidationError):
+        if 0.0 <= (t := _real(tol, "tol")) < math.inf:
             return t
     raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
 
@@ -117,14 +147,6 @@ def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _read_json(path):
@@ -162,29 +184,9 @@ def _json_object(d, what: str, *keys: str) -> None:
             raise ValidationError(f"{what} '{key}' must be a list, got {d[key]!r}")
 
 
-def _json_numbers(values, what: str, integers: bool = False) -> np.ndarray:
-    """A JSON list of numbers (of integers with ``integers``) as an array.
-
-    JSON booleans are not numbers here, so no value is silently coerced.
-    """
-    if not isinstance(values, list):
-        raise ValidationError(f"{what} must be a list, got {values!r}")
-    for i, x in enumerate(values):
-        if not (_is_int(x) if integers else _is_number(x)):
-            kind = "an integer" if integers else "a number"
-            raise ValidationError(f"{what}, entry {i}: expected {kind}, got {x!r}")
-    try:
-        return np.asarray(values, dtype=int if integers else float)
-    except OverflowError:
-        raise ValidationError(f"{what} has an entry too large for {'an index' if integers else 'a float'}") from None
-
-
 def _as_vector(values, n: int, what: str) -> np.ndarray:
     """A finite function on n vertices; every vertex function enters here."""
-    try:
-        v = np.asarray(values, dtype=float)
-    except OverflowError:
-        raise ValidationError(f"{what} has an entry too large for a float") from None
+    v = _reals(values, what)
     if v.shape != (n,):
         raise ValidationError(f"{what} must be a vector of length {n}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -239,7 +241,8 @@ class _EdgeArrays(NamedTuple):
 
 
 def _parse_edges(edges, n: int) -> _EdgeArrays:
-    """Arrays of an iterable of (u, v, c) triples, each entry type-checked."""
+    """Arrays of an iterable of (u, v, c) triples: endpoints by the integer
+    rule of :func:`_index`, conductances by the number rule of :func:`_real`."""
     us, vs, cs = [], [], []
     for k, e in enumerate(edges):
         try:
@@ -247,13 +250,9 @@ def _parse_edges(edges, n: int) -> _EdgeArrays:
         except (TypeError, ValueError):
             raise ValidationError(f"edge #{k}: expected a (u, v, c) triple, got {e!r}") from None
         try:
-            u, v = _index(u), _index(v)
+            u, v, c = _index(u), _index(v), _real(c, "conductance")
         except ValidationError as err:
             raise ValidationError(f"edge #{k}: {err}") from None
-        try:
-            c = float(c)
-        except OverflowError:
-            raise ValidationError(f"edge #{k}: conductance is too large for a float (u={u}, v={v})") from None
         us.append(u)
         vs.append(v)
         cs.append(c)
@@ -330,8 +329,8 @@ class Network:
         n = len(labels)
         if n == 0:
             raise ValidationError("network must have at least one vertex")
-        arrays = edges if isinstance(edges, _EdgeArrays) else _parse_edges(edges, n)
-        u, v, c = _check_edges(*(np.asarray(x) for x in arrays), n)
+        u, v, c = edges if isinstance(edges, _EdgeArrays) else _parse_edges(edges, n)
+        u, v, c = _check_edges(np.asarray(u), np.asarray(v), _reals(c, "conductances"), n)
 
         if killing is None:
             kap = np.zeros(n)
@@ -399,27 +398,16 @@ class Network:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Network":
-        """Network from its JSON object, with every field type-checked.
-
-        JSON booleans are not numbers here, and vertex indices must be
-        integers, so no value is silently coerced.
-        """
+        """Network from its JSON object; its numbers pass the same rules as
+        the constructor's, so JSON booleans and strings are not numbers."""
         _json_object(d, "network", "vertices", "edges")
         labels = tuple(map(_label, d["vertices"]))
         edges = []
         for k, e in enumerate(d["edges"]):
             if not isinstance(e, dict) or not {"u", "v", "c"} <= set(e):
                 raise ValidationError(f"edge #{k}: expected an object with keys u, v, c")
-            for key in ("u", "v"):
-                if not _is_int(e[key]):
-                    raise ValidationError(f"edge #{k}: {key} must be an integer vertex index, got {e[key]!r}")
-            if not _is_number(e["c"]):
-                raise ValidationError(f"edge #{k}: conductance c must be a number, got {e['c']!r}")
             edges.append((e["u"], e["v"], e["c"]))
-        killing = d.get("killing")
-        if killing is not None:
-            killing = _json_numbers(killing, "network 'killing'")
-        return cls(labels, edges, killing)
+        return cls(labels, edges, d.get("killing"))
 
 
 def _label(x):
@@ -459,9 +447,12 @@ def _entries(A: "FormMatrix"):
 
 
 def _check_finite(m) -> None:
-    """Raise ValidationError if a dense or sparse form matrix has a non-finite entry."""
-    if not np.all(np.isfinite(m.data if issparse(m) else m)):
-        raise ValidationError("form matrix contains non-finite entries")
+    """Raise ValidationError, naming the first row that has one, if a dense
+    or CSR form matrix has a non-finite entry."""
+    bad = np.flatnonzero(~np.isfinite(m.data if issparse(m) else m))  # row-major, as the CSR entries are
+    if bad.size:
+        row = np.searchsorted(m.indptr, bad[0], side="right") - 1 if issparse(m) else bad[0] // m.shape[1]
+        raise ValidationError(f"form matrix contains non-finite entries, the first in row {int(row)}")
 
 
 class FormMatrix:
@@ -471,9 +462,9 @@ class FormMatrix:
     matrix ``csr`` on first sparse use; built from a scipy sparse matrix, it
     keeps the CSR matrix and derives the dense view ``matrix`` on request,
     after checking it against ``DENSE_BYTES_MAX``. Both are read-only.
-    Construction enforces exact symmetry and finiteness; whether the matrix
-    additionally satisfies the Markov sign conditions is checked separately
-    by :func:`is_markov`.
+    Construction enforces a nonempty square shape of real numbers, exact
+    symmetry and finiteness; whether the matrix additionally satisfies the
+    Markov sign conditions is checked separately by :func:`is_markov`.
 
     A form derives each of its invariants at most once, on first use, and
     keeps it: the CSR matrix, the dense view, the read-only component labels
@@ -495,8 +486,10 @@ class FormMatrix:
         the public constructor pays, kept apart from ``__init__`` so that a
         profiler can time it on its own (``perfbench/spans.py`` wraps it)."""
         if issparse(matrix):
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ValidationError(f"form matrix must be square, got shape {matrix.shape}")
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
+                raise ValidationError(f"form matrix must be square and nonempty, got shape {matrix.shape}")
+            if matrix.dtype.kind not in "fiu":  # the number rule of _reals, for a whole array
+                raise ValidationError(f"form matrix must hold real numbers, got dtype {matrix.dtype}")
             M = csr_array(matrix, dtype=float, copy=True)
             M.sum_duplicates()
             M.eliminate_zeros()
@@ -513,9 +506,9 @@ class FormMatrix:
                 )
             self._store(None, _csr(M.indptr, M.indices, M.data, M.shape))
             return
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"form matrix must be square, got shape {m.shape}")
+        m = _reals(matrix, "form matrix")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+            raise ValidationError(f"form matrix must be square and nonempty, got shape {m.shape}")
         _check_finite(m)
         if not np.array_equal(m, m.T):
             i, j = np.argwhere(m != m.T)[0]
@@ -599,7 +592,7 @@ class AtomicMeasure:
     total: float = field(init=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _reals(self.weights, "weights")
         if w.ndim != 1:
             raise ValidationError(f"measure weights must be a 1-d vector, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -649,7 +642,8 @@ def _laplacian(C: np.ndarray, kappa) -> FormMatrix:
     """Form matrix of conductances C and killing kappa, for assemble and recompose."""
     A = -C + 0.0  # adding 0.0 normalizes -0.0 entries
     idx = np.arange(C.shape[0])
-    A[idx, idx] = np.sum(C, axis=1) + kappa
+    with np.errstate(over="ignore"):  # an overflowing row sum is left to the finiteness check
+        A[idx, idx] = np.sum(C, axis=1) + kappa
     return FormMatrix._trusted(A)
 
 
@@ -662,12 +656,12 @@ def evaluate(A: FormMatrix, f, g=None) -> float:
 
 def unit_contraction(u) -> np.ndarray:
     """Clamp a function to [0, 1] componentwise."""
-    return np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    return np.clip(_reals(u, "u"), 0.0, 1.0)
 
 
 def truncate_one(u) -> np.ndarray:
     """Truncate a function at 1 componentwise (Stone operation u ∧ 1)."""
-    return np.minimum(np.asarray(u, dtype=float), 1.0)
+    return np.minimum(_reals(u, "u"), 1.0)
 
 
 def is_markov(A: FormMatrix, tol: float | None = None) -> MarkovReport:

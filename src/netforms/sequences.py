@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .network import COMPAT_RELTOL, PROFILE_RELTOL, FormMatrix, Network, assemble, evaluate
-from .network import _as_vector, _index, _indices, _json_numbers, _json_object, _read_json, _scale, _tolerance, _writing
+from .network import _as_vector, _index, _indices, _json_object, _read_json, _real, _scale, _tolerance, _writing
 from .trace import trace
 
 __all__ = [
@@ -129,7 +129,7 @@ def check_compatibility(seq: CompatibleSequence, tol: float = COMPAT_RELTOL) -> 
         devs[n] = float(abs(traced.csr - seq.form(n).csr).max())
         scales[n] = _scale(seq.form(n + 1))
     ok = bool(np.all(devs <= tol * scales))
-    return CompatibilityReport(deviations=devs, scales=scales, tol=float(tol), ok=ok)
+    return CompatibilityReport(deviations=devs, scales=scales, tol=tol, ok=ok)
 
 
 def energy_profile(seq: CompatibleSequence, f) -> np.ndarray:
@@ -225,7 +225,7 @@ def build_sierpinski_gasket(levels: int, factor: float | None = None, calibrate:
         if factor is not None:
             raise ValidationError("pass either a factor or calibrate=True, not both")
         factor = calibrate_gasket_factor()
-    rho = GASKET_FACTOR if factor is None else float(factor)
+    rho = GASKET_FACTOR if factor is None else _real(factor, "factor")
     if rho <= 0:
         raise ValidationError("renormalization factor must be positive")
 
@@ -267,12 +267,10 @@ def sequence_to_dict(seq: CompatibleSequence) -> dict:
 
 
 def sequence_from_dict(d: dict) -> CompatibleSequence:
-    """Sequence from its JSON object; inclusion indices must be JSON integers,
-    so no value is silently coerced."""
+    """Sequence from its JSON object; inclusion indices pass the integer rule
+    of :class:`CompatibleSequence`, so no value is silently coerced."""
     _json_object(d, "sequence", "levels", "inclusions")
-    incs = [_json_numbers(m, f"inclusion {n}", integers=True) for n, m in enumerate(d["inclusions"])]
-    nets = tuple(Network.from_dict(x) for x in d["levels"])
-    return CompatibleSequence(nets, tuple(incs))
+    return CompatibleSequence(tuple(Network.from_dict(x) for x in d["levels"]), d["inclusions"])
 
 
 def save_sequence(seq: CompatibleSequence, path) -> None:

@@ -32,8 +32,10 @@ from .network import (
     components,
     conductance_matrix,
     killing_vector,
+    _index,
     _killing_free,
     _readonly,
+    _real,
     _require_markov,
     _scale,
     _vertex,
@@ -288,6 +290,14 @@ def _estimate(walk: _Walk, n_traj: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return mean, se, jumps, max_jumps
 
 
+def _count(n_traj) -> int:
+    """A trajectory count: an integer by the rule of ``_index``, at least 1."""
+    n_traj = _index(n_traj, "n_traj")
+    if n_traj < 1:
+        raise ValidationError("n_traj must be >= 1")
+    return n_traj
+
+
 def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int) -> SimResult:
     """Run trajectories up to a time horizon, tracking occupation and killing.
 
@@ -298,14 +308,14 @@ def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int
     cemetery and is not credited to any state.
     """
     x0 = _vertex(x0, gen.n)
+    horizon = _real(horizon, "horizon")
     if not (horizon > 0 and np.isfinite(horizon)):
         raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
-    if n_traj < 1:
-        raise ValidationError("n_traj must be >= 1")
+    n_traj, seed = _count(n_traj), _index(seed, "seed")
     n = gen.n
     stops = np.zeros((1, n + 1), dtype=bool)
     stops[0, n] = True
-    walk = _Walk(_jump_table(gen, include_killing=True), x0, stops, True, float(horizon),
+    walk = _Walk(_jump_table(gen, include_killing=True), x0, stops, True, horizon,
                  lambda final, clock, occ: np.column_stack([occ / horizon, final == n]))
     mean, se, jumps, max_jumps = _estimate(walk, n_traj, seed)
     return SimResult(
@@ -330,8 +340,7 @@ def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int
     The analytic value is u(x0) where u is the harmonic extension of the
     boundary data (1 at a, 0 at b); hitting probabilities do not depend on mu.
     """
-    if n_traj < 1:
-        raise ValidationError("n_traj must be >= 1")
+    n_traj, seed = _count(n_traj), _index(seed, "seed")
     a, b, x0 = (_vertex(v, gen.n) for v in (a, b, x0))
     if a == b:
         raise ValidationError("hitting targets must be distinct")
@@ -358,8 +367,7 @@ def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> 
     Each trajectory runs from x until it hits y and then continues until it
     returns to x; the analytic value is R(x, y) * mu(V).
     """
-    if n_traj < 1:
-        raise ValidationError("n_traj must be >= 1")
+    n_traj, seed = _count(n_traj), _index(seed, "seed")
     x, y = _vertex(x, gen.n), _vertex(y, gen.n)
     if x == y:
         return Estimate(0.0, 0.0)

@@ -277,8 +277,8 @@ def _extension(blocks, n_w: int, n_u: int) -> csr_array:
 
 def _eliminate(A: FormMatrix, subset):
     """Check the subset U and eliminate its complement W: returns U, W, the
-    traced form (an ndarray up to ``DENSE_N_MAX`` vertices, CSR above), the
-    blocks of the extension operator and the smallest rcond."""
+    traced form (an ndarray when eliminated densely, else CSR; see
+    :func:`trace`), the blocks of the extension operator and the smallest rcond."""
     U = _check_subset(subset, A.n)
     W = _interior(U, A.n)
 
@@ -288,23 +288,27 @@ def _eliminate(A: FormMatrix, subset):
             return f"components disconnected from the subset with no killing: {bad}"
         return "interior block is numerically singular"
 
-    if A.n > DENSE_N_MAX:
-        return (U, W, *_kron(A, U, W, singular))
-    M = A.matrix
-    S = M[np.ix_(U, U)]
-    blocks, rcond = [], 1.0
-    if W.size:
-        h, rcond = _block(M[np.ix_(W, W)], M[np.ix_(W, U)], singular)
-        S += M[np.ix_(U, W)] @ h
-        blocks = [(np.arange(W.size), np.arange(U.size), h)]
-    return U, W, (S + S.T) / 2.0, blocks, rcond
+    if A.n <= DENSE_N_MAX:
+        M = A.matrix
+        S = M[np.ix_(U, U)]
+        if not W.size:
+            return U, W, (S + S.T) / 2.0, [], 1.0
+        try:
+            h, rcond = _block(M[np.ix_(W, W)], M[np.ix_(W, U)], singular)
+        except SingularBlockError:
+            pass  # the interior's rcond is at most each component's: try them one by one
+        else:
+            S += M[np.ix_(U, W)] @ h
+            return U, W, (S + S.T) / 2.0, [(np.arange(W.size), np.arange(U.size), h)], rcond
+    return (U, W, *_kron(A, U, W, singular))
 
 
 def trace(A: FormMatrix, subset) -> TraceResult:
     """Trace (harmonic restriction) of a form onto a subset of vertices.
 
     A form of at most ``DENSE_N_MAX`` vertices is eliminated densely, as one
-    block. On a larger one the interior W is eliminated on the CSR matrix,
+    block, unless that block fails the singularity guard. On a larger one, or
+    after such a failure, the interior W is eliminated on the CSR matrix,
     split into the connected components of its block A_WW. The components
     of one shape, at most ``STACK_MAX`` vertices with the same number of
     boundary neighbours, share one batched solve, and any other component is

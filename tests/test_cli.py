@@ -183,6 +183,20 @@ def test_malformed_network_and_measure_exit_1(tmp_path, capsys, net, mu):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "validation"
 
 
+@pytest.mark.parametrize("n", [3, 65], ids=["dense", "sparse"])
+@pytest.mark.parametrize("command", ["validate", "assemble"])
+def test_overflowing_row_sum_exit_1_one_json_line(tmp_path, capsys, command, n):
+    # two finite conductances at vertex 1 sum to an infinite diagonal entry
+    p = tmp_path / "net.json"
+    edges = [{"u": 0, "v": 1, "c": 1e308}, {"u": 1, "v": 2, "c": 1e308}]
+    p.write_text(json.dumps({"vertices": list(range(n)), "edges": edges}))
+    assert main(["net", command, str(p)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "validation" and "non-finite entries, the first in row 1" in err["message"]
+
+
 @pytest.mark.parametrize("module", ["netforms", "netforms.cli"])
 def test_python_m_help(module):
     src = str(Path(netforms.__file__).resolve().parent.parent)

@@ -1,28 +1,41 @@
 import importlib
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.sparse import csr_array
 
 from netforms import (
     AlgebraSpec,
     AtomicMeasure,
+    EnergyMeasure,
     FormMatrix,
+    JumpKillingDecomposition,
     Network,
+    PushforwardMeasure,
     ValidationError,
     assemble,
     build_dyadic_interval,
+    build_generator,
+    build_sierpinski_gasket,
     check_compatibility,
+    commute_time,
     components,
     embed,
     energy_measure,
     energy_measure_identity,
     evaluate,
+    hitting_probability,
     is_markov,
+    l2_isometry_check,
     lift_function,
+    occupation_check,
     quotient_function,
+    simulate,
+    spectrum_closure_estimate,
     truncate_one,
     unit_contraction,
 )
@@ -214,6 +227,12 @@ class TestTypes:
         with pytest.raises(ValidationError, match="square"):
             FormMatrix(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("empty", [np.zeros((0, 0)), csr_array((0, 0))], ids=["dense", "sparse"])
+    def test_form_matrix_rejects_empty(self, empty):
+        # as a network needs one vertex; resistance_matrix would fail inside numpy
+        with pytest.raises(ValidationError, match="nonempty"):
+            FormMatrix(empty)
+
     def test_atomic_measure_total_and_flag(self):
         mu = AtomicMeasure([0.25, 0.75])
         assert mu.total == 1.0
@@ -335,3 +354,91 @@ class TestTolerancesAndGuards:
         for call in calls:
             with pytest.raises(ValidationError, match=r"\[1\] = .* is not finite"):
                 call()
+
+
+# ------------------------------------------------------- the number rule
+
+_P3 = assemble(Network(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+_SPEC = AlgebraSpec(range(3), [[0.0, 0.5, 1.0]])
+_MU = AtomicMeasure(np.ones(3))
+_GEN = build_generator(_P3, _MU)
+
+#: Entry points that take an array: (id, the name the error gives, a call
+#: with ``x`` as one entry of that array, the array built by ``wrap``).
+ARRAY_ENTRIES = [
+    ("from_arrays", "conductances", lambda x, wrap: Network.from_arrays(3, [0, 1], [1, 2], wrap([x, 1])).c),
+    ("killing", "killing", lambda x, wrap: Network(2, killing=wrap([0, x])).killing),
+    ("evaluate", "f", lambda x, wrap: evaluate(_P3, wrap([0, x, 1]))),
+    ("form_matrix", "form matrix", lambda x, wrap: FormMatrix(wrap([[x, 0], [0, x]])).matrix),
+    ("atomic_measure", "weights", lambda x, wrap: AtomicMeasure(wrap([1, x])).weights),
+    ("generators", "generators", lambda x, wrap: AlgebraSpec(range(2), wrap([[0, x]])).generators),
+    ("jump", "jump kernel", lambda x, wrap: JumpKillingDecomposition(wrap([[0, x], [x, 0]]), [0, 0]).jump),
+    ("kappa", "kappa", lambda x, wrap: JumpKillingDecomposition(np.zeros((2, 2)), wrap([0, x])).kappa),
+    ("energy_measure", "masses", lambda x, wrap: EnergyMeasure(wrap([1, x])).masses),
+    ("pushforward", "atoms", lambda x, wrap: PushforwardMeasure(wrap([1, x]), 1.0).atoms),
+    ("l2_isometry", "f", lambda x, wrap: l2_isometry_check(wrap([0, x, 1]), _MU, embed(_SPEC))),
+    ("unit_contraction", "u", lambda x, wrap: unit_contraction(wrap([0, x]))),
+    ("truncate_one", "u", lambda x, wrap: truncate_one(wrap([0, x]))),
+]
+
+#: Entry points that take a real number: (id, name, call).
+SCALAR_ENTRIES = [
+    ("edge", "conductance", lambda x: Network(2, [(0, 1, x)]).c),
+    ("embed", "tolerance", lambda x: embed(_SPEC, tol=x).class_of),  # tol=True must not read as 1: one class
+    ("horizon", "horizon", lambda x: simulate(_GEN, 0, x, 5, seed=1).occupation),
+    ("closure", "epsilon", lambda x: spectrum_closure_estimate(_SPEC, x).counts),
+    ("gasket", "factor", lambda x: build_sierpinski_gasket(1, factor=x).networks[1].c),
+]
+
+#: Entry points that take an integer count or seed: (id, name, call).
+INTEGER_ENTRIES = [
+    ("simulate", "n_traj", lambda x: simulate(_GEN, 0, 1.0, x, seed=1).occupation),
+    ("hit", "n_traj", lambda x: hitting_probability(_GEN, 0, 2, 1, x, seed=1).value),
+    ("commute", "n_traj", lambda x: commute_time(_GEN, 0, 2, x, seed=1).value),
+    ("occupy", "n_traj", lambda x: occupation_check(_GEN, 1.0, x, seed=1).occupation),
+    ("seed", "seed", lambda x: simulate(_GEN, 0, 1.0, 5, seed=x).occupation),
+]
+
+NON_NUMBERS = [("None", None), ("str", "1.5"), ("bool", True), ("np_bool", np.True_), ("bytes", b"2"), ("object", object())]
+RAGGED = ("ragged", [1.0, 2.0])  # as one entry, it makes the array ragged
+
+RULE_CASES = (
+    [pytest.param(name, lambda x, call=call: call(x, list), x, id=f"{cid}-{xid}")
+     for cid, name, call in ARRAY_ENTRIES for xid, x in NON_NUMBERS + [RAGGED]]
+    + [pytest.param(name, call, x, id=f"{cid}-{xid}")
+       for cid, name, call in SCALAR_ENTRIES + INTEGER_ENTRIES for xid, x in NON_NUMBERS
+       if not (name == "factor" and x is None)]  # factor=None is the default factor
+)
+
+
+class TestNumberRule:
+    """One rule for every number that enters: Python and numpy integers and
+    floats pass, anything else raises ValidationError naming the argument."""
+
+    @pytest.mark.parametrize("name, call, x", RULE_CASES)
+    def test_non_numbers_raise_naming_the_argument(self, name, call, x):
+        rule = "must be an integer" if name in ("n_traj", "seed") else "real number"
+        with pytest.raises(ValidationError, match=rf"^(edge #0: )?{re.escape(name)}\b.*{rule}"):
+            call(x)
+
+    @pytest.mark.parametrize("wrap", [list, np.array])
+    @pytest.mark.parametrize("x", [2, np.int64(2), np.float32(2.0)], ids=["int", "np_int64", "np_float32"])
+    @pytest.mark.parametrize("call", [c for _, _, c in ARRAY_ENTRIES], ids=[i for i, _, _ in ARRAY_ENTRIES])
+    def test_array_numbers_pass_as_floats(self, call, x, wrap):
+        assert np.array_equal(call(x, wrap), call(2.0, list))
+
+    @pytest.mark.parametrize("x", [2, np.int64(2), np.float32(2.0)], ids=["int", "np_int64", "np_float32"])
+    @pytest.mark.parametrize("call", [c for _, _, c in SCALAR_ENTRIES], ids=[i for i, _, _ in SCALAR_ENTRIES])
+    def test_scalar_numbers_pass_as_floats(self, call, x):
+        assert np.array_equal(call(x), call(2.0))
+
+    @pytest.mark.parametrize("x", [np.int64(2), np.uint8(2)], ids=["np_int64", "np_uint8"])
+    @pytest.mark.parametrize("call", [c for _, _, c in INTEGER_ENTRIES], ids=[i for i, _, _ in INTEGER_ENTRIES])
+    def test_numpy_integers_pass_as_ints(self, call, x):
+        assert np.array_equal(call(x), call(2))
+
+    def test_int_beyond_float_range_raises(self):
+        with pytest.raises(ValidationError, match=r"killing\[1\] is too large for a float"):
+            Network(2, killing=[0, 10**400])
+        with pytest.raises(ValidationError, match="horizon is too large for a float"):
+            simulate(_GEN, 0, 10**400, 5, seed=1)

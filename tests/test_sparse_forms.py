@@ -302,7 +302,6 @@ class TestTrustedForms:
     matrix handed to the public constructor does."""
 
     @pytest.mark.parametrize("n", [3, DENSE_N_MAX + 1])
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_row_sum_is_rejected(self, n):
         # two finite conductances at vertex 1 sum to an infinite diagonal, densely at 3 vertices, as CSR at 65
         net = Network.from_arrays(n, np.array([0, 1]), np.array([1, 2]), np.array([1e308, 1e308]))

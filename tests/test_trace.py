@@ -68,6 +68,21 @@ class TestTrace:
         oracle = min_energy_over_grid(triangle, [0, 1], [1.0, 0.0], np.linspace(-1, 2, 30001))
         assert abs(evaluate(tr.traced_form, [1.0, 0.0]) - oracle) <= 1e-8
 
+    def test_dense_guard_falls_back_to_components(self):
+        # 0-1-2-3 at conductance 1, then 3-4-5-6 and on at 1e-20: the interior
+        # {1, 2, 4, 5} has two components of rcond 1/3, but as one dense block
+        # an rcond of about 3e-21; the 67-vertex form is eliminated by component
+        def path(n):
+            c = np.r_[np.ones(3), np.full(n - 4, 1e-20)]
+            return assemble(Network.from_arrays(n, np.arange(n - 1), np.arange(1, n), c))
+
+        small, big = trace(path(7), [0, 3, 6]), trace(path(67), np.r_[0, 3, 6:67])
+        assert small.rcond == big.rcond == pytest.approx(1 / 3, rel=1e-12)
+        S, T = small.traced_form.matrix, big.traced_form.matrix[:3, :3]
+        assert np.max(np.abs(S - T)) <= 1e-15 * np.max(np.abs(S))
+        H, K = small.extension_operator.toarray(), big.extension_operator.toarray()
+        assert np.array_equal(H, K[:, :3]) and not np.any(K[:, 3:])
+
     def test_subset_validation(self, path3):
         with pytest.raises(ValidationError, match="duplicate"):
             trace(path3, [0, 0])

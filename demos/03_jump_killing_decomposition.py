@@ -13,7 +13,7 @@ from netforms import Network, assemble, decompose, evaluate, recompose
 A = assemble(Network(3, [(0, 1, 2.0), (1, 2, 0.5)], killing=[0.0, 1.0, 0.25]))
 d = decompose(A)
 print("jump kernel J (ordered pairs, J = c/2):")
-print(d.jump)
+print(d.jump.toarray())
 print("killing vector:", d.kappa)
 print("strongly local part on a finite discrete space:", d.local_part)
 
@@ -21,8 +21,9 @@ print("strongly local part on a finite discrete space:", d.local_part)
 rng = np.random.default_rng(2)
 f, g = rng.uniform(-1, 1, (2, 3))
 direct = evaluate(A, f, g)
+J = d.jump.toarray()
 via_parts = sum(
-    d.jump[x, y] * (f[x] - f[y]) * (g[x] - g[y])
+    J[x, y] * (f[x] - f[y]) * (g[x] - g[y])
     for x in range(3)
     for y in range(3)
     if x != y
@@ -35,4 +36,4 @@ print("recompose(decompose(A)) == A bitwise:", np.array_equal(recompose(d).matri
 # --- uniqueness: indicators pin the coefficients -----------------------------
 e = np.eye(3)
 J_recovered = -evaluate(A, e[0], e[1]) / 2.0
-print("J(0,1) recovered from indicator evaluations:", J_recovered, "==", d.jump[0, 1])
+print("J(0,1) recovered from indicator evaluations:", J_recovered, "==", J[0, 1])

@@ -26,6 +26,7 @@ from .gelfand import (
     transfer_form,
 )
 from .network import AtomicMeasure, Network, assemble, evaluate, killing_vector, unit_contraction
+from .network import _entries
 from .random_networks import random_connected_network, random_markov_form
 from .sequences import build_dyadic_interval, build_sierpinski_gasket, check_compatibility, energy_profile
 from .simulate import build_generator, commute_time, hitting_probability
@@ -186,9 +187,8 @@ def criterion_beurling_deny(n_matrices: int = 500, pairs_per_matrix: int = 100, 
         F = rng.uniform(-1.5, 1.5, (n, pairs_per_matrix))
         G = rng.uniform(-1.5, 1.5, (n, pairs_per_matrix))
         via_matrix = np.einsum("xk,xy,yk->k", F, A.matrix, G)
-        DF = F[:, None, :] - F[None, :, :]
-        DG = G[:, None, :] - G[None, :, :]
-        via_jump = np.einsum("xy,xyk,xyk->k", d.jump, DF, DG) + np.einsum("x,xk,xk->k", d.kappa, F, G)
+        x, y, j = _entries(d.jump)  # the stored ordered pairs
+        via_jump = np.einsum("e,ek,ek->k", j, F[x] - F[y], G[x] - G[y]) + np.einsum("x,xk,xk->k", d.kappa, F, G)
         scale = max(1.0, float(np.max(np.abs(A.matrix)))) * n * 1.5 * 1.5
         dev = float(np.max(np.abs(via_matrix - via_jump)))
         worst = max(worst, dev / scale)

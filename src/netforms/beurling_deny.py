@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array, issparse
 
 from .errors import ValidationError
-from .network import RELTOL, FormMatrix, Network, conductance_matrix
-from .network import _as_vector, _laplacian, _readonly, _reals, _require_markov, _scale
+from .network import RELTOL, FormMatrix, Network, _as_vector, _asymmetric, _csr, _csr_from_entries, _entries
+from .network import _laplacian, _readonly, _reals, _require_markov, _row_sums, _scale
 
 __all__ = [
     "JumpKillingDecomposition",
@@ -34,33 +35,53 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class JumpKillingDecomposition:
-    """Jump kernel (on ordered pairs), killing vector, and zero local marker."""
+    """Jump kernel (on ordered pairs) as a canonical read-only CSR matrix,
+    killing vector, and zero local marker. The constructor also takes the
+    kernel as a dense array-like or as any scipy sparse matrix."""
 
-    jump: np.ndarray
+    jump: csr_array
     kappa: np.ndarray
     local_part: float = 0.0
 
     def __post_init__(self):
-        J = _reals(self.jump, "jump kernel")
+        J = self.jump if issparse(self.jump) else _reals(self.jump, "jump kernel")
         if J.ndim != 2 or J.shape[0] != J.shape[1]:
             raise ValidationError(f"jump kernel must be square, got shape {J.shape}")
+        if J.dtype.kind not in "fiu":  # a sparse matrix passes the number rule as a whole
+            raise ValidationError(f"jump kernel must hold real numbers, got dtype {J.dtype}")
         k = _as_vector(self.kappa, J.shape[0], "kappa")
-        if not np.all(np.isfinite(J)):
-            i, j = np.argwhere(~np.isfinite(J))[0]
-            raise ValidationError(f"jump kernel entry ({i},{j}) = {float(J[i, j])!r} is not finite")
-        if np.any(np.diag(J) != 0.0):
+        J = csr_array(J, dtype=float, copy=True)
+        J.sum_duplicates()
+        J.eliminate_zeros()
+        i, j, v = _entries(J)
+        if not np.all(np.isfinite(v)):
+            x = np.argmax(~np.isfinite(v))
+            raise ValidationError(f"jump kernel entry ({i[x]},{j[x]}) = {float(v[x])!r} is not finite")
+        if np.any(i == j):
             raise ValidationError("jump kernel must have zero diagonal")
-        if not np.array_equal(J, J.T):
-            i, j = np.argwhere(J != J.T)[0]
-            raise ValidationError(f"jump kernel is not symmetric at ({i},{j})")
-        tol = RELTOL * max(_scale(J), _scale(k))
-        if np.any(J < -tol):
-            i, j = np.argwhere(J < -tol)[0]
-            raise ValidationError(f"jump kernel entry ({i},{j}) = {float(J[i, j])!r} is negative")
-        if np.any(k < -tol):
+        if (ij := _asymmetric(J)) is not None:
+            raise ValidationError(f"jump kernel is not symmetric at ({ij[0]},{ij[1]})")
+        self._store(_csr(J.indptr, J.indices, J.data, J.shape), k)
+
+    @classmethod
+    def _trusted(cls, jump: csr_array, kappa: np.ndarray) -> "JumpKillingDecomposition":
+        """The decomposition of a canonical read-only CSR kernel that is finite,
+        symmetric and zero on the diagonal by construction: only the sign checks run."""
+        d = object.__new__(cls)
+        d._store(jump, kappa)
+        return d
+
+    def _store(self, J: csr_array, k: np.ndarray) -> None:
+        """Check the signs of the kernel and of kappa, then set the fields."""
+        tol = RELTOL * max(_scale(J.data), _scale(k))
+        if J.data.min(initial=0.0) < -tol:
+            i, j, v = _entries(J)
+            x = np.argmax(v < -tol)
+            raise ValidationError(f"jump kernel entry ({i[x]},{j[x]}) = {float(v[x])!r} is negative")
+        if k.min(initial=0.0) < -tol:
             i = int(np.flatnonzero(k < -tol)[0])
             raise ValidationError(f"kappa[{i}] = {float(k[i])!r} is negative")
-        object.__setattr__(self, "jump", _readonly(J))
+        object.__setattr__(self, "jump", J)
         object.__setattr__(self, "kappa", _readonly(k))
         object.__setattr__(self, "local_part", 0.0)
 
@@ -70,37 +91,41 @@ class JumpKillingDecomposition:
 
     def to_dict(self) -> dict:
         """JSON-ready dict listing each unordered pair once (x < y)."""
-        x, y = np.nonzero(np.triu(self.jump, 1))
-        entries = [{"x": a, "y": b, "value": j} for a, b, j in zip(x.tolist(), y.tolist(), self.jump[x, y].tolist())]
+        x, y, j = _entries(self.jump)
+        up = x < y
+        entries = [{"x": a, "y": b, "value": v} for a, b, v in zip(x[up].tolist(), y[up].tolist(), j[up].tolist())]
         return {"J": entries, "kappa": [float(v) for v in self.kappa]}
 
 
 def decompose(A: FormMatrix) -> JumpKillingDecomposition:
     """Split a Markov form matrix into jump and killing data.
 
-    J(x, y) = -A_xy / 2 on ordered pairs and kappa is the row-sum vector.
-    Raises a validation error citing the first violated sign condition if the
-    matrix is not Markov.
+    J(x, y) = -A_xy / 2 on ordered pairs and kappa is the diagonal minus the
+    conductance row sum. Raises a validation error citing the first violated
+    sign condition if the matrix is not Markov.
     """
     _require_markov(A)
-    C = conductance_matrix(A)
-    kappa = np.diag(A.matrix) - np.sum(C, axis=1)
-    return JumpKillingDecomposition(jump=C / 2.0, kappa=kappa)
+    i, j, a = _entries(A)
+    off = i != j
+    rows, cols, c = i[off], j[off], -a[off]
+    kappa = np.bincount(i[~off], a[~off], minlength=A.n) - _row_sums(rows, cols, c, A.n)
+    return JumpKillingDecomposition._trusted(_csr_from_entries(rows, cols, c / 2.0, (A.n, A.n)), kappa)
 
 
 def recompose(d: JumpKillingDecomposition) -> FormMatrix:
     """Rebuild the form matrix from jump and killing data.
 
-    The diagonal is assembled as (conductance row sum) + kappa with the same
-    summation order used by :func:`decompose`, so a decompose/recompose
-    roundtrip is bit-exact.
+    The diagonal is (conductance row sum) + kappa, by the same row-sum rule
+    that :func:`decompose` subtracts, so a decompose/recompose roundtrip is
+    bit-exact.
     """
-    return _laplacian(2.0 * d.jump, d.kappa)
+    i, j, v = _entries(d.jump)
+    return _laplacian(i, j, 2.0 * v, d.kappa)
 
 
 def decomposition_to_network(d: JumpKillingDecomposition, vertices=None) -> Network:
     """Realize a decomposition as a network (edges with c = 2 J, same killing)."""
-    x, y = np.nonzero(np.triu(d.jump, 1) > 0.0)
-    edges = zip(x.tolist(), y.tolist(), (2.0 * d.jump[x, y]).tolist())
+    x, y, j = _entries(d.jump)
+    edge = (x < y) & (j > 0.0)
     kappa = np.maximum(d.kappa, 0.0)
-    return Network(vertices if vertices is not None else d.n, edges, kappa)
+    return Network.from_arrays(vertices if vertices is not None else d.n, x[edge], y[edge], 2.0 * j[edge], kappa)

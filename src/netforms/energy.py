@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gelfand import EmbeddingResult
 from .network import CLAMP_RELTOL, IDENTITY_RELTOL, FormMatrix, evaluate, killing_vector
-from .network import _as_vector, _entries, _readonly, _reals, _require_markov, _scale
+from .network import _as_vector, _entries, _index, _readonly, _reals, _require_markov, _scale
 from .sequences import MAX_DYADIC_LEVELS, build_dyadic_interval
 
 __all__ = [
@@ -124,7 +124,10 @@ def counterexample_demo(n_max: int, points=(0.0, 0.5, 1.0), n_min: int | None = 
     fixed set S halves per level: the discrete shadow of energy escaping every
     countable point set in the limit.
     """
-    pts = [float(s) for s in points]
+    pts = _reals(points, "points")
+    if pts.ndim != 1:
+        raise ValidationError(f"the point set S must be a 1-d list of points, got shape {pts.shape}")
+    pts = pts.tolist()
     if not pts:
         raise ValidationError("the point set S must be nonempty")
     for s in pts:
@@ -141,7 +144,7 @@ def counterexample_demo(n_max: int, points=(0.0, 0.5, 1.0), n_min: int | None = 
                         f"point {s} is not a dyadic point of any level <= {MAX_DYADIC_LEVELS}"
                     )
             n_min = max(n_min, level)
-    n_min, n_max = int(n_min), int(n_max)
+    n_min, n_max = _index(n_min, "n_min"), _index(n_max, "n_max")
     if n_max < n_min:
         raise ValidationError(f"n_max = {n_max} is below the coarsest level {n_min}")
     for s in pts:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Iterable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -77,9 +78,9 @@ PROFILE_RELTOL = 1e-12
 #: passes for n <= 11,585).
 DENSE_BYTES_MAX = 2**30
 
-#: Largest network that assemble builds densely, whose killing_vector takes
-#: numpy's row sums (both pinned bit for bit), and that trace eliminates
-#: densely (faster than the component-wise path at this size).
+#: Largest network whose form assemble and recompose build densely, whose row
+#: sums (the diagonal rule and killing_vector) numpy takes (both pinned bit for
+#: bit), and that trace eliminates densely (faster than component-wise here).
 DENSE_N_MAX = 64
 
 
@@ -322,10 +323,9 @@ class Network:
     __slots__ = ("vertices", "u", "v", "c", "killing")
 
     def __init__(self, vertices, edges=(), killing=None):
-        if isinstance(vertices, (int, np.integer)):
-            labels = tuple(range(int(vertices)))
-        else:
-            labels = tuple(vertices)
+        if not isinstance(vertices, Iterable):  # then a count, by the integer rule
+            vertices = range(_index(vertices, "vertices"))
+        labels = tuple(vertices)
         n = len(labels)
         if n == 0:
             raise ValidationError("network must have at least one vertex")
@@ -435,15 +435,16 @@ def _csr_from_entries(rows, cols, vals, shape) -> csr_array:
     return _csr(indptr, cols.astype(np.int64, copy=False), vals.astype(float, copy=False), shape)
 
 
-def _entries(A: "FormMatrix"):
+def _entries(A):
     """Row indices, column indices and values of the nonzero entries of a
-    form, row-major: read off its CSR matrix when it holds one, else off its
-    dense array, with no CSR matrix built."""
-    if A._sparse is None:
-        i, j = np.nonzero(A._dense)
-        return i, j, A._dense[i, j]
-    M = A._sparse
-    return np.repeat(np.arange(A.n), np.diff(M.indptr)), M.indices, M.data
+    form or of a canonical CSR matrix, row-major: read off the CSR matrix when
+    there is one, else off the form's dense array, with no CSR matrix built."""
+    if isinstance(A, FormMatrix):
+        if A._sparse is None:
+            i, j = np.nonzero(A._dense)
+            return i, j, A._dense[i, j]
+        A = A._sparse
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices, A.data
 
 
 def _check_finite(m) -> None:
@@ -494,13 +495,8 @@ class FormMatrix:
             M.sum_duplicates()
             M.eliminate_zeros()
             _check_finite(M)
-            T = M.tocsc()  # the CSR arrays of the transpose
-            if not (
-                np.array_equal(M.indptr, T.indptr)
-                and np.array_equal(M.indices, T.indices)
-                and np.array_equal(M.data, T.data)
-            ):
-                i, j = _asymmetric(M)
+            if (ij := _asymmetric(M)) is not None:
+                i, j = ij
                 raise ValidationError(
                     f"form matrix is not symmetric: A[{i},{j}]={float(M[i, j])!r} != A[{j},{i}]={float(M[j, i])!r}"
                 )
@@ -564,8 +560,12 @@ class FormMatrix:
         return f"FormMatrix(n={self.n})"
 
 
-def _asymmetric(M: csr_array) -> tuple[int, int]:
-    """The first position (i, j), row-major, where a CSR matrix differs from its transpose."""
+def _asymmetric(M: csr_array) -> tuple[int, int] | None:
+    """The first position (i, j), row-major, where a canonical CSR matrix
+    differs from its transpose, or None if it is symmetric."""
+    T = M.tocsc()  # the CSR arrays of the transpose
+    if np.array_equal(M.indptr, T.indptr) and np.array_equal(M.indices, T.indices) and np.array_equal(M.data, T.data):
+        return None
     D = (M - M.T).tocoo()
     D.eliminate_zeros()
     first = np.lexsort((D.col, D.row))[0]
@@ -616,35 +616,44 @@ def assemble(net: Network) -> FormMatrix:
     """Assemble the form matrix of a network.
 
     Off-diagonal entries are the negated conductances; the diagonal is the
-    conductance row sum plus the killing weight. A network of at most
-    ``DENSE_N_MAX`` vertices is assembled densely, with numpy's row sums; a
-    larger one straight into CSR in O(|E|), each row summed in ascending
-    column order.
+    conductance row sum plus the killing weight (see :func:`_laplacian`).
     """
-    n = net.n
-    if n <= DENSE_N_MAX:
-        return _laplacian(net.conductance_matrix(), net.killing)
     # off-diagonal entries in row-major order: the lower triangle of row x
     # (edges (u, x), ascending u) comes before its upper triangle (edges (x, v))
     rows = np.concatenate([net.v, net.u])
     order = np.argsort(rows, kind="stable")
-    rows, cols, c = rows[order], np.concatenate([net.u, net.v])[order], np.concatenate([net.c, net.c])[order]
-    diag = np.bincount(rows, c, minlength=n) + net.killing
+    cols, c = np.concatenate([net.u, net.v])[order], np.concatenate([net.c, net.c])[order]
+    return _laplacian(rows[order], cols, c, net.killing)
+
+
+def _row_sums(rows, cols, c, n: int) -> np.ndarray:
+    """Row sums of the entries c at (rows, cols), row-major: the one diagonal
+    rule of assemble, recompose and decompose. At most ``DENSE_N_MAX`` vertices
+    numpy sums the dense rows, above it each row is summed in column order."""
+    if n > DENSE_N_MAX:
+        return np.bincount(rows, c, minlength=n)
+    C = np.zeros((n, n))
+    C[rows, cols] = c
+    return C.sum(axis=1)
+
+
+def _laplacian(rows, cols, c, kappa) -> FormMatrix:
+    """Form matrix of conductances c at (rows, cols), both triangles, row-major,
+    and killing kappa, for assemble and recompose: dense at most
+    ``DENSE_N_MAX`` vertices, else straight into CSR in O(|E|)."""
+    n = kappa.shape[0]
+    with np.errstate(over="ignore"):  # an overflowing row sum is left to the finiteness check
+        diag = _row_sums(rows, cols, c, n) + kappa
+    if n <= DENSE_N_MAX:
+        A = np.zeros((n, n))
+        A[rows, cols] = -c
+        np.fill_diagonal(A, diag)
+        return FormMatrix._trusted(A)
     # the diagonal entry of row x goes after its lower triangle
     at = np.searchsorted(rows * n + cols, np.arange(n) * (n + 1))
     rows = np.insert(rows, at, np.arange(n))
     cols = np.insert(cols, at, np.arange(n))
-    vals = np.insert(-c, at, diag)
-    return FormMatrix._trusted(_csr_from_entries(rows, cols, vals, (n, n)))
-
-
-def _laplacian(C: np.ndarray, kappa) -> FormMatrix:
-    """Form matrix of conductances C and killing kappa, for assemble and recompose."""
-    A = -C + 0.0  # adding 0.0 normalizes -0.0 entries
-    idx = np.arange(C.shape[0])
-    with np.errstate(over="ignore"):  # an overflowing row sum is left to the finiteness check
-        A[idx, idx] = np.sum(C, axis=1) + kappa
-    return FormMatrix._trusted(A)
+    return FormMatrix._trusted(_csr_from_entries(rows, cols, np.insert(-c, at, diag), (n, n)))
 
 
 def evaluate(A: FormMatrix, f, g=None) -> float:

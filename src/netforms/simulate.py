@@ -24,19 +24,22 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import UnsupportedRegimeError, ValidationError
 from .network import (
     AtomicMeasure,
     FormMatrix,
     components,
-    conductance_matrix,
     killing_vector,
+    _csr_from_entries,
+    _entries,
     _index,
     _killing_free,
     _readonly,
     _real,
     _require_markov,
+    _row_sums,
     _scale,
     _vertex,
 )
@@ -64,27 +67,25 @@ class GeneratorSpec:
 
     Attributes
     ----------
-    conductances : ndarray
-        Symmetric nonnegative matrix; entry (x, y) is the flow
-        mu(x) q_xy == mu(y) q_yx, stored once so detailed balance is exact.
+    conductances : csr_array
+        The flow matrix, canonical and read-only, with no diagonal: entry
+        (x, y) > 0 is the flow mu(x) q_xy == mu(y) q_yx, stored once so
+        detailed balance is exact; the jump rate is q_xy = c_xy / mu(x).
     mu : ndarray
         Everywhere-positive vertex masses.
-    jump_rates : ndarray
-        q_xy = c_xy / mu(x).
     killing_rates : ndarray
         k_x = kappa_x / mu(x).
     holding : ndarray
         lambda_x = sum_y q_xy + k_x.
     """
 
-    conductances: np.ndarray
+    conductances: csr_array
     mu: np.ndarray
-    jump_rates: np.ndarray
     killing_rates: np.ndarray
     holding: np.ndarray
 
     def __post_init__(self):
-        for name in ("conductances", "mu", "jump_rates", "killing_rates", "holding"):
+        for name in ("mu", "killing_rates", "holding"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
@@ -142,12 +143,13 @@ def build_generator(A: FormMatrix, mu: AtomicMeasure) -> GeneratorSpec:
             f"mu({bad}) = {float(mu.weights[bad])!r} is not positive; the symmetric process "
             "requires every point to have positive measure"
         )
-    C = np.maximum(conductance_matrix(A), 0.0)
-    kappa = np.maximum(killing_vector(A), 0.0)
-    Q = C / mu.weights[:, None]
-    k = kappa / mu.weights
-    lam = np.sum(Q, axis=1) + k
-    return GeneratorSpec(conductances=C, mu=mu.weights, jump_rates=Q, killing_rates=k, holding=lam)
+    i, j, a = _entries(A)
+    flow = (i != j) & (a < 0.0)  # the conductances -a, clamped at 0
+    rows, cols, c = i[flow], j[flow], -a[flow]
+    k = np.maximum(killing_vector(A), 0.0) / mu.weights
+    lam = _row_sums(rows, cols, c / mu.weights[rows], A.n) + k
+    C = _csr_from_entries(rows, cols, c, (A.n, A.n))
+    return GeneratorSpec(conductances=C, mu=mu.weights, killing_rates=k, holding=lam)
 
 
 class _JumpTable(NamedTuple):
@@ -166,10 +168,10 @@ class _JumpTable(NamedTuple):
 
 def _jump_table(gen: GeneratorSpec, include_killing: bool) -> _JumpTable:
     n = gen.n
-    rows, cols = np.nonzero(gen.jump_rates > 0.0)
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    rates = gen.jump_rates[rows, cols]
+    rows, cols, c = _entries(gen.conductances)
+    rates = c / gen.mu[rows]
+    exits = rates > 0.0  # a rate can underflow to 0
+    rows, cols, rates = rows[exits], cols[exits], rates[exits]
     if include_killing:
         kx = np.flatnonzero(gen.killing_rates > 0.0)
         order = np.argsort(np.concatenate([rows, kx]), kind="stable")

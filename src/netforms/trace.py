@@ -296,7 +296,9 @@ def _eliminate(A: FormMatrix, subset):
         try:
             h, rcond = _block(M[np.ix_(W, W)], M[np.ix_(W, U)], singular)
         except SingularBlockError:
-            pass  # the interior's rcond is at most each component's: try them one by one
+            if _offending_components(A, U):  # singular in any elimination
+                raise
+            # the interior's rcond is at most each component's: try them one by one
         else:
             S += M[np.ix_(U, W)] @ h
             return U, W, (S + S.T) / 2.0, [(np.arange(W.size), np.arange(U.size), h)], rcond

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array, csr_array
 
 from netforms import (
     FormMatrix,
@@ -14,17 +15,19 @@ from netforms import (
     evaluate,
     recompose,
 )
-from netforms.random_networks import random_markov_form
+from netforms.network import DENSE_N_MAX
+from netforms.random_networks import random_connected_network, random_markov_form
 
 
 def jump_killing_energy(d, f, g):
     """Oracle: the bilinear identity summed directly over ordered pairs."""
     n = d.n
+    J = d.jump.toarray()
     total = 0.0
     for x in range(n):
         for y in range(n):
             if x != y:
-                total += d.jump[x, y] * (f[x] - f[y]) * (g[x] - g[y])
+                total += J[x, y] * (f[x] - f[y]) * (g[x] - g[y])
     for x in range(n):
         total += d.kappa[x] * f[x] * g[x]
     return total
@@ -45,21 +48,23 @@ def coefficients_from_indicator_evaluations(A):
 
 def pair_loop_dict(d):
     """Oracle: the JSON dict built by walking the pairs x < y."""
+    J = d.jump.toarray()
     entries = []
     for x in range(d.n):
         for y in range(x + 1, d.n):
-            if d.jump[x, y] != 0.0:
-                entries.append({"x": x, "y": y, "value": float(d.jump[x, y])})
+            if J[x, y] != 0.0:
+                entries.append({"x": x, "y": y, "value": float(J[x, y])})
     return {"J": entries, "kappa": [float(v) for v in d.kappa]}
 
 
 def pair_loop_network(d):
     """Oracle: the network built by walking the pairs x < y."""
+    J = d.jump.toarray()
     edges = []
     for x in range(d.n):
         for y in range(x + 1, d.n):
-            if d.jump[x, y] > 0.0:
-                edges.append((x, y, 2.0 * d.jump[x, y]))
+            if J[x, y] > 0.0:
+                edges.append((x, y, 2.0 * J[x, y]))
     return Network(d.n, edges, np.maximum(d.kappa, 0.0))
 
 
@@ -67,16 +72,16 @@ class TestDecompose:
     def test_killing_example(self):
         A = assemble(Network(2, [(0, 1, 1.0)], killing=[1.0, 2.0]))
         d = decompose(A)
-        assert np.array_equal(d.jump, [[0.0, 0.5], [0.5, 0.0]])
+        assert np.array_equal(d.jump.toarray(), [[0.0, 0.5], [0.5, 0.0]])
         assert np.array_equal(d.kappa, [1.0, 2.0])
 
     def test_zero_matrix(self):
         d = decompose(FormMatrix(np.zeros((3, 3))))
-        assert np.all(d.jump == 0.0) and np.all(d.kappa == 0.0)
+        assert np.all(d.jump.toarray() == 0.0) and np.all(d.kappa == 0.0)
 
     def test_unit_edge(self, unit_edge):
         d = decompose(unit_edge)
-        assert np.array_equal(d.jump, [[0.0, 0.5], [0.5, 0.0]])
+        assert np.array_equal(d.jump.toarray(), [[0.0, 0.5], [0.5, 0.0]])
         assert np.array_equal(d.kappa, [0.0, 0.0])
 
     def test_rejects_non_markov_citing_violation(self):
@@ -93,6 +98,21 @@ class TestDecompose:
         decomps.append(JumpKillingDecomposition(jump=J, kappa=np.array([0.0, -1e-12, 1.0])))
         for d in decomps:
             assert json.dumps(d.to_dict(), indent=1) == json.dumps(pair_loop_dict(d), indent=1)
+            assert decomposition_to_network(d) == pair_loop_network(d)
+
+    def test_large_forms_roundtrip_and_list_pairs(self):
+        # above DENSE_N_MAX the form, the kernel and the rebuilt form are all CSR
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            net = random_connected_network(rng, n_max=200, with_killing=True)
+            while net.n <= DENSE_N_MAX:
+                net = random_connected_network(rng, n_max=200, with_killing=True)
+            A = assemble(net)
+            d = decompose(A)
+            B = recompose(d).csr
+            for a, b in ((A.csr.indptr, B.indptr), (A.csr.indices, B.indices), (A.csr.data, B.data)):
+                assert np.array_equal(a, b)
+            assert json.dumps(d.to_dict()) == json.dumps(pair_loop_dict(d))
             assert decomposition_to_network(d) == pair_loop_network(d)
 
     def test_local_part_identically_zero(self, unit_edge):
@@ -133,6 +153,49 @@ class TestRecompose:
             JumpKillingDecomposition(jump=np.zeros((2, 2)), kappa=np.array([0.0, np.nan]))
 
 
+class TestStorage:
+    def test_jump_kernel_is_canonical_read_only_csr(self):
+        rng = np.random.default_rng(25)
+        for A in [random_markov_form(rng, n_max=25) for _ in range(20)]:
+            J = decompose(A).jump
+            assert isinstance(J, csr_array) and J.has_canonical_format
+            assert not np.any(J.diagonal()) and not np.any(J.data == 0.0)
+            assert np.array_equal(J.toarray(), np.where(np.eye(A.n, dtype=bool), 0.0, -A.matrix / 2.0))
+            for a in (J.data, J.indices, J.indptr):
+                assert not a.flags.writeable
+
+    def test_sparse_input_equals_dense_input(self):
+        # duplicates are summed and stored zeros dropped, as in a form
+        S = coo_array(([0.25, 0.25, 0.5, 0.0], ([0, 0, 1, 2], [1, 1, 0, 2])), shape=(3, 3))
+        for J in (S, S.tocsr(), csr_array(S.toarray())):
+            d = JumpKillingDecomposition(J, [0.0, 1.0, 0.0])
+            ref = JumpKillingDecomposition(S.toarray(), [0.0, 1.0, 0.0])
+            assert d.jump.nnz == 2 and np.array_equal(d.jump.toarray(), ref.jump.toarray())
+            assert d.to_dict() == ref.to_dict()
+
+    @pytest.mark.parametrize("wrap", [np.array, csr_array], ids=["dense", "sparse"])
+    def test_messages_name_the_first_bad_entry_row_major(self, wrap):
+        def J(entries, n=4):
+            m = np.zeros((n, n))
+            for (i, j), v in entries.items():
+                m[i, j] = v
+            return wrap(m)
+
+        cases = [
+            (J({(2, 3): np.inf, (3, 2): np.inf, (1, 3): np.nan, (3, 1): np.nan}), r"entry \(1,3\) = nan is not finite"),
+            (J({(2, 2): 1.0}), "must have zero diagonal"),
+            (J({(3, 0): 1.0, (0, 3): 1.0, (1, 2): 2.0, (2, 1): 1.0}), r"not symmetric at \(1,2\)"),
+            (J({(2, 3): -1.0, (3, 2): -1.0, (1, 3): -2.0, (3, 1): -2.0}), r"entry \(1,3\) = -2.0 is negative"),
+        ]
+        for jump, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                JumpKillingDecomposition(jump, np.zeros(4))
+        with pytest.raises(ValidationError, match="must be square"):
+            JumpKillingDecomposition(wrap(np.zeros((2, 3))), np.zeros(2))
+        with pytest.raises(ValidationError, match="real numbers"):
+            JumpKillingDecomposition(csr_array(np.eye(2, dtype=complex)), np.zeros(2))
+
+
 class TestIdentities:
     def test_bilinear_identity_against_direct_sum(self):
         rng = np.random.default_rng(21)
@@ -152,7 +215,7 @@ class TestIdentities:
             d = decompose(A)
             J2, kappa2 = coefficients_from_indicator_evaluations(A)
             scale = max(1.0, np.max(np.abs(A.matrix)))
-            assert np.max(np.abs(J2 - d.jump)) <= 1e-12 * scale * A.n
+            assert np.max(np.abs(J2 - d.jump.toarray())) <= 1e-12 * scale * A.n
             assert np.max(np.abs(kappa2 - d.kappa)) <= 1e-12 * scale * A.n
 
     def test_network_recovery(self):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -204,6 +205,25 @@ def test_python_m_help(module):
     proc = subprocess.run([sys.executable, "-m", module, "--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: netforms")
+
+
+def test_gasket8_decompose_and_occupy_under_3_gib(tmp_path):
+    # 9,843 vertices: one dense n x n float64 array alone takes 739 MiB
+    net = tmp_path / "gasket8.json"
+    net.write_text(json.dumps(netforms.build_sierpinski_gasket(8).networks[8].to_dict()))
+    src = str(Path(netforms.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    for args in (["decompose"], ["sim", "occupy", "--n", "64", "--horizon", "0.1", "--seed", "1"]):
+        cmd = [sys.executable, "-m", "netforms", *args, "--net", str(net)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, preexec_fn=limit, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        out = json.loads(proc.stdout)
+        assert len(out["kappa"] if args == ["decompose"] else out["occupation"]) == 9843
 
 
 def test_decompose_json(path3_file, capsys):

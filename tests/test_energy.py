@@ -210,3 +210,17 @@ class TestCounterexampleDemo:
     def test_default_min_level(self):
         rows = counterexample_demo(5)  # S = {0, 1/2, 1} needs level >= 1
         assert rows[0, 0] == 1.0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"points": ("0.5", True)}, r"points\[0\] must be a real number"),
+        ({"points": (0.5, True)}, r"points\[1\] must be a real number"),
+        ({"points": 0.5}, "1-d list of points"),
+        ({"n_min": 1.9}, "n_min must be an integer"),
+        ({"n_min": True}, "n_min must be an integer"),
+        ({"n_max": 4.0}, "n_max must be an integer"),
+    ])
+    def test_levels_and_points_pass_the_number_rule(self, kwargs, message):
+        # neither truncated (1.9 read as level 1) nor coerced (True read as the point 1.0)
+        with pytest.raises(ValidationError, match=message):
+            counterexample_demo(**{"n_max": 4, **kwargs})
+        assert counterexample_demo(4, points=(np.float32(0.5), 1), n_min=np.int64(1)).shape == (4, 3)

@@ -260,6 +260,15 @@ class TestTypes:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_labels_are_read_without_formatting_them(self):
+        # only a non-iterable is read as a count, so a label sequence is never
+        # formatted into an error message (a million labels take seconds)
+        class Labels(tuple):
+            def __repr__(self):
+                raise AssertionError("the labels were formatted")
+
+        assert Network(Labels("abc")).vertices == ("a", "b", "c")
+
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(networks())
     def test_json_round_trip(self, net):
@@ -372,7 +381,7 @@ ARRAY_ENTRIES = [
     ("form_matrix", "form matrix", lambda x, wrap: FormMatrix(wrap([[x, 0], [0, x]])).matrix),
     ("atomic_measure", "weights", lambda x, wrap: AtomicMeasure(wrap([1, x])).weights),
     ("generators", "generators", lambda x, wrap: AlgebraSpec(range(2), wrap([[0, x]])).generators),
-    ("jump", "jump kernel", lambda x, wrap: JumpKillingDecomposition(wrap([[0, x], [x, 0]]), [0, 0]).jump),
+    ("jump", "jump kernel", lambda x, wrap: JumpKillingDecomposition(wrap([[0, x], [x, 0]]), [0, 0]).jump.toarray()),
     ("kappa", "kappa", lambda x, wrap: JumpKillingDecomposition(np.zeros((2, 2)), wrap([0, x])).kappa),
     ("energy_measure", "masses", lambda x, wrap: EnergyMeasure(wrap([1, x])).masses),
     ("pushforward", "atoms", lambda x, wrap: PushforwardMeasure(wrap([1, x]), 1.0).atoms),
@@ -408,6 +417,8 @@ RULE_CASES = (
     + [pytest.param(name, call, x, id=f"{cid}-{xid}")
        for cid, name, call in SCALAR_ENTRIES + INTEGER_ENTRIES for xid, x in NON_NUMBERS
        if not (name == "factor" and x is None)]  # factor=None is the default factor
+    # a vertex count is an integer by the same rule; anything else must be an iterable of labels
+    + [pytest.param("vertices", Network, x, id=f"network-{xid}") for xid, x in [("bool", True), ("float", 2.0), ("None", None)]]
 )
 
 
@@ -417,7 +428,7 @@ class TestNumberRule:
 
     @pytest.mark.parametrize("name, call, x", RULE_CASES)
     def test_non_numbers_raise_naming_the_argument(self, name, call, x):
-        rule = "must be an integer" if name in ("n_traj", "seed") else "real number"
+        rule = "must be an integer" if name in ("n_traj", "seed", "vertices") else "real number"
         with pytest.raises(ValidationError, match=rf"^(edge #0: )?{re.escape(name)}\b.*{rule}"):
             call(x)
 

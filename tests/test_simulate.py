@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from netforms import (
     AtomicMeasure,
@@ -11,6 +12,7 @@ from netforms import (
     ValidationError,
     assemble,
     build_generator,
+    build_sierpinski_gasket,
     commute_time,
     effective_resistance,
     harmonic_extension,
@@ -32,13 +34,14 @@ def uniform_measure(n):
 class TestBuildGenerator:
     def test_unit_edge_uniform(self, unit_edge):
         gen = build_generator(unit_edge, uniform_measure(2))
-        assert np.array_equal(gen.jump_rates, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(gen.conductances.toarray() / gen.mu[:, None], [[0.0, 1.0], [1.0, 0.0]])
         assert np.array_equal(gen.holding, [1.0, 1.0])
 
     def test_weighted_measure_detailed_balance(self, unit_edge):
         gen = build_generator(unit_edge, AtomicMeasure([2.0, 1.0]))
-        assert gen.jump_rates[0, 1] == 0.5 and gen.jump_rates[1, 0] == 1.0
-        assert gen.mu[0] * gen.jump_rates[0, 1] == gen.mu[1] * gen.jump_rates[1, 0]
+        q01, q10 = gen.conductances[0, 1] / gen.mu[0], gen.conductances[1, 0] / gen.mu[1]
+        assert q01 == 0.5 and q10 == 1.0
+        assert gen.mu[0] * q01 == gen.mu[1] * q10
 
     def test_killing_rates(self):
         A = assemble(Network(2, [(0, 1, 1.0)], killing=[1.0, 0.0]))
@@ -56,9 +59,34 @@ class TestBuildGenerator:
             A = assemble(net)
             gen = build_generator(A, AtomicMeasure(rng.uniform(0.5, 3.0, A.n)))
             # the flow matrix mu(x) q_xy is the stored symmetric conductance
-            assert np.array_equal(gen.conductances, gen.conductances.T)
-            flows = gen.mu[:, None] * gen.jump_rates
+            C = gen.conductances.toarray()
+            assert np.array_equal(C, C.T)
+            flows = gen.mu[:, None] * (C / gen.mu[:, None])
             assert np.allclose(flows, flows.T, rtol=1e-14, atol=1e-14)
+
+
+    def test_flow_matrix_is_the_one_stored_array(self):
+        A = assemble(Network(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5)], killing=[0.0, 1.0, 0.0, 0.0]))
+        gen = build_generator(A, AtomicMeasure([1.0, 2.0, 3.0, 4.0]))
+        C = gen.conductances
+        assert isinstance(C, csr_array) and C.has_canonical_format
+        assert np.array_equal(C.toarray(), np.where(np.eye(4, dtype=bool), 0.0, -A.matrix))
+        assert not np.any(C.diagonal()) and np.all(C.data > 0.0)
+        for a in (C.data, C.indices, C.indptr, gen.mu, gen.killing_rates, gen.holding):
+            assert not a.flags.writeable
+        assert not hasattr(gen, "jump_rates")
+
+    def test_memory_below_one_dense_array(self):
+        # gasket level 6: 1,095 vertices, so one dense n x n array takes 9.6 MB
+        A = assemble(build_sierpinski_gasket(6).networks[6])
+        mu = uniform_measure(A.n)
+        tracemalloc.start()
+        try:
+            gen = build_generator(A, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.n == 1095 and peak < 8 * A.n ** 2 // 16
 
 
 class TestSimulate:
@@ -250,10 +278,11 @@ class TestJumpCounts:
 def _loop_jump_law(gen, x, include_killing):
     """Reference: targets (ascending, cemetery n last) and cumulative
     probabilities of state x, built one state at a time."""
+    q = gen.conductances.toarray()[x] / gen.mu[x]
     rates, targets = [], []
     for y in range(gen.n):
-        if y != x and gen.jump_rates[x, y] > 0.0:
-            rates.append(float(gen.jump_rates[x, y]))
+        if y != x and q[y] > 0.0:
+            rates.append(float(q[y]))
             targets.append(y)
     if include_killing and gen.killing_rates[x] > 0.0:
         rates.append(float(gen.killing_rates[x]))

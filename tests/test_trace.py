@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,17 @@ class TestTrace:
         assert np.max(np.abs(S - T)) <= 1e-15 * np.max(np.abs(S))
         H, K = small.extension_operator.toarray(), big.extension_operator.toarray()
         assert np.array_equal(H, K[:, :3]) and not np.any(K[:, 3:])
+
+    def test_small_floating_component_raises_without_the_component_path(self, monkeypatch):
+        # a floating component is singular in any elimination: the failed dense
+        # block raises at once instead of retrying component by component
+        called = []
+        tr = sys.modules["netforms.trace"]  # ``netforms.trace`` names the re-exported function
+        monkeypatch.setattr(tr, "_kron", lambda *args: called.append(args))
+        A = assemble(Network(5, [(0, 1, 1.0), (2, 3, 1.0), (3, 4, 2.0)]))
+        with pytest.raises(SingularBlockError, match=r"^components disconnected from the subset with no killing: \[\[2, 3, 4\]\]"):
+            trace(A, [0])
+        assert not called
 
     def test_subset_validation(self, path3):
         with pytest.raises(ValidationError, match="duplicate"):

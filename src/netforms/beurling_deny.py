@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array, issparse
+from scipy.sparse import csr_array
 
 from .errors import ValidationError
-from .network import RELTOL, FormMatrix, Network, _as_vector, _asymmetric, _csr, _csr_from_entries, _entries
-from .network import _laplacian, _readonly, _reals, _require_markov, _row_sums, _scale
+from .network import RELTOL, FormMatrix, Network, _as_vector, _csr_from_entries, _entries, _kernel, _laplacian
+from .network import _readonly, _require_markov, _row_sums, _scale
 
 __all__ = [
     "JumpKillingDecomposition",
@@ -37,31 +37,21 @@ __all__ = [
 class JumpKillingDecomposition:
     """Jump kernel (on ordered pairs) as a canonical read-only CSR matrix,
     killing vector, and zero local marker. The constructor also takes the
-    kernel as a dense array-like or as any scipy sparse matrix."""
+    kernel as a dense array-like or as any scipy sparse matrix.
+
+    The signs of J and kappa are checked up to ``RELTOL`` times the magnitude
+    of the recomposed form, max(1, 2 max|J|, max_x |2 sum_y J_xy + kappa_x|):
+    the tolerance of :func:`is_markov` on that form, so a decomposition that
+    :func:`decompose` returns passes the constructor again."""
 
     jump: csr_array
     kappa: np.ndarray
     local_part: float = 0.0
 
     def __post_init__(self):
-        J = self.jump if issparse(self.jump) else _reals(self.jump, "jump kernel")
-        if J.ndim != 2 or J.shape[0] != J.shape[1]:
-            raise ValidationError(f"jump kernel must be square, got shape {J.shape}")
-        if J.dtype.kind not in "fiu":  # a sparse matrix passes the number rule as a whole
-            raise ValidationError(f"jump kernel must hold real numbers, got dtype {J.dtype}")
+        J = _kernel(self.jump, "jump kernel")
         k = _as_vector(self.kappa, J.shape[0], "kappa")
-        J = csr_array(J, dtype=float, copy=True)
-        J.sum_duplicates()
-        J.eliminate_zeros()
-        i, j, v = _entries(J)
-        if not np.all(np.isfinite(v)):
-            x = np.argmax(~np.isfinite(v))
-            raise ValidationError(f"jump kernel entry ({i[x]},{j[x]}) = {float(v[x])!r} is not finite")
-        if np.any(i == j):
-            raise ValidationError("jump kernel must have zero diagonal")
-        if (ij := _asymmetric(J)) is not None:
-            raise ValidationError(f"jump kernel is not symmetric at ({ij[0]},{ij[1]})")
-        self._store(_csr(J.indptr, J.indices, J.data, J.shape), k)
+        self._store(J, k)
 
     @classmethod
     def _trusted(cls, jump: csr_array, kappa: np.ndarray) -> "JumpKillingDecomposition":
@@ -73,9 +63,10 @@ class JumpKillingDecomposition:
 
     def _store(self, J: csr_array, k: np.ndarray) -> None:
         """Check the signs of the kernel and of kappa, then set the fields."""
-        tol = RELTOL * max(_scale(J.data), _scale(k))
-        if J.data.min(initial=0.0) < -tol:
-            i, j, v = _entries(J)
+        i, j, v = _entries(J)
+        diagonal = 2.0 * np.bincount(i, v, minlength=k.size) + k
+        tol = RELTOL * max(_scale(2.0 * v), _scale(diagonal))
+        if v.min(initial=0.0) < -tol:
             x = np.argmax(v < -tol)
             raise ValidationError(f"jump kernel entry ({i[x]},{j[x]}) = {float(v[x])!r} is negative")
         if k.min(initial=0.0) < -tol:

@@ -145,8 +145,12 @@ def embed(spec: AlgebraSpec, tol: float = 0.0) -> EmbeddingResult:
     if not tol >= 0:  # also rejects nan
         raise ValidationError(f"tolerance must be >= 0, got {tol!r}")
     if tol == 0.0:
+        # one key per image: the bytes of its row, with -0.0 made 0.0 so that
+        # bytes are equal exactly when the (finite) values are
+        rows = images + 0.0
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
         first: dict = {}
-        class_of = np.array([first.setdefault(tuple(row), len(first)) for row in images.tolist()], dtype=int)
+        class_of = np.array([first.setdefault(key, len(first)) for key in keys], dtype=int)
     else:
         # merge each block's within-tol pairs into the running labels; the
         # label graph numbers merged classes by smallest label, so by smallest member

@@ -86,9 +86,9 @@ DENSE_N_MAX = 64
 
 def _scale(m) -> float:
     """Magnitude max(1, max|m|) that relative tolerances multiply; a form's
-    magnitude is that of its stored entries."""
+    magnitude is that of its nonzero entries, kept on the form."""
     if isinstance(m, FormMatrix):
-        m = m._dense if m._sparse is None else m._sparse.data
+        return m._memo("scale", lambda A: _scale(_entries(A)[2]))
     return max(1.0, float(np.max(np.abs(m), initial=0.0)))
 
 
@@ -437,14 +437,44 @@ def _csr_from_entries(rows, cols, vals, shape) -> csr_array:
 
 def _entries(A):
     """Row indices, column indices and values of the nonzero entries of a
-    form or of a canonical CSR matrix, row-major: read off the CSR matrix when
-    there is one, else off the form's dense array, with no CSR matrix built."""
+    form or of a canonical CSR matrix, row-major. A form reads them once, off
+    its CSR matrix when it has one, else off its dense array with no CSR
+    matrix built, and keeps them read-only."""
     if isinstance(A, FormMatrix):
-        if A._sparse is None:
-            i, j = np.nonzero(A._dense)
-            return i, j, A._dense[i, j]
-        A = A._sparse
+        return A._memo("entries", _stored_entries)
     return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices, A.data
+
+
+def _stored_entries(A: "FormMatrix"):
+    """The nonzero entries of a form, as :func:`_entries` gives them."""
+    if A._sparse is None:
+        i, j = np.nonzero(A._dense)
+        return i, j, A._dense[i, j]
+    return _entries(A._sparse)
+
+
+def _kernel(matrix, what: str) -> csr_array:
+    """A square matrix of real numbers, given dense or as any scipy sparse
+    matrix, that is finite, zero on the diagonal and exactly symmetric, as a
+    canonical read-only CSR matrix: the checks of a jump kernel and of a flow
+    matrix, each error naming the first bad entry in row-major order."""
+    M = matrix if issparse(matrix) else _reals(matrix, what)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValidationError(f"{what} must be square, got shape {M.shape}")
+    if M.dtype.kind not in "fiu":  # a sparse matrix passes the number rule as a whole
+        raise ValidationError(f"{what} must hold real numbers, got dtype {M.dtype}")
+    M = csr_array(M, dtype=float, copy=True)
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    i, j, v = _entries(M)
+    if not np.all(np.isfinite(v)):
+        x = np.argmax(~np.isfinite(v))
+        raise ValidationError(f"{what} entry ({i[x]},{j[x]}) = {float(v[x])!r} is not finite")
+    if np.any(i == j):
+        raise ValidationError(f"{what} must have zero diagonal")
+    if (ij := _asymmetric(M)) is not None:
+        raise ValidationError(f"{what} is not symmetric at ({ij[0]},{ij[1]})")
+    return _csr(M.indptr, M.indices, M.data, M.shape)
 
 
 def _check_finite(m) -> None:
@@ -468,16 +498,18 @@ class FormMatrix:
     Markov sign conditions is checked separately by :func:`is_markov`.
 
     A form derives each of its invariants at most once, on first use, and
-    keeps it: the CSR matrix, the dense view, the read-only component labels
-    behind :func:`components`, and the :func:`is_markov` report at the default
-    tolerance. The forms the package builds itself (:func:`assemble`,
-    ``recompose``, ``trace``, ``transfer_form``) are symmetric and canonical by
+    keeps it: the CSR matrix and the dense view, and in one memo table its
+    nonzero entries, its magnitude, its :func:`killing_vector`, the component
+    labels behind :func:`components` and the :func:`is_markov` report at the
+    default tolerance; the arrays among them are read-only. The forms the
+    package builds itself (:func:`assemble`, ``recompose``, ``trace``,
+    ``transfer_form``) are symmetric and canonical by
     construction; they skip the symmetry and canonical-form checks and the
     copy, and keep only the finiteness check, since sums of finite entries can
     overflow.
     """
 
-    __slots__ = ("_dense", "_sparse", "_component_labels", "_markov_report")
+    __slots__ = ("_dense", "_sparse", "_memos")
 
     def __init__(self, matrix):
         self.__post_init__(matrix)
@@ -528,11 +560,22 @@ class FormMatrix:
         return form
 
     def _store(self, dense, sparse) -> None:
-        """Set the stored matrices; the invariants start unfilled."""
+        """Set the stored matrices; the memo table starts empty."""
         object.__setattr__(self, "_dense", dense)
         object.__setattr__(self, "_sparse", sparse)
-        object.__setattr__(self, "_component_labels", None)
-        object.__setattr__(self, "_markov_report", None)
+        object.__setattr__(self, "_memos", {})
+
+    def _memo(self, key: str, derive):
+        """The invariant ``key``: ``derive(self)`` on first use, then the kept
+        value. An array, alone or in a tuple, is kept read-only."""
+        memos = self._memos
+        if key not in memos:
+            value = derive(self)
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            memos[key] = value
+        return memos[key]
 
     def __setattr__(self, name, value):
         raise AttributeError("FormMatrix is immutable")
@@ -683,9 +726,7 @@ def is_markov(A: FormMatrix, tol: float | None = None) -> MarkovReport:
     """
     if tol is not None:
         return _markov(A, _tolerance(tol))
-    if A._markov_report is None:
-        object.__setattr__(A, "_markov_report", _markov(A, RELTOL * _scale(A)))
-    return A._markov_report
+    return A._memo("markov", lambda A: _markov(A, RELTOL * _scale(A)))
 
 
 def _markov(A: FormMatrix, tol: float) -> MarkovReport:
@@ -718,28 +759,37 @@ def conductance_matrix(A: FormMatrix) -> np.ndarray:
 
 def killing_vector(A: FormMatrix) -> np.ndarray:
     """Row sums of the form matrix; equals the killing weights up to rounding.
+    The form sums them once and every call returns that one read-only array:
+    copy it before editing it in place.
 
     As in assemble, a form of at most ``DENSE_N_MAX`` vertices is summed by
     numpy's row sums of the dense view, and a larger one over its stored
     entries in ascending column order.
     """
+    return A._memo("killing", _form_row_sums)
+
+
+def _form_row_sums(A: FormMatrix) -> np.ndarray:
+    """The row sums of :func:`killing_vector`."""
     if A.n <= DENSE_N_MAX:
         return np.sum(A.matrix, axis=1)
     i, _, a = _entries(A)
     return np.bincount(i, a, minlength=A.n)
 
 
-def _labels(support) -> np.ndarray:
+def _labels(support, symmetric: bool = False) -> np.ndarray:
     """Component label per vertex of a form or of a square dense or sparse
     support array, numbered by smallest vertex: the package's one partition
-    representation. A form computes its labels once and keeps them read-only."""
-    if not isinstance(support, FormMatrix):
-        return connected_components(csr_array(support), directed=False)[1]
-    if support._component_labels is None:
-        labels = connected_components(support.csr, directed=False)[1]
-        labels.setflags(write=False)
-        object.__setattr__(support, "_component_labels", labels)
-    return support._component_labels
+    representation. A form computes its labels once and keeps them read-only.
+
+    A symmetric support (every form's, and any the caller passes as
+    ``symmetric``) takes scipy's strong-component path: there the strong
+    components are the components, found without building the transpose."""
+    if isinstance(support, FormMatrix):
+        return support._memo("labels", lambda A: _labels(A.csr, symmetric=True))
+    if symmetric:
+        return connected_components(support, directed=True, connection="strong")[1]
+    return connected_components(csr_array(support), directed=False)[1]
 
 
 def _groups(labels) -> list[np.ndarray]:

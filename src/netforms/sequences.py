@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .network import COMPAT_RELTOL, PROFILE_RELTOL, FormMatrix, Network, assemble, evaluate
@@ -256,6 +255,8 @@ def _corner_trace_conductance(rho: float) -> float:
 def calibrate_gasket_factor() -> float:
     """Numerically search the per-level conductance factor that makes the
     level-1 gasket trace onto its corners reproduce the unit triangle."""
+    from scipy.optimize import brentq  # imported here: it costs a cold start about 0.2 s
+
     return float(brentq(lambda r: _corner_trace_conductance(r) - 1.0, 1.0, 3.0, xtol=1e-12))
 
 

@@ -32,9 +32,11 @@ from .network import (
     FormMatrix,
     components,
     killing_vector,
+    _as_vector,
     _csr_from_entries,
     _entries,
     _index,
+    _kernel,
     _killing_free,
     _readonly,
     _real,
@@ -77,6 +79,11 @@ class GeneratorSpec:
         k_x = kappa_x / mu(x).
     holding : ndarray
         lambda_x = sum_y q_xy + k_x.
+
+    The constructor also takes ``conductances`` as a dense array-like or as
+    any scipy sparse matrix; it must be finite, >= 0, symmetric and zero on
+    the diagonal, the three vectors finite, one entry per vertex, and mu
+    positive.
     """
 
     conductances: csr_array
@@ -85,8 +92,18 @@ class GeneratorSpec:
     holding: np.ndarray
 
     def __post_init__(self):
-        for name in ("mu", "killing_rates", "holding"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        C = _kernel(self.conductances, "conductance matrix")
+        i, j, c = _entries(C)
+        if np.any(c < 0.0):
+            x = np.argmax(c < 0.0)
+            raise ValidationError(f"conductance matrix entry ({i[x]},{j[x]}) = {float(c[x])!r} is negative")
+        mu, k, lam = (_as_vector(getattr(self, name), C.shape[0], name) for name in ("mu", "killing_rates", "holding"))
+        if not np.all(mu > 0.0):
+            bad = int(np.argmax(~(mu > 0.0)))
+            raise ValidationError(f"mu({bad}) = {float(mu[bad])!r} is not positive")
+        object.__setattr__(self, "conductances", C)
+        for name, v in (("mu", mu), ("killing_rates", k), ("holding", lam)):
+            object.__setattr__(self, name, _readonly(v))
 
     @property
     def n(self) -> int:
@@ -149,7 +166,7 @@ def build_generator(A: FormMatrix, mu: AtomicMeasure) -> GeneratorSpec:
     k = np.maximum(killing_vector(A), 0.0) / mu.weights
     lam = _row_sums(rows, cols, c / mu.weights[rows], A.n) + k
     C = _csr_from_entries(rows, cols, c, (A.n, A.n))
-    return GeneratorSpec(conductances=C, mu=mu.weights, killing_rates=k, holding=lam)
+    return GeneratorSpec(C, mu.weights, k, lam)
 
 
 class _JumpTable(NamedTuple):

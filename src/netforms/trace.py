@@ -168,7 +168,8 @@ def _split(i, j, pos, inner, n_u: int, n_w: int):
     r, j = pos[i[sel]], j[sel]  # r is a position in W, ascending; j a vertex
     ij = inner[j]
     if np.any(ij):
-        labels = _labels(csr_array((np.ones(np.count_nonzero(ij)), (r[ij], pos[j[ij]])), shape=(n_w, n_w)))
+        support = csr_array((np.ones(np.count_nonzero(ij)), (r[ij], pos[j[ij]])), shape=(n_w, n_w))
+        labels = _labels(support, symmetric=True)  # the form's support, so symmetric
     else:  # isolated vertices, numbered as _labels numbers them
         labels = np.arange(n_w)
     comp, col = np.divmod(np.unique(labels[r[~ij]] * n_u + pos[j[~ij]]), n_u)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from netforms import (
     decompose,
     decomposition_to_network,
     evaluate,
+    is_markov,
     recompose,
 )
 from netforms.network import DENSE_N_MAX
@@ -114,6 +116,26 @@ class TestDecompose:
                 assert np.array_equal(a, b)
             assert json.dumps(d.to_dict()) == json.dumps(pair_loop_dict(d))
             assert decomposition_to_network(d) == pair_loop_network(d)
+
+    def test_accepts_what_is_markov_accepts(self):
+        # a unit star with a positive off-diagonal pair inside the form's
+        # Markov tolerance (1e-10 * 59), which the constructor also applies
+        n = 60
+        M = assemble(Network(n, [(0, k, 1.0) for k in range(1, n)])).matrix.copy()
+        M[1, 2] = M[2, 1] = 5e-9
+        A = FormMatrix(M)
+        assert is_markov(A)
+        d = decompose(A)
+        assert d.jump[1, 2] == d.jump[2, 1] == -2.5e-9
+        assert np.array_equal(recompose(d).matrix, A.matrix)
+        for again in (JumpKillingDecomposition(jump=d.jump, kappa=d.kappa), dataclasses.replace(d)):
+            assert np.array_equal(again.jump.toarray(), d.jump.toarray())
+            assert np.array_equal(again.kappa, d.kappa)
+        # beyond the recomposed form's tolerance, the pinned message
+        J = d.jump.toarray()
+        J[1, 2] = J[2, 1] = -6e-9
+        with pytest.raises(ValidationError, match=r"^jump kernel entry \(1,2\) = -6e-09 is negative$"):
+            JumpKillingDecomposition(jump=J, kappa=d.kappa)
 
     def test_local_part_identically_zero(self, unit_edge):
         assert decompose(unit_edge).local_part == 0.0

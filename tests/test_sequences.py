@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import netforms
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +168,19 @@ class TestGasket:
 
     def test_calibration_finds_standard_factor(self):
         assert abs(calibrate_gasket_factor() - 5.0 / 3.0) <= 1e-6
+
+    def test_cold_start_leaves_out_scipy_optimize(self):
+        # the root finder is imported by the calibration alone: it costs a cold start about 0.2 s
+        src = str(Path(netforms.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = (
+            "import sys, netforms, netforms.cli\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "print(repr(netforms.calibrate_gasket_factor()))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert abs(float(proc.stdout) - 5.0 / 3.0) <= 1e-12
 
     def test_calibrate_flag(self):
         seq = build_sierpinski_gasket(1, calibrate=True)

@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array
 
 from netforms import (
     AtomicMeasure,
+    GeneratorSpec,
     Network,
     UnsupportedRegimeError,
     ValidationError,
@@ -87,6 +88,45 @@ class TestBuildGenerator:
         finally:
             tracemalloc.stop()
         assert gen.n == 1095 and peak < 8 * A.n ** 2 // 16
+
+
+class TestHandBuiltSpec:
+    """The public constructor takes the flow matrix dense or as any scipy
+    sparse matrix and stores it as build_generator does."""
+
+    def test_dense_flow_matrix_simulates_as_built(self):
+        rng = np.random.default_rng(62)
+        net = random_connected_network(rng, n_max=12, with_killing=True)
+        g = build_generator(assemble(net), AtomicMeasure(rng.uniform(0.5, 2.0, net.n)))
+        for C in (g.conductances.toarray(), g.conductances.toarray().tolist(), coo_array(g.conductances)):
+            h = GeneratorSpec(C, g.mu, g.killing_rates, g.holding)
+            for a, b in ((g.conductances.indptr, h.conductances.indptr), (g.conductances.indices, h.conductances.indices)):
+                assert np.array_equal(a, b)
+            assert g.conductances.data.tobytes() == h.conductances.data.tobytes()
+            assert not h.conductances.data.flags.writeable and h.conductances.has_canonical_format
+            a, b = simulate(g, 0, 3.0, 300, seed=8), simulate(h, 0, 3.0, 300, seed=8)
+            for field in ("occupation", "occupation_se", "killed_fraction", "killed_fraction_se", "jumps", "max_jumps"):
+                assert np.asarray(getattr(a, field)).tobytes() == np.asarray(getattr(b, field)).tobytes()
+
+    @pytest.mark.parametrize(
+        "C, mu, message",
+        [
+            (np.zeros((2, 3)), np.ones(2), r"conductance matrix must be square"),
+            ([[0.0, 1.0], [2.0, 0.0]], np.ones(2), r"conductance matrix is not symmetric at \(0,1\)"),
+            ([[0.0, -1.0], [-1.0, 0.0]], np.ones(2), r"conductance matrix entry \(0,1\) = -1.0 is negative"),
+            ([[1.0, 0.0], [0.0, 0.0]], np.ones(2), r"conductance matrix must have zero diagonal"),
+            ([[0.0, np.inf], [np.inf, 0.0]], np.ones(2), r"conductance matrix entry \(0,1\) = inf is not finite"),
+            ([[0.0, "1"], ["1", 0.0]], np.ones(2), r"conductance matrix\[0, 1\] must be a real number"),
+            (None, np.ones(2), r"conductance matrix must be a real number"),
+            (csr_array(np.eye(2, dtype=bool)), np.ones(2), r"conductance matrix must hold real numbers"),
+            (np.zeros((2, 2)), np.ones(3), r"mu must be a vector of length 2"),
+            (np.zeros((2, 2)), [1.0, np.nan], r"mu\[1\] = nan is not finite"),
+            (np.zeros((2, 2)), [1.0, 0.0], r"mu\(1\) = 0.0 is not positive"),
+        ],
+    )
+    def test_bad_input_raises_validation_error(self, C, mu, message):
+        with pytest.raises(ValidationError, match=message):
+            GeneratorSpec(C, mu, np.zeros(2), np.ones(2))
 
 
 class TestSimulate:

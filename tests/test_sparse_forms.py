@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from netforms import (
+    AlgebraSpec,
     CompatibleSequence,
     FormMatrix,
     Network,
@@ -27,6 +29,7 @@ from netforms import (
     counterexample_demo,
     decompose,
     effective_resistance,
+    embed,
     energy_measure,
     evaluate,
     harmonic_extension,
@@ -35,6 +38,7 @@ from netforms import (
     recompose,
     resistance_matrix,
     trace,
+    transfer_form,
 )
 from netforms import network
 from netforms.cli import main
@@ -338,7 +342,8 @@ class TestTrustedForms:
         rng = np.random.default_rng(40)
         net = Network(40, [(k, k + 1, float(c)) for k, c in enumerate(rng.uniform(0.5, 2.0, 39))] + [(0, 39, 1.0)])
         A = assemble(net)
-        calls = {"components": 0, "markov": 0}
+        assert A._sparse is None  # held dense, where the entries cost a scan of the array
+        calls = {"components": 0, "markov": 0, "entries": 0, "killing": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -349,12 +354,98 @@ class TestTrustedForms:
 
         monkeypatch.setattr(network, "connected_components", counted("components", network.connected_components))
         monkeypatch.setattr(network, "_markov", counted("markov", network._markov))
+        monkeypatch.setattr(network, "_stored_entries", counted("entries", network._stored_entries))
+        monkeypatch.setattr(network, "_form_row_sums", counted("killing", network._form_row_sums))
         assert is_markov(A)
         decompose(A)
         energy_measure(A, rng.standard_normal(40))
         R = resistance_matrix(A)
         assert abs(effective_resistance(A, 3, 17) - R[3, 17]) <= 1e-12
-        assert calls == {"components": 1, "markov": 1}
+        transfer_form(A, embed(AlgebraSpec(range(40), [np.arange(40) % 7])))
+        assert calls == {"components": 1, "markov": 1, "entries": 1, "killing": 1}
+        kept = [a for v in A._memos.values() for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+        assert len(kept) == 5 and not any(a.flags.writeable for a in kept)  # i, j, a, killing, labels
+        assert killing_vector(A) is killing_vector(A)
+
+
+def symmetric_support(seed: int, n: int, density: float, isolated: float, diagonal: float) -> np.ndarray:
+    """A symmetric matrix with isolated vertices, some of whose rows hold only
+    a diagonal entry."""
+    rng = np.random.default_rng(seed)
+    lonely = rng.random(n) < isolated
+    m = int(density * n)
+    u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+    keep = (u != v) & ~lonely[u] & ~lonely[v]
+    D = np.zeros((n, n))
+    D[u[keep], v[keep]] = -rng.uniform(0.5, 2.0, np.count_nonzero(keep))
+    D += D.T
+    d = np.flatnonzero(rng.random(n) < diagonal)
+    D[d, d] = rng.uniform(0.5, 2.0, d.size)
+    return D
+
+
+support_cases = st.builds(
+    symmetric_support,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 12), st.integers(DENSE_N_MAX - 4, DENSE_N_MAX + 20)),
+    density=st.sampled_from([0.0, 0.3, 0.7, 1.5]),
+    isolated=st.sampled_from([0.0, 0.3]),
+    diagonal=st.sampled_from([0.0, 0.5, 1.0]),
+)
+
+
+class TestStrongComponentLabels:
+    """On a symmetric support the strong components are the components: a
+    form's labels, and those of a support passed as symmetric, equal scipy's
+    undirected labels, numbering included."""
+
+    @oracle_settings
+    @given(support_cases)
+    def test_labels_equal_undirected_labels(self, D):
+        expect = connected_components(csr_array(D), directed=False)[1]
+        for labels in (
+            network._labels(FormMatrix(D)),
+            network._labels(FormMatrix(csr_array(D))),
+            network._labels(csr_array(D), symmetric=True),
+        ):
+            assert np.array_equal(labels, expect)
+
+
+# ------------------------------------------------------------------ edge lists
+
+#: Edge lists whose outcome is pinned: the error of the first bad edge, or the arrays.
+PINNED_EDGES = [
+    ([(0, 1, 1.0), (True, 2, 1.0)], "edge #1: vertex index must be an integer, got True"),
+    ([(0, 1.0, 1.0)], "edge #0: vertex index must be an integer, got 1.0"),
+    ([(0, 2**70, 1.0)], "edge #0: endpoint out of range (u=0, v=1180591620717411303424, n=3)"),
+    ([(0, 1, True)], "edge #0: conductance must be a real number, got True"),
+    ([(0, 1, 1.0, 5)], "edge #0: expected a (u, v, c) triple, got (0, 1, 1.0, 5)"),
+    ([(0, 1, 1.0), (1, 2)], "edge #1: expected a (u, v, c) triple, got (1, 2)"),
+    ([(0, 1, 2)], ([0], [1], [2.0])),  # an int conductance
+    ([(np.int64(0), np.intp(1), np.float64(1.5))], ([0], [1], [1.5])),  # numpy scalars
+    ([(0, 1, 1.0), [1, 2, 0.5]], ([0, 1], [1, 2], [1.0, 0.5])),  # a list in place of a tuple
+]
+
+
+def parsed(edges, n: int = 3):
+    """The arrays of an edge list with their dtypes, or its error message."""
+    try:
+        return [(a.dtype, a.tolist()) for a in network._parse_edges(edges, n)]
+    except ValidationError as e:
+        return str(e)
+
+
+class TestParseEdges:
+    """Edges are read one by one, a list as an iterator of it, and the
+    first bad edge is named."""
+
+    @pytest.mark.parametrize("edges, expect", PINNED_EDGES)
+    def test_pinned_outcomes(self, edges, expect):
+        if isinstance(expect, str):
+            assert parsed(edges) == parsed(iter(edges)) == expect
+        else:
+            dtypes = (np.dtype(np.int64), np.dtype(np.int64), np.dtype(float))
+            assert parsed(edges) == parsed(iter(edges)) == list(zip(dtypes, expect))
 
 
 # ---------------------------------------------------- tolerances and inclusions

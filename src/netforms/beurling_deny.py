@@ -51,19 +51,21 @@ class JumpKillingDecomposition:
     def __post_init__(self):
         J = _kernel(self.jump, "jump kernel")
         k = _as_vector(self.kappa, J.shape[0], "kappa")
-        self._store(J, k)
+        self._store(J, k, _entries(J)[0])
 
     @classmethod
-    def _trusted(cls, jump: csr_array, kappa: np.ndarray) -> "JumpKillingDecomposition":
+    def _trusted(cls, jump: csr_array, kappa: np.ndarray, rows: np.ndarray) -> "JumpKillingDecomposition":
         """The decomposition of a canonical read-only CSR kernel that is finite,
-        symmetric and zero on the diagonal by construction: only the sign checks run."""
+        symmetric and zero on the diagonal by construction, given with the row
+        index of each stored entry: only the sign checks run."""
         d = object.__new__(cls)
-        d._store(jump, kappa)
+        d._store(jump, kappa, rows)
         return d
 
-    def _store(self, J: csr_array, k: np.ndarray) -> None:
-        """Check the signs of the kernel and of kappa, then set the fields."""
-        i, j, v = _entries(J)
+    def _store(self, J: csr_array, k: np.ndarray, i: np.ndarray) -> None:
+        """Check the signs of the kernel, whose stored entries lie in rows
+        ``i``, and of kappa, then set the fields."""
+        j, v = J.indices, J.data
         diagonal = 2.0 * np.bincount(i, v, minlength=k.size) + k
         tol = RELTOL * max(_scale(2.0 * v), _scale(diagonal))
         if v.min(initial=0.0) < -tol:
@@ -100,7 +102,10 @@ def decompose(A: FormMatrix) -> JumpKillingDecomposition:
     off = i != j
     rows, cols, c = i[off], j[off], -a[off]
     kappa = np.bincount(i[~off], a[~off], minlength=A.n) - _row_sums(rows, cols, c, A.n)
-    return JumpKillingDecomposition._trusted(_csr_from_entries(rows, cols, c / 2.0, (A.n, A.n)), kappa)
+    half = c / 2.0
+    kept = half != 0.0  # the smallest subnormal conductance halves to zero
+    rows, cols, half = rows[kept], cols[kept], half[kept]
+    return JumpKillingDecomposition._trusted(_csr_from_entries(rows, cols, half, (A.n, A.n)), kappa, rows)
 
 
 def recompose(d: JumpKillingDecomposition) -> FormMatrix:

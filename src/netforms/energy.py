@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gelfand import EmbeddingResult
 from .network import CLAMP_RELTOL, IDENTITY_RELTOL, FormMatrix, evaluate, killing_vector
-from .network import _as_vector, _entries, _index, _readonly, _reals, _require_markov, _scale
+from .network import _as_vector, _check_product, _entries, _index, _readonly, _reals, _require_markov, _scale
 from .sequences import MAX_DYADIC_LEVELS, build_dyadic_interval
 
 __all__ = [
@@ -59,7 +59,10 @@ class EnergyMeasure:
 def energy_measure(A: FormMatrix, f) -> EnergyMeasure:
     """Energy measure of f, cross-checked against the defining identity.
 
-    Both sides are sums over the nonzero entries of the form: O(|E|).
+    The measure is a sum over the nonzero entries of the form: O(|E|). The
+    identity side's products ``A f`` and ``A f^2`` read the dense array on a
+    form of at most ``DENSE_N_MAX`` vertices (O(n^2); a form held as CSR
+    builds and caches that array) and the CSR matrix above (O(|E|)).
     """
     _require_markov(A)
     fv = _as_vector(f, A.n, "f")
@@ -72,8 +75,8 @@ def energy_measure(A: FormMatrix, f) -> EnergyMeasure:
 
     # defining identity with indicator test functions:
     # gamma(x) = E(1_x f, f) - 1/2 E(1_x, f^2) = f(x) (A f)(x) - 1/2 (A f^2)(x)
-    Af = A.csr @ fv
-    Af2 = A.csr @ (fv * fv)
+    Af = _check_product(A, fv)
+    Af2 = _check_product(A, fv * fv)
     via_identity = fv * Af - 0.5 * Af2
 
     s = _scale(A) * _scale(fv) ** 2

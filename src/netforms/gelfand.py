@@ -20,7 +20,8 @@ from scipy.sparse import coo_array
 
 from .errors import DescentError, NotInAlgebraError, ValidationError
 from .network import RELTOL, AtomicMeasure, FormMatrix
-from .network import _as_vector, _check_dense, _entries, _groups, _labels, _readonly, _real, _reals, _scale
+from .network import _as_vector, _check_dense, _check_product, _entries, _groups, _labels, _readonly, _real, _reals
+from .network import _scale
 
 __all__ = [
     "AlgebraSpec",
@@ -46,6 +47,10 @@ LIMIT_POINT_MIN_IMAGES = 10
 #: Entries of the block x points x generators difference array that the
 #: tolerance path of :func:`embed` holds at a time.
 _PAIR_BUDGET = 1 << 20
+
+#: The kept prefix of the probe stream of :func:`transfer_form`, read-only;
+#: :func:`_probes` regrows it by doubling.
+_probe_stream = np.empty(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,9 +247,8 @@ def transfer_form(A: FormMatrix, emb: EmbeddingResult) -> FormMatrix:
     Ahat = (Ahat + Ahat.T) / 2.0
     out = FormMatrix._trusted(Ahat)
 
-    rng = np.random.default_rng(0)
-    fh, gh = np.swapaxes(rng.standard_normal((8, 2, m)), 0, 1)  # eight probe pairs, one per row
-    up = np.sum(fh[:, k] * (A.csr @ gh[:, k].T).T, axis=1)
+    fh, gh = _probes(m)  # eight probe pairs, one per row
+    up = np.sum(fh[:, k] * _check_product(A, gh[:, k].T).T, axis=1)
     down = np.sum((fh @ Ahat) * gh, axis=1)
     bad = np.abs(up - down) > RELTOL * _scale(A) * A.n * np.maximum(1.0, np.abs(up))
     if np.any(bad):
@@ -254,6 +258,22 @@ def transfer_form(A: FormMatrix, emb: EmbeddingResult) -> FormMatrix:
             f"vs {float(down[t])!r} on classes"
         )
     return out
+
+
+def _probes(m: int) -> np.ndarray:
+    """The probe pairs of :func:`transfer_form` on m classes, read-only:
+    ``np.swapaxes(default_rng(0).standard_normal((8, 2, m)), 0, 1)``, whose
+    values are the first 16 m of one stream, so they are sliced from the
+    kept prefix of it. The prefix grows to at least twice its length when a
+    larger m arrives, and never beyond 32 times the largest m asked; threads
+    that race here at worst both regrow it, to the same values."""
+    global _probe_stream
+    stream = _probe_stream
+    if stream.size < 16 * m:
+        stream = np.random.default_rng(0).standard_normal(max(16 * m, 2 * stream.size))
+        stream.setflags(write=False)
+        _probe_stream = stream
+    return np.swapaxes(stream[: 16 * m].reshape(8, 2, m), 0, 1)
 
 
 @dataclass(frozen=True, eq=False)

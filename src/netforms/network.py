@@ -80,7 +80,8 @@ DENSE_BYTES_MAX = 2**30
 
 #: Largest network whose form assemble and recompose build densely, whose row
 #: sums (the diagonal rule and killing_vector) numpy takes (both pinned bit for
-#: bit), and that trace eliminates densely (faster than component-wise here).
+#: bit), that trace eliminates densely (faster than component-wise here), and
+#: whose cross-check products read the dense array.
 DENSE_N_MAX = 64
 
 
@@ -435,6 +436,15 @@ def _csr_from_entries(rows, cols, vals, shape) -> csr_array:
     return _csr(indptr, cols.astype(np.int64, copy=False), vals.astype(float, copy=False), shape)
 
 
+def _csr_from_dense(m: np.ndarray) -> csr_array:
+    """CSR matrix of the nonzero entries of a dense 2-d array, in one pass
+    over its nonzero mask."""
+    nonzero = m != 0.0
+    indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
+    return _csr(indptr, np.flatnonzero(nonzero) % m.shape[1], m[nonzero], m.shape)
+
+
 def _entries(A):
     """Row indices, column indices and values of the nonzero entries of a
     form or of a canonical CSR matrix, row-major. A form reads them once, off
@@ -490,9 +500,12 @@ class FormMatrix:
     """Symmetric matrix realizing a bilinear form f^T A g.
 
     Built from a dense array, a form keeps that array and derives its CSR
-    matrix ``csr`` on first sparse use; built from a scipy sparse matrix, it
-    keeps the CSR matrix and derives the dense view ``matrix`` on request,
-    after checking it against ``DENSE_BYTES_MAX``. Both are read-only.
+    matrix ``csr`` on first sparse use, in one pass over the array's nonzero
+    mask; built from a scipy sparse matrix, it keeps the CSR matrix and
+    derives the dense view ``matrix`` on request, after checking it against
+    ``DENSE_BYTES_MAX``. Both are read-only. The matrix-vector products of the
+    cross-checks in ``energy_measure`` and ``transfer_form`` read the dense
+    array at most ``DENSE_N_MAX`` vertices and the CSR matrix above.
     Construction enforces a nonempty square shape of real numbers, exact
     symmetry and finiteness; whether the matrix additionally satisfies the
     Markov sign conditions is checked separately by :func:`is_markov`.
@@ -596,7 +609,7 @@ class FormMatrix:
     def csr(self) -> csr_array:
         """The CSR matrix: canonical (sorted, no stored zeros) and read-only."""
         if self._sparse is None:
-            object.__setattr__(self, "_sparse", _csr_from_entries(*_entries(self), self._dense.shape))
+            object.__setattr__(self, "_sparse", _csr_from_dense(self._dense))
         return self._sparse
 
     def __repr__(self):
@@ -706,6 +719,14 @@ def evaluate(A: FormMatrix, f, g=None) -> float:
     return float(fv @ (A.csr @ gv))
 
 
+def _check_product(A: FormMatrix, x: np.ndarray) -> np.ndarray:
+    """The product A x of a cross-check that feeds only a tolerance test: on
+    the dense array at most ``DENSE_N_MAX`` vertices, else on the CSR matrix.
+    The gate is the size, not a cached dense view, so a large form keeps its
+    O(|E|) product after its ``matrix`` was read."""
+    return (A.matrix if A.n <= DENSE_N_MAX else A.csr) @ x
+
+
 def unit_contraction(u) -> np.ndarray:
     """Clamp a function to [0, 1] componentwise."""
     return np.clip(_reals(u, "u"), 0.0, 1.0)
@@ -793,9 +814,11 @@ def _labels(support, symmetric: bool = False) -> np.ndarray:
 
 
 def _groups(labels) -> list[np.ndarray]:
-    """Ascending member arrays of the labels 0, 1, ..., in label order."""
+    """Ascending member arrays of the labels 0, 1, ..., in label order: slices
+    of one stable sort."""
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels)))[:-1]
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [order[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def components(A) -> list[np.ndarray]:

@@ -15,6 +15,7 @@ factor and the boundary columns it touches.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,8 +29,8 @@ from .errors import (
     ValidationError,
 )
 from .network import DENSE_N_MAX, SINGULAR_RCOND, FormMatrix, evaluate, killing_vector
-from .network import _as_vector, _check_dense, _check_finite, _csr_from_entries, _entries, _groups, _indices
-from .network import _killing_free, _labels, _scale, _vertex
+from .network import _as_vector, _check_dense, _check_finite, _csr_from_dense, _csr_from_entries, _entries, _groups
+from .network import _indices, _killing_free, _labels, _scale, _vertex
 
 __all__ = [
     "TraceResult",
@@ -225,7 +226,8 @@ def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], st
     The interior is split into its components by :func:`_split`. Each
     component c contributes B_c^T h_c on its boundary columns; the
     contributions to an entry are summed before they are added to A_UU.
-    Returns the traced form as CSR, the extension blocks and the smallest rcond.
+    Returns the traced form as CSR, a function that builds the extension
+    operator from its blocks and the smallest rcond.
     """
     n, n_u = A.n, U.size
     i, j, a = _entries(A)
@@ -262,7 +264,7 @@ def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], st
     s = np.bincount(at[:n_uu], terms[0], uniq.size) + np.bincount(at[n_uu:], np.concatenate(terms[1:] or [[]]), uniq.size)
     r, c = np.divmod(uniq, n_u)
     s = (s + s[np.searchsorted(uniq, c * n_u + r)]) / 2.0  # the structure is symmetric
-    return _csr_from_entries(r, c, s, (n_u, n_u)), blocks, rcond
+    return _csr_from_entries(r, c, s, (n_u, n_u)), partial(_extension, blocks, W.size, n_u), rcond
 
 
 def _extension(blocks, n_w: int, n_u: int) -> csr_array:
@@ -279,7 +281,10 @@ def _extension(blocks, n_w: int, n_u: int) -> csr_array:
 def _eliminate(A: FormMatrix, subset):
     """Check the subset U and eliminate its complement W: returns U, W, the
     traced form (an ndarray when eliminated densely, else CSR; see
-    :func:`trace`), the blocks of the extension operator and the smallest rcond."""
+    :func:`trace`), a function that builds the extension operator as CSR
+    (only a trace needs it) and the smallest rcond. The dense elimination
+    permutes the form's array once to [U, W] order and takes its four blocks
+    as slices."""
     U = _check_subset(subset, A.n)
     W = _interior(U, A.n)
 
@@ -290,19 +295,21 @@ def _eliminate(A: FormMatrix, subset):
         return "interior block is numerically singular"
 
     if A.n <= DENSE_N_MAX:
-        M = A.matrix
-        S = M[np.ix_(U, U)]
+        order = np.concatenate([U, W])
+        M = A.matrix.take(order, 0).take(order, 1)  # [U, W] order: each block is a slice
+        n_u = U.size
+        S = M[:n_u, :n_u]
         if not W.size:
-            return U, W, (S + S.T) / 2.0, [], 1.0
+            return U, W, (S + S.T) / 2.0, partial(_csr_from_dense, np.empty((0, n_u))), 1.0
         try:
-            h, rcond = _block(M[np.ix_(W, W)], M[np.ix_(W, U)], singular)
+            h, rcond = _block(M[n_u:, n_u:], M[n_u:, :n_u], singular)
         except SingularBlockError:
             if _offending_components(A, U):  # singular in any elimination
                 raise
             # the interior's rcond is at most each component's: try them one by one
         else:
-            S += M[np.ix_(U, W)] @ h
-            return U, W, (S + S.T) / 2.0, [(np.arange(W.size), np.arange(U.size), h)], rcond
+            S += M[:n_u, n_u:] @ h
+            return U, W, (S + S.T) / 2.0, partial(_csr_from_dense, h), rcond
     return (U, W, *_kron(A, U, W, singular))
 
 
@@ -327,8 +334,8 @@ def trace(A: FormMatrix, subset) -> TraceResult:
         If an interior block is singular, which happens exactly when some
         component is disconnected from the subset and carries no killing.
     """
-    U, W, S, blocks, rcond = _eliminate(A, subset)
-    return TraceResult(U, FormMatrix._trusted(S), rcond, W, _extension(blocks, W.size, U.size))
+    U, W, S, extension, rcond = _eliminate(A, subset)
+    return TraceResult(U, FormMatrix._trusted(S), rcond, W, extension())
 
 
 def harmonic_extension(tr: TraceResult, f) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse import coo_array, csr_array
 
+import netforms.beurling_deny as beurling_deny
 from netforms import (
     FormMatrix,
     JumpKillingDecomposition,
@@ -194,6 +195,25 @@ class TestStorage:
             ref = JumpKillingDecomposition(S.toarray(), [0.0, 1.0, 0.0])
             assert d.jump.nnz == 2 and np.array_equal(d.jump.toarray(), ref.jump.toarray())
             assert d.to_dict() == ref.to_dict()
+
+    def test_decompose_hands_over_its_rows(self, monkeypatch):
+        # decompose passes the kernel's row indices to the decomposition, which
+        # the public constructor derives again; both read the same
+        rng = np.random.default_rng(26)
+        tiny = assemble(Network(3, [(0, 1, 5e-324), (1, 2, 1.0)]))  # half the smallest subnormal is 0.0
+        forms = [tiny, *(random_markov_form(rng, n_max=2 * DENSE_N_MAX) for _ in range(10))]
+        derived = []
+        entries = beurling_deny._entries
+        monkeypatch.setattr(beurling_deny, "_entries", lambda M: derived.append(M) or entries(M))
+        for A in forms:
+            derived.clear()
+            d = decompose(A)
+            assert derived == [A]
+            e = JumpKillingDecomposition(d.jump, d.kappa)
+            assert len(derived) == 2 and derived[0] is A  # the second from the constructor's copy of d.jump
+            assert e.to_dict() == d.to_dict()
+            assert recompose(d).matrix.tobytes() == A.matrix.tobytes() or A is tiny
+        assert decompose(tiny).jump.nnz == 2 and recompose(decompose(tiny)).matrix[0, 1] == 0.0
 
     @pytest.mark.parametrize("wrap", [np.array, csr_array], ids=["dense", "sparse"])
     def test_messages_name_the_first_bad_entry_row_major(self, wrap):

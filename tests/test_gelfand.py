@@ -312,6 +312,24 @@ class TestTransferForm:
         assert np.array_equal(a, b)
 
 
+class TestProbes:
+    """transfer_form's probe pairs are slices of one kept prefix of the stream
+    that default_rng(0) draws."""
+
+    def test_equal_to_fresh_draws(self, monkeypatch):
+        monkeypatch.setattr(gelfand, "_probe_stream", np.empty(0))
+        sizes = [*range(1, 65), 11_585]
+        largest = 0
+        for m in sizes + sizes[::-1]:
+            largest = max(largest, m)
+            probes = gelfand._probes(m)
+            fresh = np.swapaxes(np.random.default_rng(0).standard_normal((8, 2, m)), 0, 1)
+            assert probes.shape == fresh.shape == (2, 8, m)
+            assert probes.tobytes() == fresh.tobytes()
+            assert not probes.flags.writeable and not gelfand._probe_stream.flags.writeable
+            assert gelfand._probe_stream.size <= 2 * 16 * largest
+
+
 class TestClosureEstimate:
     def test_accumulation_at_zero_flagged(self):
         vals = np.array([1.0 / k for k in range(1, 1001)])

@@ -22,6 +22,7 @@ from netforms import (
     simulate,
     trace,
 )
+from netforms import network
 from netforms.random_networks import random_connected_network
 
 # the package re-exports the function ``simulate`` under the module's name
@@ -107,6 +108,40 @@ class TestHandBuiltSpec:
             a, b = simulate(g, 0, 3.0, 300, seed=8), simulate(h, 0, 3.0, 300, seed=8)
             for field in ("occupation", "occupation_se", "killed_fraction", "killed_fraction_se", "jumps", "max_jumps"):
                 assert np.asarray(getattr(a, field)).tobytes() == np.asarray(getattr(b, field)).tobytes()
+
+    def test_flow_matrix_is_copied_and_checked(self):
+        rng = np.random.default_rng(63)
+        net = random_connected_network(rng, n_max=12, with_killing=True)
+        g = build_generator(assemble(net), AtomicMeasure(rng.uniform(0.5, 2.0, net.n)))
+        C = g.conductances
+        # a read-only view of a writable array is copied: writing through its
+        # base after the checks leaves the spec as it was checked
+        base = C.data.copy()
+        view = base.view()
+        view.setflags(write=False)
+        h = GeneratorSpec(network._csr(C.indptr, C.indices, view, C.shape), g.mu, g.killing_rates, g.holding)
+        base[0] = -1.0
+        assert h.conductances.data.tobytes() == C.data.tobytes()
+        # a read-only canonical, writable or non-canonical input is copied,
+        # then made canonical and read-only
+        messy = csr_array((np.r_[C.data, 0.0], np.r_[C.indices, 0], np.r_[C.indptr[:-1], C.indptr[-1] + 1]), shape=C.shape)
+        for D in (C, C.copy(), messy):
+            h = GeneratorSpec(D, g.mu, g.killing_rates, g.holding).conductances
+            assert h is not D and h.data is not D.data and not h.data.flags.writeable and h.has_canonical_format
+            assert h.data.tobytes() == C.data.tobytes() and np.array_equal(h.indices, C.indices)
+        # a read-only canonical input still passes every check
+        # a kept input still passes every check
+        for data, message in (
+            (-C.data, r"entry \(\d+,\d+\) = -[\d.e-]+ is negative"),
+            (np.where(np.arange(C.nnz) == 0, np.nan, C.data), r"is not finite"),
+            (np.where(np.arange(C.nnz) == 0, 2.0 * C.data, C.data), r"is not symmetric at"),
+        ):
+            bad = network._csr(C.indptr, C.indices, data, C.shape)
+            with pytest.raises(ValidationError, match=message):
+                GeneratorSpec(bad, g.mu, g.killing_rates, g.holding)
+        loop = network._csr(np.array([0, 1, 1]), np.array([0]), np.array([1.0]), (2, 2))
+        with pytest.raises(ValidationError, match="zero diagonal"):
+            GeneratorSpec(loop, np.ones(2), np.zeros(2), np.ones(2))
 
     @pytest.mark.parametrize(
         "C, mu, message",

@@ -17,11 +17,15 @@ from scipy.sparse.csgraph import connected_components
 
 from netforms import (
     AlgebraSpec,
+    AtomicMeasure,
     CompatibleSequence,
     FormMatrix,
+    GeneratorSpec,
+    JumpKillingDecomposition,
     Network,
     ValidationError,
     assemble,
+    build_generator,
     build_dyadic_interval,
     build_sierpinski_gasket,
     check_compatibility,
@@ -282,6 +286,112 @@ class TestCsrForms:
         f = rng.standard_normal(U.size)
         g = harmonic_extension(tr, f)
         assert np.array_equal(g[U], f) and np.array_equal(g[W], tr.extension_operator @ f)
+
+
+# ------------------------------------- every CSR matrix the package returns
+
+
+def as_graph(M: csr_array) -> csr_array:
+    """The arrays of M as a square graph: a matrix with fewer rows than
+    columns gets its index pointer padded, its data and indices kept."""
+    n = max(M.shape)
+    indptr = np.concatenate([M.indptr, np.full(n - M.shape[0], M.indptr[-1])])
+    return csr_array((M.data, M.indices, indptr), shape=(n, n))
+
+
+def assert_well_formed(M) -> None:
+    """A canonical read-only CSR matrix with C-contiguous integer index arrays,
+    which scipy's checks and graph routines accept as it is."""
+    assert isinstance(M, csr_array)
+    M.check_format(full_check=True)
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    assert np.all(np.diff(rows * M.shape[1] + M.indices) > 0)  # row-major, no duplicates
+    assert not np.any(M.data == 0.0)
+    for a in (M.data, M.indices, M.indptr):
+        assert not a.flags.writeable and a.flags.c_contiguous
+    assert M.indices.dtype.kind in "iu" and M.indptr.dtype.kind in "iu"
+    connected_components(as_graph(M), directed=True, connection="strong")
+
+
+def path_form(n: int):
+    k = np.arange(n - 1)
+    return assemble(Network.from_arrays(n, k, k + 1, np.linspace(1.0, 2.0, n - 1), np.r_[0.5, np.zeros(n - 1)]))
+
+
+class TestReturnedCsrWellFormed:
+    """Each CSR matrix the package returns passes the same checks, whichever
+    path built it."""
+
+    @pytest.mark.parametrize("n", [12, DENSE_N_MAX + 26])
+    def test_forms_and_decompositions(self, n):
+        A = path_form(n)
+        for B in (A, FormMatrix(A.matrix), FormMatrix(A.csr), FormMatrix(A.csr.toarray().tolist())):
+            assert_well_formed(B.csr)
+        d = decompose(A)
+        assert_well_formed(d.jump)
+        assert_well_formed(JumpKillingDecomposition(d.jump.toarray(), d.kappa).jump)
+        g = build_generator(A, AtomicMeasure(np.linspace(1.0, 3.0, n)))
+        assert_well_formed(g.conductances)
+        assert_well_formed(GeneratorSpec(g.conductances.toarray(), g.mu, g.killing_rates, g.holding).conductances)
+
+    @pytest.mark.parametrize(
+        "n, subset",
+        [
+            (12, [7, 0, 3]),  # dense: one block
+            (12, range(12)),  # dense: an empty interior
+            (DENSE_N_MAX + 26, range(0, DENSE_N_MAX + 26, 2)),  # stacked: isolated interior vertices
+            (DENSE_N_MAX + 26, [DENSE_N_MAX + 25, 0]),  # one block above STACK_MAX vertices
+            (DENSE_N_MAX + 26, range(DENSE_N_MAX + 26)),  # sparse: an empty interior
+        ],
+        ids=["dense", "dense-empty", "stacked", "single-block", "sparse-empty"],
+    )
+    def test_extension_operators_and_traced_forms(self, n, subset):
+        tr = trace(path_form(n), list(subset))
+        assert tr.extension_operator.shape == (tr.interior.size, tr.subset.size)
+        assert_well_formed(tr.extension_operator)
+        assert_well_formed(tr.traced_form.csr)
+
+
+class TestGroups:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equal_to_split_of_the_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, int(rng.integers(1, 12)), int(rng.integers(0, 40)))  # some labels unused
+        order = np.argsort(labels, kind="stable")
+        split = np.split(order, np.cumsum(np.bincount(labels)))[:-1]
+        groups = network._groups(labels)
+        assert len(groups) == len(split) and all(np.array_equal(a, b) for a, b in zip(groups, split))
+
+
+class TestCrossCheckProducts:
+    """The products behind the cross-checks of energy_measure and
+    transfer_form read the dense array at most DENSE_N_MAX vertices and the
+    CSR matrix above, whether or not the dense view has been read."""
+
+    @pytest.mark.parametrize("n", [DENSE_N_MAX, DENSE_N_MAX + 1])
+    def test_the_size_picks_the_matrix(self, n, monkeypatch):
+        A = path_form(n)
+        A.matrix  # cached now, yet a large form must keep its O(|E|) product
+        A.csr
+        assert is_markov(A) and killing_vector(A) is not None  # kept, so that only the products read a matrix below
+        f = np.linspace(-1.0, 1.0, n)
+        emb = embed(AlgebraSpec(range(n), [np.arange(n) % 5]))
+        calls = {"matrix": 0, "csr @": 0}
+        matrix, matmul = FormMatrix.matrix, csr_array.__matmul__
+
+        def read_matrix(self):
+            calls["matrix"] += 1
+            return matrix.fget(self)
+
+        def csr_matmul(self, other):
+            calls["csr @"] += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(FormMatrix, "matrix", property(read_matrix))
+        monkeypatch.setattr(csr_array, "__matmul__", csr_matmul)
+        energy_measure(A, f)
+        transfer_form(A, emb)
+        assert calls == ({"matrix": 3, "csr @": 0} if n <= DENSE_N_MAX else {"matrix": 0, "csr @": 3})
 
 
 # ------------------------------------------- trusted forms and their memos

@@ -21,10 +21,10 @@ from netforms import (
     sup_formula_value,
     trace,
 )
-from netforms.network import SINGULAR_RCOND
+from netforms.network import DENSE_N_MAX, SINGULAR_RCOND
 from netforms.random_networks import random_connected_network
 from netforms.sequences import build_dyadic_interval, build_sierpinski_gasket
-from netforms.trace import STACK_MAX
+from netforms.trace import STACK_MAX, _block
 
 
 def min_energy_over_grid(A, U, f, grid):
@@ -525,3 +525,56 @@ class TestSplitTrace:
         assert trace(path3, [0, 1, 2]).rcond == 1.0
         tr = trace(triangle, [0])
         assert 0.0 < tr.rcond < 1.0 and tr.extension_operator.shape == (2, 1)
+
+
+def ix_elimination(A, U):
+    """Oracle: the dense elimination from np.ix_ blocks, through the same
+    _block call as the trace; the traced form and the extension block."""
+    M = A.matrix
+    W = np.setdiff1d(np.arange(A.n), U)
+    S = M[np.ix_(U, U)]
+    if W.size:
+        h, _ = _block(M[np.ix_(W, W)], M[np.ix_(W, U)], lambda: "singular")
+        S = S + M[np.ix_(U, W)] @ h
+    else:
+        h = np.zeros((0, U.size))
+    return (S + S.T) / 2.0, h
+
+
+class TestDensePermutation:
+    """The dense elimination permutes the form's array once to [U, W] order and
+    reads its four blocks as slices; the results equal, bit for bit, those of
+    the np.ix_ blocks."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_ix_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        A = assemble(random_connected_network(rng, n_max=DENSE_N_MAX, n_min=3, with_killing=bool(seed % 2)))
+        subsets = [
+            rng.permutation(A.n)[: int(rng.integers(2, A.n))],  # unsorted
+            np.array([int(rng.integers(A.n))]),  # one vertex
+            rng.permutation(A.n),  # every vertex
+        ]
+        for U in subsets:
+            tr = trace(A, U)
+            S, h = ix_elimination(A, U)
+            assert tr.traced_form.matrix.tobytes() == S.tobytes()
+            H = tr.extension_operator
+            assert H.shape == h.shape and H.toarray().tobytes() == (h + 0.0).tobytes()  # -0.0 is not stored
+            assert not np.any(H.data == 0.0) and H.has_canonical_format
+
+    def test_singular_block_falls_back_to_components(self, monkeypatch):
+        # the unit path 0-1-2-3, then 3-4-5-6 at 1e-20: as one block the
+        # interior fails the guard, by component it passes
+        A = assemble(Network(7, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1e-20), (4, 5, 1e-20), (5, 6, 1e-20)]))
+        U = np.array([6, 0, 3])
+        with pytest.raises(SingularBlockError):
+            ix_elimination(A, U)
+        tr = trace(A, U)
+        # netforms.trace names the re-exported function, so patch the module itself
+        monkeypatch.setattr(sys.modules["netforms.trace"], "DENSE_N_MAX", 0)
+        ref = trace(A, U)
+        assert tr.rcond == ref.rcond == pytest.approx(1 / 3)
+        assert tr.traced_form.matrix.tobytes() == ref.traced_form.matrix.tobytes()
+        H, R = tr.extension_operator, ref.extension_operator
+        assert all(a.tobytes() == b.tobytes() for a, b in ((H.indptr, R.indptr), (H.indices, R.indices), (H.data, R.data)))

@@ -7,9 +7,9 @@ minimizer is the harmonic extension, and for killing-free connected networks
 the two-point trace defines the effective resistance metric.
 
 A large interior is eliminated one connected component at a time (Kron
-reduction, cell by cell as in the renormalization of self-similar networks):
-components decouple in the interior block, so each one needs only its own
-factor and the boundary columns it touches.
+reduction, as in the renormalization of self-similar networks): each needs
+only its own factor, dense up to ``DENSE_N_MAX`` vertices and sparse LU
+above, and the boundary columns it touches.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lapack
 from scipy.sparse import csr_array
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .errors import (
     InfiniteResistanceError,
@@ -41,11 +42,6 @@ __all__ = [
     "sup_formula_value",
 ]
 
-#: Largest interior component that a trace stacks with the components of its
-#: shape; a larger one is eliminated on its own.
-STACK_MAX = 64
-
-
 @dataclass(frozen=True, eq=False)
 class TraceResult:
     """Trace of a form onto a subset.
@@ -58,8 +54,8 @@ class TraceResult:
         The Schur complement A_UU - A_UW A_WW^{-1} A_WU, indexed by U order.
     rcond : float
         Smallest reciprocal condition number over the eliminated interior
-        blocks: LAPACK's estimate for a factored block, the exact 1-norm value
-        for a stacked one, and 1.0 for an empty interior.
+        blocks: LAPACK's or SuperLU's estimate for a factored block, the exact
+        1-norm value for a stacked one, and 1.0 for an empty interior.
     interior : ndarray
         The complement W of U in ascending order.
     extension_operator : csr_array, shape (|W|, |U|)
@@ -122,7 +118,7 @@ def _guard(rcond: float, singular: Callable[[], str]) -> None:
 def _cholesky(M: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     """Solution X of M X = B for a positive definite block M, by its Cholesky
     factor, and LAPACK's reciprocal condition estimate of M: the package's one
-    factorization, guarded by :func:`_guard`. LAPACK is called directly, with
+    dense factorization, guarded by :func:`_guard`. LAPACK is called directly, with
     the routines and arguments of ``scipy.linalg.cho_factor``/``cho_solve``."""
     if M.size == 0:  # LAPACK rejects an empty block, which needs no check
         return np.empty(B.shape), 1.0
@@ -220,6 +216,27 @@ def _block(A_cc: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     return -B / d[:, None], rcond
 
 
+def _sparse_block(A: csr_array, Wc: np.ndarray, Uc: np.ndarray, singular: Callable[[], str]):
+    """:func:`_block`, with B_c, for a component above ``DENSE_N_MAX`` vertices, on its
+    CSR rows. SuperLU pivots on the diagonal: A_cc is positive definite iff the row and
+    column permutations agree and every pivot is positive. ``t=1`` draws no random numbers."""
+    rows = A[Wc]
+    M = rows[:, Wc].T  # CSC, as SuperLU takes it; M is symmetric
+    _check_dense((80 * M.nnz + Wc.size * Uc.size,), "a component's LU workspace (80 floats an entry) and solution")
+    try:
+        lu = splu(M, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as err:
+        if str(err) != "Factor is exactly singular":
+            raise
+        _guard(0.0, singular)
+    definite = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)
+    inverse = LinearOperator(M.shape, matvec=lu.solve, rmatvec=lu.solve, dtype=float)  # M is symmetric
+    rcond = 1.0 / (float(onenormest(inverse, t=1)) * float(abs(M).sum(axis=0).max())) if definite else 0.0
+    _guard(rcond, singular)
+    B = rows[:, Uc].toarray()
+    return B, -lu.solve(B), rcond
+
+
 def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], str]):
     """Eliminate the interior of a sparse form, component by component.
 
@@ -242,11 +259,13 @@ def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], st
     blocks, rcond = [], 1.0
     for w, u in _split(i, j, pos, inner, n_u, W.size):
         Wg, Ug = W[w], U[u]
-        if w.shape[0] == 1 or w.shape[1] > STACK_MAX:
+        if w.shape[0] == 1 or w.shape[1] > DENSE_N_MAX:
             for wc, uc, Wc, Uc in zip(w, u, Wg, Ug):
-                _check_dense((Wc.size, Wc.size + Uc.size), "an interior block")
-                B = get(Wc[:, None], Uc[None, :])
-                h, rc = _block(get(Wc[:, None], Wc[None, :]), B, singular)
+                if Wc.size > DENSE_N_MAX:
+                    B, h, rc = _sparse_block(A.csr, Wc, Uc, singular)
+                else:
+                    B = get(Wc[:, None], Uc[None, :])
+                    h, rc = _block(get(Wc[:, None], Wc[None, :]), B, singular)
                 keys.append((uc[:, None] * n_u + uc[None, :]).ravel())
                 terms.append((B.T @ h).ravel())
                 blocks.append((wc, uc, h))
@@ -319,14 +338,14 @@ def trace(A: FormMatrix, subset) -> TraceResult:
     A form of at most ``DENSE_N_MAX`` vertices is eliminated densely, as one
     block, unless that block fails the singularity guard. On a larger one, or
     after such a failure, the interior W is eliminated on the CSR matrix,
-    split into the connected components of its block A_WW. The components
-    of one shape, at most ``STACK_MAX`` vertices with the same number of
-    boundary neighbours, share one batched solve, and any other component is
-    one block. Each component c adds B_c^T h_c to the traced form, where B_c
-    holds its boundary columns and h_c = -A_cc^{-1} B_c is its block of the
-    extension operator, which is returned as one CSR matrix. Isolated
-    interior vertices are eliminated by exact divisions, so on the dyadic
-    interval the series law holds bit for bit at every level.
+    split into the connected components of its block A_WW. Components of one
+    shape, at most ``DENSE_N_MAX`` vertices with the same number of boundary
+    neighbours, share one batched solve, a lone one is one dense block, and a
+    larger one is factored by SuperLU on its CSR rows, with no n_c² array.
+    Each component c adds B_c^T h_c to the traced form, where B_c holds its
+    boundary columns and h_c = -A_cc^{-1} B_c is its block of the extension
+    operator, returned as one CSR matrix. Isolated interior vertices are
+    eliminated by exact divisions: the dyadic series law holds bit for bit.
 
     Raises
     ------
@@ -403,6 +422,7 @@ def resistance_matrix(A: FormMatrix) -> np.ndarray:
         raise InfiniteResistanceError(
             f"network is disconnected; components: {[c.tolist() for c in _groups(labels)]}"
         )
+    _check_dense((5, A.n, A.n), "the dense form, its factor, the identity, the solution and R")
     X, _ = _cholesky(A.matrix[1:, 1:], np.eye(A.n - 1), lambda: "form grounded at vertex 0 is numerically singular")
     G = np.zeros((A.n, A.n))
     G[1:, 1:] = X

@@ -208,9 +208,17 @@ def test_python_m_help(module):
 
 
 def test_gasket8_decompose_and_occupy_under_3_gib(tmp_path):
-    # 9,843 vertices: one dense n x n float64 array alone takes 739 MiB
+    # 9,843 vertices: one dense n x n float64 array alone takes 739 MiB. The
+    # vertices are renumbered so that the three corners come first.
+    seq = netforms.build_sierpinski_gasket(8)
+    g = seq.networks[8]
+    corners = np.arange(3)
+    for m in seq.inclusions:
+        corners = m[corners]
+    new = np.empty(g.n, dtype=np.intp)
+    new[np.r_[corners, np.setdiff1d(np.arange(g.n), corners)]] = np.arange(g.n)
     net = tmp_path / "gasket8.json"
-    net.write_text(json.dumps(netforms.build_sierpinski_gasket(8).networks[8].to_dict()))
+    net.write_text(json.dumps(netforms.Network.from_arrays(g.n, new[g.u], new[g.v], g.c).to_dict()))
     src = str(Path(netforms.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
@@ -218,12 +226,28 @@ def test_gasket8_decompose_and_occupy_under_3_gib(tmp_path):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
 
-    for args in (["decompose"], ["sim", "occupy", "--n", "64", "--horizon", "0.1", "--seed", "1"]):
-        cmd = [sys.executable, "-m", "netforms", *args, "--net", str(net)]
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, preexec_fn=limit, timeout=300)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        out = json.loads(proc.stdout)
-        assert len(out["kappa"] if args == ["decompose"] else out["occupation"]) == 9843
+    commands = (
+        ["decompose"],
+        ["sim", "occupy", "--n", "64", "--horizon", "0.1", "--seed", "1"],
+        ["trace", "--subset", "0,1,2"],  # the one interior component, 9,840 vertices, is factored sparse
+        ["resistance", "--pairs", "0,1"],
+        ["resistance", "--pairs", "all"],  # the all-pairs matrix and its working arrays need 3.9e9 bytes
+    )
+    # the children run at once, each under its own limit; preexec_fn needs a parent without threads
+    procs = [
+        subprocess.Popen([sys.executable, "-m", "netforms", *args, "--net", str(net)], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, env=env, preexec_fn=limit)
+        for args in commands
+    ]
+    (decomposed, e1), (occupied, e2), (traced, e3), (pair, e4), (out, err) = [p.communicate(timeout=300) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0, 0, 0, 1], [e[-2000:] for e in (e1, e2, e3, e4, err)]
+    assert e1 == e2 == e3 == e4 == ""
+    assert len(json.loads(decomposed)["kappa"]) == len(json.loads(occupied)["occupation"]) == 9843
+    T = np.array([line.split(",") for line in traced.split()], dtype=float)
+    # the corner trace is the level-0 triangle at every level; 3.3e-12 measured
+    assert T.shape == (3, 3) and np.max(np.abs(T - (3.0 * np.eye(3) - 1.0))) <= 2e-11
+    assert abs(float(pair) - 2.0 / 3.0) <= 1e-11 * 2.0 / 3.0  # as in TestAcrossLevels at level 8
+    assert out == "" and len(err.splitlines()) == 1 and json.loads(err)["error"]["type"] == "validation"
 
 
 def test_decompose_json(path3_file, capsys):

@@ -269,7 +269,7 @@ class TestCsrForms:
 
     @pytest.mark.parametrize("n_top", [6, 8])
     def test_sparse_trace_matches_dense_path(self, n_top):
-        # interiors at and above STACK_MAX on forms above DENSE_N_MAX, onto an unsorted subset
+        # interiors at and above DENSE_N_MAX vertices on forms above DENSE_N_MAX, onto an unsorted subset
         seq = build_dyadic_interval(n_top)
         A = seq.form(n_top)
         rng = np.random.default_rng(n_top)
@@ -340,7 +340,7 @@ class TestReturnedCsrWellFormed:
             (12, [7, 0, 3]),  # dense: one block
             (12, range(12)),  # dense: an empty interior
             (DENSE_N_MAX + 26, range(0, DENSE_N_MAX + 26, 2)),  # stacked: isolated interior vertices
-            (DENSE_N_MAX + 26, [DENSE_N_MAX + 25, 0]),  # one block above STACK_MAX vertices
+            (DENSE_N_MAX + 26, [DENSE_N_MAX + 25, 0]),  # one block above DENSE_N_MAX vertices
             (DENSE_N_MAX + 26, range(DENSE_N_MAX + 26)),  # sparse: an empty interior
         ],
         ids=["dense", "dense-empty", "stacked", "single-block", "sparse-empty"],

@@ -24,7 +24,14 @@ from netforms import (
 from netforms.network import DENSE_N_MAX, SINGULAR_RCOND
 from netforms.random_networks import random_connected_network
 from netforms.sequences import build_dyadic_interval, build_sierpinski_gasket
-from netforms.trace import STACK_MAX, _block
+from netforms.trace import _block
+
+
+def top_level(seq, idx):
+    """Level-0 vertex indices of a sequence as indices of its top level."""
+    for m in seq.inclusions:
+        idx = m[idx]
+    return idx
 
 
 def min_energy_over_grid(A, U, f, grid):
@@ -196,11 +203,14 @@ class TestHarmonicExtension:
         with pytest.raises(ValidationError):
             harmonic_extension(trace(path3, [0, 2]), [1.0, 0.0, 3.0])
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_gasket_one_fifth_two_fifths_rule(self, n):
         # the walk from a level-1 midpoint first meets the corners at its two
         # neighbours with chance 2/5 each and at the opposite one with 1/5, at every level
-        seq = build_sierpinski_gasket(5)
+        seq = build_sierpinski_gasket(n)
+        # from level 4 the one interior component (120-9,840 vertices) is factored
+        # by sparse LU; levels 6-8 measure errors of 2.4e-14, 8.3e-14 and 5.5e-13
+        tol = {6: 1e-13, 7: 4e-13, 8: 2e-12}.get(n, 1e-13)
 
         def at_level_n(level):
             idx = np.arange(seq.networks[level].n)
@@ -214,7 +224,7 @@ class TestHarmonicExtension:
         rows = tr.extension_operator[np.searchsorted(tr.interior, at_level_n(1)[mids1])].toarray()
         neighbours = seq.networks[1].conductance_matrix()[np.ix_(mids1, corners1)] > 0.0
         assert mids1.size == 3 and np.all(np.sum(neighbours, axis=1) == 2)
-        assert np.max(np.abs(rows - np.where(neighbours, 0.4, 0.2))) <= 1e-13
+        assert np.max(np.abs(rows - np.where(neighbours, 0.4, 0.2))) <= tol
 
 
 class TestEffectiveResistance:
@@ -323,6 +333,13 @@ class TestResistanceMatrix:
         with pytest.raises(SingularBlockError, match="rcond"):
             resistance_matrix(A)
 
+    def test_guard_counts_five_dense_arrays(self):
+        # the dense view, the factor, the identity, the solution and R: n <= 5,181 passes
+        n = 5182
+        A = assemble(Network.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
+        with pytest.raises(ValidationError, match=r"of shape \(5, 5182, 5182\) needs 1074124960 bytes"):
+            resistance_matrix(A)
+
     def test_triangle_all_pairs(self, triangle):
         R = resistance_matrix(triangle)
         off = R[~np.eye(3, dtype=bool)]
@@ -368,6 +385,32 @@ class TestResistanceMatrix:
                 idx = m[idx]
             r = effective_resistance(A, int(idx[0]), int(idx[1]))
             assert abs(r - 2.0 / 3.0) <= 1e-10
+
+
+class TestAcrossLevels:
+    """R_n(p, q) between points of V_0 is the same at every level of a
+    compatible sequence: the resistance form on V_* that the sequence defines
+    (Kigami, Analysis on Fractals, ch. 2). From gasket level 4 and at the
+    dyadic levels here, the interior is one component above DENSE_N_MAX
+    vertices, factored by sparse LU."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gasket_corner_resistance_two_thirds(self, n):
+        # relative errors measured over the three corner pairs: at most 1.1e-14
+        # through level 5, then 7.5e-14, 2.7e-13 and 2.7e-12 at levels 6, 7 and 8
+        rtol = {6: 4e-13, 7: 1e-12, 8: 1e-11}.get(n, 1e-13)
+        seq = build_sierpinski_gasket(n)
+        corners = top_level(seq, np.arange(3))
+        A = seq.form(n)
+        for x, y in ((0, 1), (0, 2), (1, 2)):
+            r = effective_resistance(A, int(corners[x]), int(corners[y]))
+            assert abs(r - 2.0 / 3.0) <= rtol * 2.0 / 3.0
+
+    # errors measured: 1.3e-11, 4.3e-11, 1.3e-10 and 5.2e-10 at levels 13-16
+    @pytest.mark.parametrize("n, tol", [(13, 5e-11), (14, 2e-10), (15, 5e-10), (16, 2e-9)])
+    def test_dyadic_end_resistance_one(self, n, tol):
+        A = build_dyadic_interval(n).form(n)
+        assert abs(effective_resistance(A, 0, A.n - 1) - 1.0) <= tol
 
 
 class TestSupFormula:
@@ -445,7 +488,7 @@ def split_network(rng, sizes, big, n_boundary, bridges=()):
 
 split_inputs = st.tuples(
     st.lists(st.integers(1, 5), min_size=1, max_size=30),
-    st.integers(STACK_MAX + 1, STACK_MAX + 8),
+    st.integers(DENSE_N_MAX + 1, DENSE_N_MAX + 8),
     st.integers(1, 6),
     st.integers(0, 2**32 - 1),
 )
@@ -453,7 +496,7 @@ split_settings = settings(max_examples=40, derandomize=True, deadline=None, data
 
 
 class TestSplitTrace:
-    """Interiors above STACK_MAX vertices, eliminated component by component."""
+    """Interiors above DENSE_N_MAX vertices, eliminated component by component."""
 
     @split_settings
     @given(split_inputs)
@@ -506,7 +549,7 @@ class TestSplitTrace:
         # component 0 is the big one (a lone block); components 1-3 have the
         # same size and so share a stack unless their boundary counts differ
         rng = np.random.default_rng(7)
-        A, U = split_network(rng, [3, 3, 3], STACK_MAX + 1, 1, bridges=(bridged,))
+        A, U = split_network(rng, [3, 3, 3], DENSE_N_MAX + 1, 1, bridges=(bridged,))
         with pytest.raises(SingularBlockError, match=r"^interior block is numerically singular \(rcond estimate"):
             trace(A, U)
 
@@ -525,6 +568,67 @@ class TestSplitTrace:
         assert trace(path3, [0, 1, 2]).rcond == 1.0
         tr = trace(triangle, [0])
         assert 0.0 < tr.rcond < 1.0 and tr.extension_operator.shape == (2, 1)
+
+
+class TestSparseBlock:
+    """A component above DENSE_N_MAX vertices is factored by SuperLU on its
+    CSR rows; the guard reads its pivots and a 1-norm estimate."""
+
+    def test_floating_component_named(self):
+        # the subset sits on the unit path 0-1-2; a killing-free path of 70 vertices floats
+        n = 73
+        u, v = np.r_[0, 1, 3:n - 1], np.r_[1, 2, 4:n]
+        A = assemble(Network.from_arrays(n, u, v, np.ones(u.size)))
+        with pytest.raises(SingularBlockError) as err:
+            trace(A, [0, 2])
+        assert str(err.value).startswith(
+            f"components disconnected from the subset with no killing: {[list(range(3, n))]} (rcond estimate "
+        )
+
+    def test_indefinite_block_is_singular(self):
+        # a path whose interior block 1.5 I - adjacency has 80 vertices and
+        # negative eigenvalues: not a Markov form, and no Cholesky factor exists
+        n = 82
+        M = 1.5 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        with pytest.raises(SingularBlockError, match=r"^interior block is numerically singular \(rcond estimate 0\.000e\+00\)"):
+            trace(FormMatrix(M), [0, n - 1])
+
+    def test_bit_identical_and_leaves_the_global_random_state(self):
+        # onenormest with t=1 draws no random columns, so rcond and every output
+        # bit are the same on each call, and numpy's global state does not move
+        seq = build_sierpinski_gasket(6)
+        corners = top_level(seq, np.arange(3))
+        A = seq.form(6)
+        state = np.random.get_state()
+        one, two = trace(A, corners), trace(A, corners)
+        after = np.random.get_state()
+        assert state[0] == after[0] and np.array_equal(state[1], after[1]) and state[2:] == after[2:]
+        assert one.rcond == two.rcond == pytest.approx(8e-5, rel=1e-9)
+        assert one.traced_form.matrix.tobytes() == two.traced_form.matrix.tobytes()
+        H, K = one.extension_operator, two.extension_operator
+        assert all(a.tobytes() == b.tobytes() for a, b in ((H.indptr, K.indptr), (H.indices, K.indices), (H.data, K.data)))
+
+    def test_guard_refuses_before_factoring(self, monkeypatch):
+        # 80 floats of SuperLU workspace per stored entry: the 599,998-vertex
+        # interior of a path stores 1.8e6 entries, 1.16e9 bytes with its solution
+        def factor(*args, **kwargs):
+            raise AssertionError("factored past the guard")
+
+        monkeypatch.setattr(sys.modules["netforms.trace"], "splu", factor)
+        n = 600_000
+        A = assemble(Network.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
+        with pytest.raises(ValidationError, match=r"^a component's LU workspace \(80 floats an entry\) and solution"):
+            trace(A, [0, n - 1])
+
+    def test_other_superlu_failure_is_not_singular(self, monkeypatch):
+        def factor(*args, **kwargs):
+            raise RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()")
+
+        monkeypatch.setattr(sys.modules["netforms.trace"], "splu", factor)
+        n = DENSE_N_MAX + 3
+        A = assemble(Network.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
+        with pytest.raises(RuntimeError, match="SUPERLU_MALLOC"):
+            trace(A, [0, n - 1])
 
 
 def ix_elimination(A, U):

@@ -14,10 +14,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import acceptance
 from .beurling_deny import decompose
@@ -321,6 +324,25 @@ def _parse_two(text, flag):
     return idx[0], idx[1]
 
 
+#: Environment variables that set the BLAS thread count, as ``env.json`` reports them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS")
+
+
+def _environment() -> dict:
+    """The environment of a run: usable CPUs, Python, numpy, scipy, the BLAS
+    numpy was built with and the BLAS thread variables as set (None when unset)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
+
 def cmd_reproduce_all(args):
     outdir = _outdir(args.outdir)
     results = acceptance.run_all(quick=args.quick, gasket_factor=args.gasket_factor)
@@ -331,6 +353,7 @@ def cmd_reproduce_all(args):
         [{"name": r.name, "passed": r.passed, "details": r.details, "seconds": r.seconds} for r in results],
         outdir / "report.json",
     )
+    _json_out(_environment(), outdir / "env.json")
     sys.stdout.write(table)
     failed = [r.name for r in results if not r.passed]
     if failed:

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array, issparse
+from scipy.sparse._base import MAXPRINT
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
@@ -418,9 +419,15 @@ def _label(x):
 
 
 def _csr(indptr, indices, data, shape) -> csr_array:
-    """Read-only CSR matrix from canonical arrays (rows ascending, columns
-    ascending within each row, no repeats, no stored zeros)."""
-    M = csr_array((data, indices, indptr), shape=shape)
+    """The package's one CSR builder: a read-only matrix over canonical arrays
+    the package built itself (rows ascending, columns ascending within each
+    row, no repeats, no stored zeros; float64 data, and both index arrays of
+    one dtype, int32 or int64). It sets the attributes scipy's constructor
+    sets, without its format check and without a copy, so the arrays become
+    the matrix's own: hand it only arrays the package made, never a caller's."""
+    M = csr_array.__new__(csr_array)
+    M._shape, M.maxprint = shape, MAXPRINT
+    M.indptr, M.indices, M.data = indptr, indices, data
     M.has_canonical_format = True
     for a in (M.data, M.indices, M.indptr):
         a.setflags(write=False)
@@ -516,10 +523,12 @@ class FormMatrix:
     labels behind :func:`components` and the :func:`is_markov` report at the
     default tolerance; the arrays among them are read-only. The forms the
     package builds itself (:func:`assemble`, ``recompose``, ``trace``,
-    ``transfer_form``) are symmetric and canonical by
-    construction; they skip the symmetry and canonical-form checks and the
-    copy, and keep only the finiteness check, since sums of finite entries can
-    overflow.
+    ``transfer_form``) are symmetric and canonical by construction; they skip
+    the symmetry and canonical-form checks and the copy, and keep only the
+    finiteness check, since sums of finite entries can overflow. Every CSR
+    matrix the package makes, theirs and the copy this constructor checks,
+    comes from the one trusted builder ``_csr``, which skips scipy's format
+    check and never receives a caller's arrays.
     """
 
     __slots__ = ("_dense", "_sparse", "_memos")

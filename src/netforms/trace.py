@@ -164,14 +164,17 @@ def _split(i, j, pos, inner, n_u: int, n_w: int):
     sel = inner[i] & (i != j)
     r, j = pos[i[sel]], j[sel]  # r is a position in W, ascending; j a vertex
     ij = inner[j]
-    if np.any(ij):
-        support = csr_array((np.ones(np.count_nonzero(ij)), (r[ij], pos[j[ij]])), shape=(n_w, n_w))
+    if np.any(ij):  # the entries stay row-major, as pos keeps the order of W
+        support = _csr_from_entries(r[ij], pos[j[ij]], np.ones(np.count_nonzero(ij)), (n_w, n_w))
         labels = _labels(support, symmetric=True)  # the form's support, so symmetric
     else:  # isolated vertices, numbered as _labels numbers them
         labels = np.arange(n_w)
     comp, col = np.divmod(np.unique(labels[r[~ij]] * n_u + pos[j[~ij]]), n_u)
     size = np.bincount(labels)
     n_boundary = np.bincount(comp, minlength=size.size)
+    # a component with b boundary columns adds b^2 keys and terms to _kron's entry sums, which
+    # hold at most 11 arrays of that size at once (10.1 measured on a star traced onto its leaves)
+    _check_dense((11, int(n_boundary @ n_boundary)), "the boundary-pair terms of the interior components")
     members = np.argsort(labels, kind="stable")
     first = np.cumsum(size) - size
     first_col = np.cumsum(n_boundary) - n_boundary

@@ -207,6 +207,34 @@ def test_python_m_help(module):
     assert proc.stdout.startswith("usage: netforms")
 
 
+def child_env() -> dict:
+    """The environment of a CLI child: this netforms on its path, one BLAS thread."""
+    src = str(Path(netforms.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    return env
+
+
+def under_3_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+def test_star_trace_onto_leaves_is_refused_under_3_gib(tmp_path):
+    # the center touches all 6,000 leaves, so the trace would sum 3.6e7
+    # boundary pairs: the guard refuses it before any is built
+    b = 6000
+    net = tmp_path / "star.json"
+    star = netforms.Network.from_arrays(b + 1, np.zeros(b, dtype=int), np.arange(1, b + 1), np.ones(b))
+    net.write_text(json.dumps(star.to_dict()))
+    leaves = ",".join(map(str, range(1, b + 1)))
+    run = subprocess.run([sys.executable, "-m", "netforms", "trace", "--net", str(net), "--subset", leaves],
+                         capture_output=True, text=True, env=child_env(), preexec_fn=under_3_gib, timeout=300)
+    assert run.returncode == 1 and run.stdout == "", run.stderr[-2000:]
+    assert len(run.stderr.splitlines()) == 1
+    error = json.loads(run.stderr)["error"]
+    assert error["type"] == "validation" and error["message"].startswith("the boundary-pair terms")
+
+
 def test_gasket8_decompose_and_occupy_under_3_gib(tmp_path):
     # 9,843 vertices: one dense n x n float64 array alone takes 739 MiB. The
     # vertices are renumbered so that the three corners come first.
@@ -219,13 +247,6 @@ def test_gasket8_decompose_and_occupy_under_3_gib(tmp_path):
     new[np.r_[corners, np.setdiff1d(np.arange(g.n), corners)]] = np.arange(g.n)
     net = tmp_path / "gasket8.json"
     net.write_text(json.dumps(netforms.Network.from_arrays(g.n, new[g.u], new[g.v], g.c).to_dict()))
-    src = str(Path(netforms.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
-
     commands = (
         ["decompose"],
         ["sim", "occupy", "--n", "64", "--horizon", "0.1", "--seed", "1"],
@@ -236,7 +257,7 @@ def test_gasket8_decompose_and_occupy_under_3_gib(tmp_path):
     # the children run at once, each under its own limit; preexec_fn needs a parent without threads
     procs = [
         subprocess.Popen([sys.executable, "-m", "netforms", *args, "--net", str(net)], stdout=subprocess.PIPE,
-                         stderr=subprocess.PIPE, text=True, env=env, preexec_fn=limit)
+                         stderr=subprocess.PIPE, text=True, env=child_env(), preexec_fn=under_3_gib)
         for args in commands
     ]
     (decomposed, e1), (occupied, e2), (traced, e3), (pair, e4), (out, err) = [p.communicate(timeout=300) for p in procs]
@@ -515,6 +536,10 @@ def test_reproduce_all_quick(tmp_path, capsys):
     assert all(r["passed"] for r in report)
     table = (out / "report.txt").read_text()
     assert table.count("PASS") == 9
+    env = json.loads((out / "env.json").read_text())
+    assert env.keys() == {"nproc", "python", "numpy", "scipy", "blas", "blas_threads"}
+    assert env["nproc"] >= 1 and env["numpy"] == np.__version__ and env["blas"].keys() == {"name", "version"}
+    assert env["blas_threads"] == {var: os.environ.get(var) for var in netforms.cli.BLAS_THREAD_VARS}
 
 
 def test_reproduce_all_negative_control(tmp_path, capsys):

@@ -352,6 +352,71 @@ class TestReturnedCsrWellFormed:
         assert_well_formed(tr.traced_form.csr)
 
 
+class TestTrustedBuilder:
+    """network._csr fills a csr_array without scipy's constructor. It must
+    build the object that constructor builds from the same arrays, so that a
+    scipy release which changes those private attributes fails here."""
+
+    @staticmethod
+    def cases():
+        A = path_form(12)
+        return {
+            "empty-extension": trace(A, range(12)).extension_operator,  # 0 x 12
+            "extension": trace(A, [7, 0, 3]).extension_operator,  # |W| x |U|
+            "form": A.csr,
+        }
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("case", ["empty-extension", "extension", "form"])
+    def test_same_matrix_as_the_constructor(self, case, dtype):
+        H = self.cases()[case]
+        indptr, indices, data = H.indptr.astype(dtype), H.indices.astype(dtype), H.data.copy()
+        ref = csr_array((data, indices, indptr), shape=H.shape)
+        assert ref.has_canonical_format  # which caches the flags the builder sets
+        M = network._csr(indptr.copy(), indices.copy(), data.copy(), H.shape)
+        assert vars(M).keys() == vars(ref).keys()
+        for name, value in vars(ref).items():
+            got = vars(M)[name]
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and np.array_equal(got, value), name
+            else:
+                assert type(got) is type(value) and got == value, name
+        assert M.indptr.dtype == M.indices.dtype == dtype
+        assert M.has_canonical_format and M.has_sorted_indices
+        assert_well_formed(M)
+
+
+class TestCallerInputIsCopied:
+    """The public constructors copy a caller's sparse matrix before its checks;
+    the trusted builder only ever sees that copy."""
+
+    @staticmethod
+    def build(kind, C):
+        n = C.shape[0]
+        if kind == "form":
+            return FormMatrix(C).csr
+        if kind == "decomposition":
+            return JumpKillingDecomposition(C, np.zeros(n)).jump
+        return GeneratorSpec(C, np.ones(n), np.zeros(n), np.asarray(C.sum(axis=1))).conductances
+
+    @pytest.mark.parametrize("readonly", [False, True], ids=["writable", "read-only"])
+    @pytest.mark.parametrize("kind", ["form", "decomposition", "generator"])
+    def test_result_shares_no_memory_with_the_caller(self, kind, readonly):
+        A = path_form(12)
+        C = A.csr if kind == "form" else decompose(A).jump
+        C = csr_array((C.data.copy(), C.indices.copy(), C.indptr.copy()), shape=C.shape)
+        if readonly:
+            for a in (C.data, C.indices, C.indptr):
+                a.setflags(write=False)
+        M = self.build(kind, C)
+        before = M.toarray()
+        for a in (M.data, M.indices, M.indptr):
+            assert not any(np.shares_memory(a, c) for c in (C.data, C.indices, C.indptr))
+        C.data.setflags(write=True)
+        C.data *= 3.0
+        assert np.array_equal(M.toarray(), before)
+
+
 class TestGroups:
     @pytest.mark.parametrize("seed", range(20))
     def test_equal_to_split_of_the_sort(self, seed):

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -568,6 +569,24 @@ class TestSplitTrace:
         assert trace(path3, [0, 1, 2]).rcond == 1.0
         tr = trace(triangle, [0])
         assert 0.0 < tr.rcond < 1.0 and tr.extension_operator.shape == (2, 1)
+
+    def test_guard_counts_the_boundary_pair_terms(self, monkeypatch):
+        # the center of a star touches all of its 6,000 leaves: 3.6e7 boundary
+        # pairs, 11 arrays of them; a star of at most 3,493 leaves passes
+        def eliminate(*args):
+            raise AssertionError("eliminated a block past the guard")
+
+        monkeypatch.setattr(sys.modules["netforms.trace"], "_block", eliminate)
+        b = 6000
+        A = assemble(Network.from_arrays(b + 1, np.zeros(b, dtype=int), np.arange(1, b + 1), np.ones(b)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"^the boundary-pair terms of the interior components of shape \(11, 36000000\) "):
+                trace(A, np.arange(1, b + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22  # one array of the 3.6e7 pairs alone would take 288 MB
 
 
 class TestSparseBlock:

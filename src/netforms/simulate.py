@@ -10,12 +10,15 @@ that ends it.
 Every estimator runs on one step-synchronous engine. Trajectories go in
 blocks of ``_BLOCK`` (the last block may be shorter); each step advances all
 the live trajectories of a block with one vector of variates and then drops
-the ones that finished. Block b draws from its own counter-based stream,
-numpy Philox keyed by (seed, b), so its values depend only on (seed, b,
-block length). Each block is reduced to its count, sum and sum of squared
-deviations, and the blocks are combined in index order (the pairwise update
-of Chan, Golub and LeVeque), so results are a pure function of (generator,
-query, seed, n_traj) and memory does not grow with n_traj.
+the ones that finished. A trajectory is one state index: a query's phases
+(out to y and back to x, for a commute) are folded into the jump table, so
+state s = p * (n + 1) + x is vertex x in phase p, and a trajectory finishes
+on entering a state past the table. Block b draws from its own
+counter-based stream, numpy Philox keyed by (seed, b), so its values depend
+only on (seed, b, block length). Each block is reduced to its count, sum and
+sum of squared deviations, and the blocks are combined in index order (the
+pairwise update of Chan, Golub and LeVeque), so results are a pure function
+of (generator, query, seed, n_traj) and memory does not grow with n_traj.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .network import (
     _entries,
     _index,
     _kernel,
+    _labels,
     _killing_free,
     _readonly,
     _real,
@@ -175,12 +179,14 @@ class _JumpTable(NamedTuple):
     Column x of ``cum`` holds the cumulative jump probabilities of x over its
     targets in column x of ``tgt`` (ascending, the cemetery last), padded
     with inf. States index columns, so gathering a vector of states is one
-    contiguous ``take`` per row.
+    contiguous ``take`` per row. :func:`_fold` gives the same law on the
+    states of a walk through phases, phases * (n + 1) columns wide, with
+    each target a folded state.
     """
 
-    cum: np.ndarray  # (d, n + 1)
-    tgt: np.ndarray  # (d, n + 1)
-    inv_holding: np.ndarray  # (n + 1,) mean holding time; inf without exits
+    cum: np.ndarray  # (d, states)
+    tgt: np.ndarray  # (d, states)
+    inv_holding: np.ndarray  # (states,) mean holding time; inf without exits
 
 
 def _jump_table(gen: GeneratorSpec, include_killing: bool) -> _JumpTable:
@@ -213,21 +219,33 @@ def _jump_table(gen: GeneratorSpec, include_killing: bool) -> _JumpTable:
     return _JumpTable(cum, tgt, inv_holding)
 
 
+def _fold(table: _JumpTable, *ends) -> _JumpTable:
+    """The jump law of a walk whose phase p ends on entering a vertex of
+    ``ends[p]``, on one state index: s = p * (n + 1) + x is vertex x in phase
+    p, and the target y = ``tgt[k, x]`` of (p, x, k) becomes state
+    (p + [y in ends[p]]) * (n + 1) + y. Every state at or past the folded
+    table's width, phases * (n + 1), has finished the last phase."""
+    y = table.tgt
+    tgt = np.hstack([(p + np.isin(y, e)) * y.shape[1] + y for p, e in enumerate(ends)])
+    return _JumpTable(np.tile(table.cum, len(ends)), tgt, np.tile(table.inv_holding, len(ends)))
+
+
 class _Walk(NamedTuple):
     """One query for the engine.
 
-    A trajectory starts at ``x0`` and passes through the phases in order:
-    phase p ends on entering a state x with ``stops[p, x]``, and the
-    trajectory ends after the last phase. With ``horizon`` set it also ends
-    at that time (or in a state without exits) and its occupation times are
-    recorded. Holding times are drawn only when ``timed``. ``values`` maps
-    the block's final states, clocks and occupation times to one row of
-    values per trajectory.
+    A trajectory starts at vertex ``x0`` in phase 0 and steps through the
+    states of ``table``, a jump table folded over the phases by
+    :func:`_fold`, until it reaches a state past the table's width. With
+    ``horizon`` set it also ends at that time (or in a state without exits)
+    and its occupation time of each state is recorded. Holding times are
+    drawn only when ``timed``. ``values`` maps the block's final vertices
+    (s mod (n + 1)), clocks and occupation times to one row of values per
+    trajectory.
     """
 
     table: _JumpTable
     x0: int
-    stops: np.ndarray  # (phases, n + 1) bool
+    n: int
     timed: bool
     horizon: float | None
     values: Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]
@@ -240,44 +258,41 @@ def _run_block(walk: _Walk, seed: int, b: int, m: int) -> tuple[np.ndarray, int,
     g = np.random.Generator(np.random.Philox(key=key))
     cum, tgt, inv_holding = walk.table
     horizon = walk.horizon
-    phases = walk.stops.shape[0]
+    end = cum.shape[1]
     live = np.arange(m)
-    x = np.full(m, walk.x0, dtype=np.intp)
+    s = np.full(m, walk.x0, dtype=np.intp)
     t = np.zeros(m)
-    phase = np.zeros(m, dtype=np.intp)
     final = np.empty(m, dtype=np.intp)
     clock = np.zeros(m)
-    occ = None if horizon is None else np.zeros((m, cum.shape[1] - 1))
+    occ = None if horizon is None else np.zeros((m, end))
     jumps = max_jumps = steps = 0
     while live.size:
         steps += 1
         if walk.timed:
-            dt = g.standard_exponential(live.size) * inv_holding.take(x)
+            dt = g.standard_exponential(live.size) * inv_holding.take(s)
             if horizon is not None:
                 out = ~(t + dt < horizon)  # past the horizon, or no exits
-                occ[live, x] += np.where(out, horizon - t, dt)
+                occ[live, s] += np.where(out, horizon - t, dt)
             t += dt
         u = g.random(live.size)
-        k = (cum.take(x, axis=1) <= u).sum(axis=0)
+        k = (cum.take(s, axis=1) <= u).sum(axis=0)
         if horizon is None:
-            x = tgt[k, x]
+            s = tgt[k, s]
             moved = live.size
+            done = s >= end
         else:
-            x = np.where(out, x, tgt[k, x])
+            s = np.where(out, s, tgt[k, s])
             moved = live.size - int(np.count_nonzero(out))
+            done = out | (s >= end)
         jumps += moved
         if moved:
             max_jumps = steps
-        phase += walk.stops[phase, x]
-        done = phase == phases
-        if horizon is not None:
-            done |= out
         if np.count_nonzero(done):
             ids = live[done]
-            final[ids] = x[done]
+            final[ids] = s[done] % (walk.n + 1)
             clock[ids] = t[done]
             keep = ~done
-            live, x, t, phase = live[keep], x[keep], t[keep], phase[keep]
+            live, s, t = live[keep], s[keep], t[keep]
     return walk.values(final, clock, occ), jumps, max_jumps
 
 
@@ -332,10 +347,8 @@ def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int
         raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
     n_traj, seed = _count(n_traj), _index(seed, "seed")
     n = gen.n
-    stops = np.zeros((1, n + 1), dtype=bool)
-    stops[0, n] = True
-    walk = _Walk(_jump_table(gen, include_killing=True), x0, stops, True, horizon,
-                 lambda final, clock, occ: np.column_stack([occ / horizon, final == n]))
+    walk = _Walk(_fold(_jump_table(gen, include_killing=True), [n]), x0, n, True, horizon,
+                 lambda final, clock, occ: np.column_stack([occ[:, :n] / horizon, final == n]))
     mean, se, jumps, max_jumps = _estimate(walk, n_traj, seed)
     return SimResult(
         n_trajectories=n_traj,
@@ -353,28 +366,44 @@ def _require_killing_free(gen: GeneratorSpec, op: str) -> None:
         raise UnsupportedRegimeError(f"{op} requires a killing-free chain")
 
 
+def _require_exits(table: _JumpTable, walked: np.ndarray, x0: int) -> None:
+    """Refuse a walk from x0 that may step from a vertex without exits (one
+    whose every jump rate underflows to 0): it would never leave, so no
+    hitting event could be estimated."""
+    stuck = np.flatnonzero(walked & np.isinf(table.inv_holding[:-1]))
+    if stuck.size:
+        raise ValidationError(
+            f"vertex {stuck[0]} has holding rate 0 (every jump rate out of it underflows to 0): "
+            f"a walk from {x0} that enters it never leaves"
+        )
+
+
 def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int, seed: int) -> Estimate:
     """Estimate P_x0(hit a before b) for a killing-free chain.
 
     The analytic value is u(x0) where u is the harmonic extension of the
     boundary data (1 at a, 0 at b); hitting probabilities do not depend on mu.
+    A vertex of x0's component other than a and b with no exits (every jump
+    rate out of it underflows to 0) raises ``ValidationError``.
     """
     n_traj, seed = _count(n_traj), _index(seed, "seed")
     a, b, x0 = (_vertex(v, gen.n) for v in (a, b, x0))
     if a == b:
         raise ValidationError("hitting targets must be distinct")
     _require_killing_free(gen, "hitting probability")
-    comp = next(c for c in components(gen.conductances) if x0 in c)
-    if a not in comp or b not in comp:
+    labels = _labels(gen.conductances, symmetric=True)
+    if labels[a] != labels[x0] or labels[b] != labels[x0]:
         raise ValidationError(f"targets {a}, {b} are not both reachable from {x0}")
     if x0 == a:
         return Estimate(1.0, 0.0)
     if x0 == b:
         return Estimate(0.0, 0.0)
 
-    stops = np.zeros((1, gen.n + 1), dtype=bool)
-    stops[0, [a, b]] = True
-    walk = _Walk(_jump_table(gen, include_killing=False), x0, stops, False, None,
+    walked = labels == labels[x0]
+    walked[[a, b]] = False  # the walk stops there
+    table = _jump_table(gen, include_killing=False)
+    _require_exits(table, walked, x0)
+    walk = _Walk(_fold(table, [a, b]), x0, gen.n, False, None,
                  lambda final, clock, occ: (final == a)[:, None].astype(float))
     mean, se, jumps, max_jumps = _estimate(walk, n_traj, seed)
     return Estimate(float(mean[0]), float(se[0]), jumps, max_jumps)
@@ -384,20 +413,21 @@ def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> 
     """Estimate the commute time E_x T_y + E_y T_x of a killing-free chain.
 
     Each trajectory runs from x until it hits y and then continues until it
-    returns to x; the analytic value is R(x, y) * mu(V).
+    returns to x; the analytic value is R(x, y) * mu(V). A vertex of x's
+    component with no exits raises ``ValidationError``.
     """
     n_traj, seed = _count(n_traj), _index(seed, "seed")
     x, y = _vertex(x, gen.n), _vertex(y, gen.n)
     if x == y:
         return Estimate(0.0, 0.0)
     _require_killing_free(gen, "commute time")
-    comp = next(c for c in components(gen.conductances) if x in c)
-    if y not in comp:
+    labels = _labels(gen.conductances, symmetric=True)
+    if labels[y] != labels[x]:
         raise ValidationError(f"vertex {y} is not reachable from {x}")
 
-    stops = np.zeros((2, gen.n + 1), dtype=bool)
-    stops[0, y] = stops[1, x] = True
-    walk = _Walk(_jump_table(gen, include_killing=False), x, stops, True, None,
+    table = _jump_table(gen, include_killing=False)
+    _require_exits(table, labels == labels[x], x)
+    walk = _Walk(_fold(table, [y], [x]), x, gen.n, True, None,
                  lambda final, clock, occ: clock[:, None])
     mean, se, jumps, max_jumps = _estimate(walk, n_traj, seed)
     return Estimate(float(mean[0]), float(se[0]), jumps, max_jumps)
@@ -410,8 +440,8 @@ def occupation_check(gen: GeneratorSpec, horizon: float, n_traj: int, seed: int,
     with the horizon since mu/mu(V) is the stationary law of the chain.
     """
     _require_killing_free(gen, "occupation check")
-    comps = components(gen.conductances)
-    if len(comps) > 1:
+    if _labels(gen.conductances, symmetric=True).any():
+        comps = components(gen.conductances)
         report = "; ".join(f"component {i}: vertices {c.tolist()}" for i, c in enumerate(comps))
         raise ValidationError(f"chain is reducible, occupation target is ill-defined ({report})")
     res = simulate(gen, x0, horizon, n_traj, seed)

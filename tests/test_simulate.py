@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import tracemalloc
 
@@ -478,3 +479,130 @@ class TestBlocks:
                 tracemalloc.stop()
 
         assert peak(16 * SMALL_BLOCK) <= 2 * peak(SMALL_BLOCK)
+
+
+def _gasket2(kill=0.0):
+    """Level-2 gasket network with killing ``kill`` at its corners, its
+    corners and the measure 1, 2, 3, 1, 2, 3, ..."""
+    seq = build_sierpinski_gasket(2)
+    net = seq.networks[-1]
+    corners = seq.positions_at_top(0).tolist()
+    kappa = np.zeros(net.n)
+    kappa[corners] = kill
+    return Network(net.vertices, net.edges, kappa), corners, AtomicMeasure(1.0 + np.arange(net.n) % 3)
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedBits:
+    """The engine's exact output at fixed seeds, with 64-trajectory blocks
+    and 150 trajectories (two full blocks and a ragged one). Any change to
+    the variates drawn, their order or the trajectories they drive shows
+    here; a change that keeps the engine's bits keeps these values."""
+
+    N = 150
+
+    def test_hitting_path3(self, small_blocks, path3):
+        e = hitting_probability(build_generator(path3, uniform_measure(3)), 0, 2, 1, self.N, seed=18)
+        assert (e.value.hex(), e.stderr.hex(), e.jumps, e.max_jumps) == (
+            "0x1.c962fc962fc96p-2", "0x1.4da49aa88f64cp-5", 150, 1)
+
+    def test_hitting_gasket2(self, small_blocks):
+        net, c, mu = _gasket2()
+        e = hitting_probability(build_generator(assemble(net), mu), c[0], c[1], 4, self.N, seed=22)
+        assert (e.value.hex(), e.stderr.hex(), e.jumps, e.max_jumps) == (
+            "0x1.5f92c5f92c5f9p-1", "0x1.374bb195ba614p-5", 2458, 77)
+
+    def test_commute_gasket2(self, small_blocks):
+        net, c, mu = _gasket2()
+        e = commute_time(build_generator(assemble(net), mu), c[0], c[1], self.N, seed=19)
+        assert (e.value.hex(), e.stderr.hex(), e.jumps, e.max_jumps) == (
+            "0x1.4ae26a4e356e4p+4", "0x1.2c0e4b63ab276p+0", 15382, 363)
+
+    def test_simulate_killed_gasket2(self, small_blocks):
+        net, _, mu = _gasket2(kill=1.0)
+        r = simulate(build_generator(assemble(net), mu), 4, 2.0, self.N, seed=20)
+        assert (r.killed_fraction.hex(), r.killed_fraction_se.hex(), r.jumps, r.max_jumps) == (
+            "0x1.1111111111111p-3", "0x1.c84533bf73067p-6", 1524, 21)
+        assert _sha256(r.occupation, r.occupation_se) == (
+            "0b97b027807ff4a2ec50fa9b3cc9c43b0edf016e650616da6e730bc92a27dd62")
+
+    def test_occupation_check_gasket2(self, small_blocks):
+        net, _, mu = _gasket2()
+        o = occupation_check(build_generator(assemble(net), mu), 2.0, self.N, seed=21, x0=4)
+        assert (o.l1_distance.hex(), o.band.hex()) == ("0x1.0c5612faa7e8ep-1", "0x1.fe7e9d9a37079p-4")
+        assert _sha256(o.occupation, o.occupation_se) == (
+            "4d4f7d780a677572d67ed0e9cf24f4628adad84846b0bc0b5ffe88608a03aec5")
+
+
+def _stops(ends, width):
+    stops = np.zeros((len(ends), width), dtype=bool)
+    for p, vertices in enumerate(ends):
+        stops[p, vertices] = True
+    return stops
+
+
+class TestFold:
+    """``_fold`` against the per-phase law it folds, on random connected
+    networks with killing."""
+
+    @pytest.mark.parametrize("style", ["commute", "hitting", "killed"])
+    def test_folded_entries_columns_and_finished_states(self, style):
+        rng = np.random.default_rng(63)
+        for _ in range(30):
+            net = random_connected_network(rng, n_max=12, with_killing=True)
+            gen = build_generator(assemble(net), AtomicMeasure(rng.uniform(0.5, 3.0, net.n)))
+            n1 = gen.n + 1
+            a, b = (int(v) for v in rng.choice(gen.n, 2, replace=gen.n < 2))
+            ends = {"commute": ([b], [a]), "hitting": ([a, b],), "killed": ([gen.n],)}[style]
+            table = _sim._jump_table(gen, include_killing=True)
+            folded = _sim._fold(table, *ends)
+            phases = len(ends)
+            stops = _stops(ends, n1)
+            assert folded.cum.shape == folded.tgt.shape == (table.cum.shape[0], phases * n1)
+            deg = np.isfinite(table.cum).sum(axis=0)
+            for p in range(phases):
+                cols = slice(p * n1, (p + 1) * n1)
+                assert np.array_equal(folded.cum[:, cols], table.cum)
+                assert np.array_equal(folded.inv_holding[cols], table.inv_holding)
+                for x in range(n1):
+                    for k in range(deg[x]):
+                        y = table.tgt[k, x]
+                        s = folded.tgt[k, p * n1 + x]
+                        assert s == (p + stops[p, y]) * n1 + y
+                        # finished exactly when the last phase ends
+                        assert (s >= phases * n1) == (p == phases - 1 and stops[p, y])
+
+
+class TestNoExits:
+    """A 0-1-2 path whose every jump rate out of vertex 1 underflows to 0, so
+    the jump table gives vertex 1 no exits."""
+
+    @pytest.fixture
+    def stuck(self):
+        net = Network(3, [(0, 1, 1e-300), (1, 2, 1e-300)])
+        return build_generator(assemble(net), AtomicMeasure([1.0, 1e300, 1.0]))
+
+    def test_hitting_refused(self, stuck):
+        with pytest.raises(ValidationError, match="^vertex 1 has holding rate 0"):
+            hitting_probability(stuck, 0, 2, 1, 1000, seed=1)
+
+    def test_commute_refused(self, stuck):
+        with pytest.raises(ValidationError, match="^vertex 1 has holding rate 0"):
+            commute_time(stuck, 0, 1, 100, seed=1)
+        with pytest.raises(ValidationError, match="^vertex 1 has holding rate 0"):
+            commute_time(stuck, 0, 2, 100, seed=1)
+
+    def test_hitting_target_without_exits_is_walked_to(self, stuck):
+        # the walk stops on entering a target, so it never steps from one
+        assert hitting_probability(stuck, 1, 2, 0, 100, seed=1).value == 1.0
+
+    def test_simulate_holds_until_horizon(self, stuck):
+        r = simulate(stuck, 1, 1.0, 100, seed=1)
+        assert np.array_equal(r.occupation, [0.0, 1.0, 0.0])
+        assert r.killed_fraction == 0.0 and r.jumps == 0

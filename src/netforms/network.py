@@ -714,11 +714,18 @@ def _laplacian(rows, cols, c, kappa) -> FormMatrix:
         A[rows, cols] = -c
         np.fill_diagonal(A, diag)
         return FormMatrix._trusted(A)
-    # the diagonal entry of row x goes after its lower triangle
-    at = np.searchsorted(rows * n + cols, np.arange(n) * (n + 1))
-    rows = np.insert(rows, at, np.arange(n))
-    cols = np.insert(cols, at, np.arange(n))
-    return FormMatrix._trusted(_csr_from_entries(rows, cols, np.insert(-c, at, diag), (n, n)))
+    # the diagonal entry of row x goes after its lower triangle, and so after x earlier diagonal entries
+    at = np.searchsorted(rows * n + cols, np.arange(n) * (n + 1)) + np.arange(n)
+    off = np.ones(rows.size + n, dtype=bool)
+    off[at] = False
+
+    def place(entries, diagonal):
+        out = np.empty(off.size, dtype=entries.dtype)
+        out[off], out[at] = entries, diagonal
+        return out
+
+    k = np.arange(n, dtype=rows.dtype)
+    return FormMatrix._trusted(_csr_from_entries(place(rows, k), place(cols, k), place(-c, diag), (n, n)))
 
 
 def evaluate(A: FormMatrix, f, g=None) -> float:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import COMPAT_RELTOL, PROFILE_RELTOL, FormMatrix, Network, assemble, evaluate
-from .network import _as_vector, _index, _indices, _json_object, _read_json, _real, _scale, _tolerance, _writing
+from .network import _as_vector, _entries, _index, _indices, _json_object, _read_json, _real, _scale, _tolerance
+from .network import _writing
 from .trace import trace
 
 __all__ = [
@@ -113,19 +114,35 @@ class CompatibilityReport:
         return self.ok
 
 
+def _deviation(S: FormMatrix, F: FormMatrix) -> float:
+    """max |S - F| over the entries of two forms of one size, zero where
+    neither has one, read off their entry lists: over their one pattern when
+    the two share it, else over the union of their keys."""
+    (i, j, a), (p, q, b) = _entries(S), _entries(F)
+    ka, kb = i * S.n + j, p * S.n + q
+    if np.array_equal(ka, kb):
+        return float(np.max(np.abs(a - b), initial=0.0))
+    keys = np.union1d(ka, kb)
+    d = np.zeros(keys.size)
+    d[np.searchsorted(keys, ka)] = a
+    d[np.searchsorted(keys, kb)] -= b
+    return float(np.max(np.abs(d), initial=0.0))
+
+
 def check_compatibility(seq: CompatibleSequence, tol: float = COMPAT_RELTOL) -> CompatibilityReport:
     """Max entrywise deviation |trace(A_{n+1}, iota(V_n)) - A_n| per level.
 
     The sequence is accepted iff every deviation is at most ``tol`` times the
     magnitude of the finer matrix; ``tol`` must be finite and nonnegative.
-    Both are computed on the CSR matrices, in O(|E|) per level.
+    Both are read off the forms' entry lists, in O(|E| log |E|) per level;
+    no extension operator is built.
     """
     tol = _tolerance(tol)
     devs = np.zeros(max(seq.levels - 1, 0))
     scales = np.zeros_like(devs)
     for n in range(seq.levels - 1):
         traced = trace(seq.form(n + 1), seq.inclusions[n]).traced_form
-        devs[n] = float(abs(traced.csr - seq.form(n).csr).max())
+        devs[n] = _deviation(traced, seq.form(n))
         scales[n] = _scale(seq.form(n + 1))
     ok = bool(np.all(devs <= tol * scales))
     return CompatibilityReport(deviations=devs, scales=scales, tol=tol, ok=ok)
@@ -137,9 +154,10 @@ def energy_profile(seq: CompatibleSequence, f) -> np.ndarray:
     Non-decreasing for compatible sequences; a warning is attached if the
     computed profile decreases beyond rounding, which signals incompatibility.
     """
-    prof = np.array(
-        [evaluate(seq.form(n), seq.restrict(f, n)) for n in range(seq.levels)]
-    )
+    restricted = [_as_vector(f, seq.networks[-1].n, "f on the top level")]
+    for m in reversed(seq.inclusions):  # each level's vector from the next finer one's
+        restricted.append(restricted[-1][m])
+    prof = np.array([evaluate(seq.form(n), g) for n, g in enumerate(reversed(restricted))])
     if prof.size > 1:
         slack = PROFILE_RELTOL * _scale(prof)
         if np.any(np.diff(prof) < -slack):
@@ -189,21 +207,22 @@ def _refine_gasket_cells(cells: np.ndarray) -> np.ndarray:
     return np.stack([np.stack(t, axis=1) for t in ((a, ab, ca), (ab, b, bc), (ca, bc, c))], axis=1).reshape(-1, 3, 2)
 
 
-def _gasket_network(cells: np.ndarray, conductance: float, width: int) -> tuple[Network, tuple]:
+def _gasket_network(cells: np.ndarray, conductance: float, width: int) -> tuple[Network, tuple, np.ndarray]:
     """The network of a cell list, vertices numbered in order of first
-    appearance, and the sorted keys x * width + y of its vertices with each
-    key's vertex index."""
+    appearance, the sorted keys x * width + y of its vertices with each
+    key's vertex index, and the vertices' coordinates, shape (n, 2)."""
     keys = (cells[..., 0] * width + cells[..., 1]).ravel()
     uniq, first, at = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     index = np.empty(uniq.size, dtype=np.int64)
     index[order] = np.arange(uniq.size)
     corner = index[at].reshape(-1, 3)  # vertex index of each cell corner
-    labels = tuple(map(tuple, cells.reshape(-1, 2)[first[order]].tolist()))
+    xy = cells.reshape(-1, 2)[first[order]]
+    labels = tuple(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
     u = corner[:, [0, 1, 2]].ravel()
     v = corner[:, [1, 2, 0]].ravel()
     net = Network.from_arrays(labels, u, v, np.full(u.size, conductance))
-    return net, (uniq, index)
+    return net, (uniq, index), xy
 
 
 def build_sierpinski_gasket(levels: int, factor: float | None = None, calibrate: bool = False) -> CompatibleSequence:
@@ -233,11 +252,12 @@ def build_sierpinski_gasket(levels: int, factor: float | None = None, calibrate:
     cells = np.array([[[0, 0], [1, 0], [0, 1]]], dtype=np.int64)
     width = 2**levels + 1
     for n in range(levels + 1):
-        net, (keys, index) = _gasket_network(cells, rho**n, width)
+        net, (keys, index), xy = _gasket_network(cells, rho**n, width)
         nets.append(net)
         if n > 0:  # the level n-1 vertex (x, y) is (2x, 2y) here
-            prev = 2 * np.array(nets[-2].vertices, dtype=np.int64)
+            prev = 2 * prev_xy
             incs.append(index[np.searchsorted(keys, prev[:, 0] * width + prev[:, 1])])
+        prev_xy = xy
         if n < levels:
             cells = _refine_gasket_cells(cells)
     return CompatibleSequence(tuple(nets), tuple(incs))

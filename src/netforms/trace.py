@@ -14,7 +14,7 @@ above, and the boundary columns it touches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -62,13 +62,25 @@ class TraceResult:
         H = -A_WW^{-1} A_WU, canonical and read-only. It maps boundary values to
         the interior values of the energy minimizer; for a Markov form, row x
         holds the chances that the walk from x first enters U at each vertex.
+        It is built from the eliminated blocks on first read, by the function
+        the constructor takes last, and then kept in that function's place,
+        so a caller that reads only the traced form builds none and a result
+        once read holds H alone.
     """
 
     subset: np.ndarray
     traced_form: FormMatrix
     rcond: float
     interior: np.ndarray
-    extension_operator: csr_array
+    _operator: Callable[[], csr_array] | csr_array = field(repr=False)
+
+    @property
+    def extension_operator(self) -> csr_array:
+        H = self._operator
+        if not isinstance(H, csr_array):  # the builder: H replaces it, so the blocks are freed
+            H = H()
+            object.__setattr__(self, "_operator", H)
+        return H
 
     @property
     def n_total(self) -> int:
@@ -185,13 +197,25 @@ def _split(i, j, pos, inner, n_u: int, n_w: int):
         yield members[first[cs, None] + np.arange(k)], col[first_col[cs, None] + np.arange(b)]
 
 
+def _divided(A_ww: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
+    """Extension -B/d of isolated vertices, d the diagonal of their block,
+    shapes (k, k) and (k, b) or stacked (m, k, k) and (m, k, b): each vertex
+    an exact 1 x 1 block of rcond 1, or 0 when some d is not positive."""
+    d = np.diagonal(A_ww, axis1=-2, axis2=-1)
+    rcond = 1.0 if np.all(d > 0.0) else 0.0
+    _guard(rcond, singular)
+    return -B / d[..., None], rcond
+
+
 def _stacked(A_ww: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     """Extensions -A_ww^{-1} B of a stack of small blocks, shapes (m, k, k)
     and (m, k, b), and the smallest exact 1-norm reciprocal condition.
 
-    One LU solve against [B, I] gives both. It takes no square roots, so a
-    1 x 1 block whose entry is a power of two is eliminated exactly."""
+    A stack of isolated vertices (k = 1) is divided by :func:`_divided`, as a
+    lone one is. For k > 1 one LU solve against [B, I] gives both."""
     k, b = B.shape[1:]
+    if k == 1:
+        return _divided(A_ww, B, singular)
     try:
         np.linalg.cholesky(A_ww)  # positive definite, as _cholesky requires
         X = np.linalg.solve(A_ww, np.concatenate([B, np.broadcast_to(np.eye(k), A_ww.shape)], axis=2))
@@ -208,15 +232,12 @@ def _block(A_cc: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     """Eliminate one block c: its extension h_c = -A_cc^{-1} B_c and its rcond.
 
     A coupled block is factored by :func:`_cholesky`; a diagonal one (isolated
-    vertices) is divided by its entries, each an exact 1 x 1 block of rcond 1.
+    vertices) is divided by its entries, by :func:`_divided`.
     """
     if _coupled(A_cc):
         X, rcond = _cholesky(A_cc, B, singular)
         return -X, rcond
-    d = np.diagonal(A_cc)
-    rcond = 1.0 if np.all(d > 0.0) else 0.0
-    _guard(rcond, singular)
-    return -B / d[:, None], rcond
+    return _divided(A_cc, B, singular)
 
 
 def _sparse_block(A: csr_array, Wc: np.ndarray, Uc: np.ndarray, singular: Callable[[], str]):
@@ -347,8 +368,9 @@ def trace(A: FormMatrix, subset) -> TraceResult:
     larger one is factored by SuperLU on its CSR rows, with no n_c² array.
     Each component c adds B_c^T h_c to the traced form, where B_c holds its
     boundary columns and h_c = -A_cc^{-1} B_c is its block of the extension
-    operator, returned as one CSR matrix. Isolated interior vertices are
-    eliminated by exact divisions: the dyadic series law holds bit for bit.
+    operator; the result builds H as one CSR matrix on first read. Every
+    isolated interior vertex, lone or stacked, is eliminated by one exact
+    division: the dyadic series law holds bit for bit.
 
     Raises
     ------
@@ -357,7 +379,7 @@ def trace(A: FormMatrix, subset) -> TraceResult:
         component is disconnected from the subset and carries no killing.
     """
     U, W, S, extension, rcond = _eliminate(A, subset)
-    return TraceResult(U, FormMatrix._trusted(S), rcond, W, extension())
+    return TraceResult(U, FormMatrix._trusted(S), rcond, W, extension)
 
 
 def harmonic_extension(tr: TraceResult, f) -> np.ndarray:

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from netforms import (
     CompatibleSequence,
+    FormMatrix,
     Network,
     ValidationError,
     build_dyadic_interval,
@@ -24,9 +26,18 @@ from netforms import (
     load_sequence,
     save_sequence,
 )
-from netforms.sequences import sequence_from_dict, sequence_to_dict
+from netforms.network import DENSE_N_MAX
+from netforms.sequences import _deviation, sequence_from_dict, sequence_to_dict
 
 from conftest import networks
+
+
+def with_edge(seq, level, u, v, c=1.0):
+    """The sequence with one extra edge (u, v) at one level."""
+    net = seq.networks[level]
+    edged = Network.from_arrays(net.vertices, np.append(net.u, u), np.append(net.v, v), np.append(net.c, c))
+    nets = seq.networks[:level] + (edged,) + seq.networks[level + 1 :]
+    return CompatibleSequence(nets, seq.inclusions)
 
 
 def dyadic_square_energy(n):
@@ -94,6 +105,99 @@ class TestDyadic:
             with pytest.raises(ValidationError, match="levels must be an integer"):
                 build_dyadic_interval(bad)
         assert build_dyadic_interval(np.int64(3)).levels == 4
+
+
+class TestDeviation:
+    """check_compatibility reads each deviation off the forms' entry lists; it
+    must equal scipy's sparse difference bit for bit, for forms held dense (at
+    most DENSE_N_MAX vertices) and held as CSR."""
+
+    CASES = {
+        "dyadic": lambda: build_dyadic_interval(8),  # levels 0-5 dense, 6-8 above DENSE_N_MAX
+        "gasket": lambda: build_sierpinski_gasket(5),  # levels 0-3 dense, 4-5 above
+        "wrong factor": lambda: build_sierpinski_gasket(5, factor=1.7),  # same pattern, other values
+        "coarse edge, sparse": lambda: with_edge(build_dyadic_interval(8), 7, 0, 100),  # only in A_n
+        "coarse edge, dense": lambda: with_edge(build_dyadic_interval(8), 5, 3, 20),
+        "fine edge, sparse": lambda: with_edge(build_dyadic_interval(8), 8, 0, 200),  # only in the trace
+        "fine edge, dense": lambda: with_edge(build_dyadic_interval(7), 6, 2, 40),
+    }
+
+    @staticmethod
+    def sparse_difference(seq, n):
+        traced = netforms.trace(seq.form(n + 1), seq.inclusions[n]).traced_form
+        return traced, float(abs(traced.csr - seq.form(n).csr).max())
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_sparse_difference_bit_for_bit(self, case):
+        seq = self.CASES[case]()
+        rep = check_compatibility(seq)
+        sizes = [net.n for net in seq.networks[:-1]]
+        assert min(sizes) <= DENSE_N_MAX < max(sizes)  # dense-held and CSR-held forms
+        for n in range(seq.levels - 1):
+            traced, expected = self.sparse_difference(seq, n)
+            assert _deviation(traced, seq.form(n)) == expected
+            assert rep.deviations[n].tobytes() == np.float64(expected).tobytes()
+
+    def test_cases_move_the_expected_pairs(self):
+        nonzero = {case: check_compatibility(self.CASES[case]()).deviations > 0.0 for case in self.CASES}
+        assert not np.any(nonzero["dyadic"])
+        assert np.all(nonzero["wrong factor"][1:])
+        # an edge at level n moves the pairs n - 1 (it is in the trace) and n (it is in A_n)
+        expected = {
+            "coarse edge, sparse": [6, 7],
+            "coarse edge, dense": [4, 5],
+            "fine edge, sparse": [7],
+            "fine edge, dense": [5, 6],
+        }
+        for case, pairs in expected.items():
+            assert np.flatnonzero(nonzero[case]).tolist() == pairs
+        coarse = self.CASES["coarse edge, sparse"]()
+        traced = netforms.trace(coarse.form(8), coarse.inclusions[7]).traced_form
+        assert traced.csr.nnz != coarse.form(7).csr.nnz  # the union of two patterns
+
+    @pytest.mark.parametrize("n", [DENSE_N_MAX - 24, DENSE_N_MAX + 16])
+    def test_patterns_that_differ(self, n):
+        # symmetric forms, not Markov ones, so the largest difference can sit
+        # on a key that only one of the two stores
+        rng = np.random.default_rng(n)
+        base = np.diag(rng.uniform(1.0, 2.0, n)) - np.diag(rng.uniform(0.1, 0.5, n - 1), 1)
+        base = base + np.triu(base, 1).T
+
+        def form(extra):
+            M = base.copy()
+            for (i, j), x in extra.items():
+                M[i, j] = M[j, i] = x
+            return FormMatrix(csr_array(M))
+
+        S = form({})
+        others = {
+            "one more key": form({(0, n // 2): -5.0}),
+            "one key less": form({(3, 4): 0.0}),
+            "moved key": form({(3, 4): 0.0, (3, n // 2): -5.0}),  # the same number of entries
+            "other values": form({(3, 4): -7.0}),
+            "equal": form({}),
+        }
+        for F in others.values():
+            for a, b in ((S, F), (F, S)):
+                assert _deviation(a, b) == float(abs(a.csr - b.csr).max())
+        assert _deviation(S, others["equal"]) == 0.0
+
+
+class TestCheckBuildsNoOperator:
+    @pytest.mark.parametrize("build", [lambda: build_dyadic_interval(8), lambda: build_sierpinski_gasket(4)])
+    def test_no_extension_operator_built(self, build, monkeypatch):
+        trace_module = sys.modules["netforms.trace"]
+        calls = []
+        for name in ("_extension", "_csr_from_dense"):  # the two builders, sparse and dense traces
+            builder = getattr(trace_module, name)
+            monkeypatch.setattr(trace_module, name, lambda *a, _b=builder, _n=name: calls.append(_n) or _b(*a))
+        seq = build()
+        assert check_compatibility(seq)
+        assert calls == []
+        # the counters see the builders: one read of each kind of trace builds one operator
+        for n in (0, seq.levels - 2):
+            netforms.trace(seq.form(n + 1), seq.inclusions[n]).extension_operator
+        assert sorted(calls) == ["_csr_from_dense", "_extension"]
 
 
 class TestProfilesAndLimits:
@@ -207,6 +311,32 @@ def sequences(draw) -> CompatibleSequence:
     nets = sorted(draw(st.lists(networks(), min_size=1, max_size=4)), key=lambda net: net.n)
     incs = tuple(np.array(draw(st.permutations(range(b.n)))[: a.n]) for a, b in zip(nets, nets[1:]))
     return CompatibleSequence(tuple(nets), incs)
+
+
+class TestProfileRestrictions:
+    @pytest.mark.parametrize("build", [lambda: build_dyadic_interval(9), lambda: build_sierpinski_gasket(5)])
+    def test_profile_equals_restrict_per_level(self, build):
+        seq = build()
+        f = np.random.default_rng(3).standard_normal(seq.networks[-1].n)
+        expected = np.array([netforms.evaluate(seq.form(n), seq.restrict(f, n)) for n in range(seq.levels)])
+        assert energy_profile(seq, f).tobytes() == expected.tobytes()
+
+    def test_profile_validates_f(self):
+        seq = build_dyadic_interval(3)
+        with pytest.raises(ValidationError, match="f on the top level"):
+            energy_profile(seq, np.ones(8))
+
+    def test_gasket_labels_are_int_pairs_and_inclusions_double(self):
+        seq = build_sierpinski_gasket(4)
+        assert seq.networks[0].vertices == ((0, 0), (1, 0), (0, 1))
+        assert seq.networks[1].vertices == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))  # first appearance
+        for n, net in enumerate(seq.networks):
+            assert all(type(x) is int and type(y) is int for x, y in net.vertices)
+            assert all(type(label) is tuple for label in net.vertices)
+            if n:
+                finer = seq.networks[n]
+                mapped = [finer.vertices[i] for i in seq.inclusions[n - 1]]
+                assert mapped == [(2 * x, 2 * y) for x, y in seq.networks[n - 1].vertices]
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
+import gc
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from netforms import (
 from netforms.network import DENSE_N_MAX, SINGULAR_RCOND
 from netforms.random_networks import random_connected_network
 from netforms.sequences import build_dyadic_interval, build_sierpinski_gasket
-from netforms.trace import _block
+from netforms.trace import TraceResult, _block
 
 
 def top_level(seq, idx):
@@ -701,3 +703,92 @@ class TestDensePermutation:
         assert tr.traced_form.matrix.tobytes() == ref.traced_form.matrix.tobytes()
         H, R = tr.extension_operator, ref.extension_operator
         assert all(a.tobytes() == b.tobytes() for a, b in ((H.indptr, R.indptr), (H.indices, R.indices), (H.data, R.data)))
+
+
+def random_path(n, seed):
+    """A path 0-1-...-(n-1) with random conductances, none a power of two."""
+    c = np.random.default_rng(seed).uniform(0.5, 3.0, n - 1)
+    return assemble(Network.from_arrays(n, np.arange(n - 1), np.arange(1, n), c))
+
+
+class TestLazyExtension:
+    """The extension operator is built from the eliminated blocks on first read
+    and then kept in the builder's place."""
+
+    @pytest.mark.parametrize("n", [DENSE_N_MAX - 4, DENSE_N_MAX + 37])  # dense trace, component-wise trace
+    def test_built_once_and_kept(self, n):
+        A = random_path(n, n)
+        U = np.arange(0, n, 3)
+        tr = trace(A, U)
+        calls = []
+        build = tr._operator
+        object.__setattr__(tr, "_operator", lambda: calls.append(1) or build())
+        H = tr.extension_operator
+        assert tr.extension_operator is H and len(calls) == 1
+        eager = build()  # what an eager build gives
+        assert H is not eager
+        assert all(a.tobytes() == b.tobytes() for a, b in ((H.indptr, eager.indptr), (H.indices, eager.indices), (H.data, eager.data)))
+        assert H.shape == (tr.interior.size, U.size)
+
+    @pytest.mark.parametrize("n", [DENSE_N_MAX - 4, DENSE_N_MAX + 37])
+    def test_first_read_frees_the_blocks(self, n):
+        tr = trace(random_path(n, n), np.arange(0, n, 3))
+        held = tr._operator.args[0]  # the dense h, or the list of blocks (w, u, h)
+        h = weakref.ref(held if isinstance(held, np.ndarray) else held[0][2])
+        del held
+        gc.collect()
+        assert h() is not None  # the unread result keeps its blocks
+        H = tr.extension_operator
+        gc.collect()
+        assert h() is None and tr._operator is H
+
+    def test_constructor_takes_the_builder(self):
+        A = random_path(5, 0)
+        tr = trace(A, [0, 4])
+        built = []
+        H = tr.extension_operator
+        again = TraceResult(tr.subset, tr.traced_form, tr.rcond, tr.interior, lambda: built.append(1) or H)
+        assert built == [] and again.extension_operator is H and again.extension_operator is H and built == [1]
+        assert "_operator" not in repr(again)
+
+
+class TestStackedDivision:
+    """Isolated interior vertices are divided, -B/d, whether one is eliminated
+    alone or many are stacked; the stacked LU solve never runs on them."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stacked_equals_division_and_lone_vertices(self, seed, monkeypatch):
+        n = 2 * DENSE_N_MAX + 3  # every other vertex: 65 isolated interior vertices in one stack
+        A = random_path(n, seed)
+        U = np.arange(0, n, 2)
+        tr = trace(A, U)
+        M = A.matrix
+        W = tr.interior
+        expected = -M[np.ix_(W, U)] / np.diagonal(M)[W][:, None]
+        assert tr.extension_operator.toarray().tobytes() == (expected + 0.0).tobytes()  # -0.0 is not stored
+        assert tr.rcond == 1.0
+
+        def lone(A_ww, B, singular):  # each stacked vertex through _block on its own
+            hs = [_block(a, b, singular) for a, b in zip(A_ww, B)]
+            return np.stack([h for h, _ in hs]), min(r for _, r in hs)
+
+        monkeypatch.setattr(sys.modules["netforms.trace"], "_stacked", lone)
+        ref = trace(A, U)
+        assert tr.traced_form.csr.data.tobytes() == ref.traced_form.csr.data.tobytes()
+        assert tr.traced_form.csr.indices.tobytes() == ref.traced_form.csr.indices.tobytes()
+        assert tr.extension_operator.data.tobytes() == ref.extension_operator.data.tobytes()
+
+    def test_no_lu_solve_on_one_by_one_stacks(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("LU solve on a 1 x 1 stack")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        n = 2 * DENSE_N_MAX + 3
+        assert trace(random_path(n, 0), np.arange(0, n, 2)).rcond == 1.0
+
+    def test_stacked_vertices_without_diagonal_float(self):
+        # two isolated, killing-free vertices with no neighbour: a 1 x 1 stack of zeros
+        n = DENSE_N_MAX + 3
+        A = assemble(Network.from_arrays(n, np.arange(n - 3), np.arange(1, n - 2), np.ones(n - 3)))
+        with pytest.raises(SingularBlockError, match=r"disconnected from the subset with no killing: \[\[65\], \[66\]\] \(rcond estimate 0\.000e\+00\)"):
+            trace(A, np.arange(n - 2))

@@ -116,7 +116,8 @@ def recompose(d: JumpKillingDecomposition) -> FormMatrix:
     bit-exact.
     """
     i, j, v = _entries(d.jump)
-    return _laplacian(i, j, 2.0 * v, d.kappa)
+    up = i < j  # the kernel is symmetric: its upper triangle, row-major, is canonical
+    return _laplacian(i[up], j[up], 2.0 * v[up], d.kappa)
 
 
 def decomposition_to_network(d: JumpKillingDecomposition, vertices=None) -> Network:

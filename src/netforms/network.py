@@ -452,6 +452,12 @@ def _csr_from_dense(m: np.ndarray) -> csr_array:
     return _csr(indptr, np.flatnonzero(nonzero) % m.shape[1], m[nonzero], m.shape)
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` of integers by one sort, without numpy's slower hash table."""
+    s = np.sort(a, axis=None)
+    return s[np.concatenate([s[:1] == s[:1], s[1:] != s[:-1]])]  # the first of each run, none if empty
+
+
 def _entries(A):
     """Row indices, column indices and values of the nonzero entries of a
     form or of a canonical CSR matrix, row-major. A form reads them once, off
@@ -683,18 +689,12 @@ def assemble(net: Network) -> FormMatrix:
     Off-diagonal entries are the negated conductances; the diagonal is the
     conductance row sum plus the killing weight (see :func:`_laplacian`).
     """
-    # off-diagonal entries in row-major order: the lower triangle of row x
-    # (edges (u, x), ascending u) comes before its upper triangle (edges (x, v))
-    rows = np.concatenate([net.v, net.u])
-    order = np.argsort(rows, kind="stable")
-    cols, c = np.concatenate([net.u, net.v])[order], np.concatenate([net.c, net.c])[order]
-    return _laplacian(rows[order], cols, c, net.killing)
+    return _laplacian(net.u, net.v, net.c, net.killing)
 
 
 def _row_sums(rows, cols, c, n: int) -> np.ndarray:
-    """Row sums of the entries c at (rows, cols), row-major: the one diagonal
-    rule of assemble, recompose and decompose. At most ``DENSE_N_MAX`` vertices
-    numpy sums the dense rows, above it each row is summed in column order."""
+    """Row sums of the entries c at (rows, cols), the one diagonal rule of assemble, recompose and
+    decompose: numpy's dense row sums at most ``DENSE_N_MAX`` vertices, else in the entries' order."""
     if n > DENSE_N_MAX:
         return np.bincount(rows, c, minlength=n)
     C = np.zeros((n, n))
@@ -702,30 +702,31 @@ def _row_sums(rows, cols, c, n: int) -> np.ndarray:
     return C.sum(axis=1)
 
 
-def _laplacian(rows, cols, c, kappa) -> FormMatrix:
-    """Form matrix of conductances c at (rows, cols), both triangles, row-major,
-    and killing kappa, for assemble and recompose: dense at most
-    ``DENSE_N_MAX`` vertices, else straight into CSR in O(|E|)."""
+def _laplacian(u, v, c, kappa) -> FormMatrix:
+    """Form matrix of conductances c on the canonical upper triangle u < v and killing kappa:
+    dense at most ``DENSE_N_MAX`` vertices, else CSR arrays written at counted positions in
+    O(|E|). Row x holds the edges (u, x), its diagonal, then the edges (x, v), summed in that order."""
     n = kappa.shape[0]
     with np.errstate(over="ignore"):  # an overflowing row sum is left to the finiteness check
-        diag = _row_sums(rows, cols, c, n) + kappa
+        diag = _row_sums(np.concatenate([v, u]), np.concatenate([u, v]), np.concatenate([c, c]), n) + kappa
     if n <= DENSE_N_MAX:
         A = np.zeros((n, n))
-        A[rows, cols] = -c
+        A[u, v] = A[v, u] = -c
         np.fill_diagonal(A, diag)
         return FormMatrix._trusted(A)
-    # the diagonal entry of row x goes after its lower triangle, and so after x earlier diagonal entries
-    at = np.searchsorted(rows * n + cols, np.arange(n) * (n + 1)) + np.arange(n)
-    off = np.ones(rows.size + n, dtype=bool)
-    off[at] = False
-
-    def place(entries, diagonal):
-        out = np.empty(off.size, dtype=entries.dtype)
-        out[off], out[at] = entries, diagonal
-        return out
-
-    k = np.arange(n, dtype=rows.dtype)
-    return FormMatrix._trusted(_csr_from_entries(place(rows, k), place(cols, k), place(-c, diag), (n, n)))
+    x = np.arange(n + 1)
+    upper = np.searchsorted(u, x)  # upper entries in the rows before x
+    lower = np.cumsum(np.bincount(v, minlength=n))  # lower entries in the rows up to x
+    at = lower + upper[:-1] + x[:-1]  # the diagonal, after its row's lower triangle
+    order = np.argsort(v, kind="stable")  # the lower entries by row, each row ascending in u
+    low, up = np.arange(u.size) + (upper + x)[v[order]], np.arange(u.size) + (lower + x[1:])[u]
+    indices, data = np.empty(2 * u.size + n, dtype=np.int64), np.empty(2 * u.size + n)
+    indices[low], indices[at], indices[up] = u[order], x[:-1], v
+    data[low], data[at], data[up] = -c[order], diag, -c
+    indptr = np.concatenate([[0], lower + upper[1:] + np.cumsum(diag != 0.0)])
+    if not np.all(diag):  # an isolated vertex without killing stores no diagonal; no -c is 0
+        indices, data = indices[data != 0.0], data[data != 0.0]
+    return FormMatrix._trusted(_csr(indptr, indices, data, (n, n)))
 
 
 def evaluate(A: FormMatrix, f, g=None) -> float:

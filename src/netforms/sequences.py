@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import COMPAT_RELTOL, PROFILE_RELTOL, FormMatrix, Network, assemble, evaluate
-from .network import _as_vector, _entries, _index, _indices, _json_object, _read_json, _real, _scale, _tolerance
-from .network import _writing
+from .network import _as_vector, _distinct, _entries, _index, _indices, _json_object, _read_json, _real, _scale
+from .network import _tolerance, _writing
 from .trace import trace
 
 __all__ = [
@@ -74,7 +74,9 @@ class CompatibleSequence:
                 raise ValidationError(f"inclusion {n} must have length {lo}, got shape {m.shape}")
             if np.any(m < 0) or np.any(m >= hi):
                 raise ValidationError(f"inclusion {n} has an index outside level {n + 1}")
-            if np.unique(m).size != lo:
+            seen = np.zeros(hi, dtype=bool)
+            seen[m] = True
+            if np.count_nonzero(seen) != lo:
                 raise ValidationError(f"inclusion {n} is not injective")
         object.__setattr__(self, "networks", nets)
         object.__setattr__(self, "inclusions", incs)
@@ -122,7 +124,7 @@ def _deviation(S: FormMatrix, F: FormMatrix) -> float:
     ka, kb = i * S.n + j, p * S.n + q
     if np.array_equal(ka, kb):
         return float(np.max(np.abs(a - b), initial=0.0))
-    keys = np.union1d(ka, kb)
+    keys = _distinct(np.concatenate([ka, kb]))
     d = np.zeros(keys.size)
     d[np.searchsorted(keys, ka)] = a
     d[np.searchsorted(keys, kb)] -= b

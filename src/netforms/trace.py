@@ -30,8 +30,8 @@ from .errors import (
     ValidationError,
 )
 from .network import DENSE_N_MAX, SINGULAR_RCOND, FormMatrix, evaluate, killing_vector
-from .network import _as_vector, _check_dense, _check_finite, _csr_from_dense, _csr_from_entries, _entries, _groups
-from .network import _indices, _killing_free, _labels, _scale, _vertex
+from .network import _as_vector, _check_dense, _check_finite, _csr_from_dense, _csr_from_entries, _distinct, _entries
+from .network import _groups, _indices, _killing_free, _labels, _scale, _vertex
 
 __all__ = [
     "TraceResult",
@@ -143,11 +143,6 @@ def _cholesky(M: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     return lapack.dpotrs(c, B, lower=1)[0], rcond
 
 
-def _coupled(A_WW: np.ndarray) -> bool:
-    """Whether an interior block has an off-diagonal entry."""
-    return np.count_nonzero(A_WW) > np.count_nonzero(np.diagonal(A_WW))
-
-
 def _lookup(i: np.ndarray, j: np.ndarray, a: np.ndarray, n: int):
     """Entry reader of a form from its nonzero entries, row-major: ``get(r, c)``
     gives the entries at index arrays ``r``, ``c`` (broadcast together), zero
@@ -181,17 +176,17 @@ def _split(i, j, pos, inner, n_u: int, n_w: int):
         labels = _labels(support, symmetric=True)  # the form's support, so symmetric
     else:  # isolated vertices, numbered as _labels numbers them
         labels = np.arange(n_w)
-    comp, col = np.divmod(np.unique(labels[r[~ij]] * n_u + pos[j[~ij]]), n_u)
+    comp, col = np.divmod(_distinct(labels[r[~ij]] * n_u + pos[j[~ij]]), n_u)
     size = np.bincount(labels)
     n_boundary = np.bincount(comp, minlength=size.size)
     # a component with b boundary columns adds b^2 keys and terms to _kron's entry sums, which
-    # hold at most 11 arrays of that size at once (10.1 measured on a star traced onto its leaves)
-    _check_dense((11, int(n_boundary @ n_boundary)), "the boundary-pair terms of the interior components")
+    # hold at most 9 arrays of that size at once (8.1 measured on a star traced onto its leaves)
+    _check_dense((9, int(n_boundary @ n_boundary)), "the boundary-pair terms of the interior components")
     members = np.argsort(labels, kind="stable")
     first = np.cumsum(size) - size
     first_col = np.cumsum(n_boundary) - n_boundary
     shapes = size * (n_u + 1) + n_boundary
-    for shape in np.unique(shapes):
+    for shape in _distinct(shapes):
         k, b = divmod(int(shape), n_u + 1)
         cs = np.flatnonzero(shapes == shape)
         yield members[first[cs, None] + np.arange(k)], col[first_col[cs, None] + np.arange(b)]
@@ -234,7 +229,7 @@ def _block(A_cc: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     A coupled block is factored by :func:`_cholesky`; a diagonal one (isolated
     vertices) is divided by its entries, by :func:`_divided`.
     """
-    if _coupled(A_cc):
+    if np.count_nonzero(A_cc) > np.count_nonzero(np.diagonal(A_cc)):  # an off-diagonal entry
         X, rcond = _cholesky(A_cc, B, singular)
         return -X, rcond
     return _divided(A_cc, B, singular)
@@ -301,10 +296,11 @@ def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], st
         terms.append((np.swapaxes(B, 1, 2) @ h).ravel())
         blocks.append((w, u, h))
         rcond = min(rcond, rc)
-    # entry sums: A_UU first, then the summed block terms
-    uniq, at = np.unique(np.concatenate(keys), return_inverse=True)
-    n_uu = keys[0].size
-    s = np.bincount(at[:n_uu], terms[0], uniq.size) + np.bincount(at[n_uu:], np.concatenate(terms[1:] or [[]]), uniq.size)
+    # entry sums, A_UU first; each list and array goes once read, which sets the peak _split counts
+    n_uu, keys, terms = keys[0].size, np.concatenate(keys), np.concatenate(terms)
+    uniq, at = np.unique(keys, return_inverse=True)
+    s = np.bincount(at[:n_uu], terms[:n_uu], uniq.size) + np.bincount(at[n_uu:], terms[n_uu:], uniq.size)
+    del keys, at, terms
     r, c = np.divmod(uniq, n_u)
     s = (s + s[np.searchsorted(uniq, c * n_u + r)]) / 2.0  # the structure is symmetric
     return _csr_from_entries(r, c, s, (n_u, n_u)), partial(_extension, blocks, W.size, n_u), rcond

@@ -183,6 +183,32 @@ class TestDeviation:
         assert _deviation(S, others["equal"]) == 0.0
 
 
+class TestNoHashUnique:
+    """numpy's np.unique takes a hash table when asked for no indices, several
+    times slower than one sort on the package's int64 keys; the sequence path
+    must not reach it."""
+
+    def test_sequence_path_makes_no_hash_unique_call(self, monkeypatch):
+        impl = pytest.importorskip("numpy.lib._arraysetops_impl")
+        if not hasattr(impl, "_unique_hash"):
+            pytest.skip("this numpy has no hash unique")
+        calls = []
+        hashed = impl._unique_hash
+        monkeypatch.setattr(impl, "_unique_hash", lambda *a, **k: calls.append(1) or hashed(*a, **k))
+        np.unique(np.array([3, 1, 3]))
+        assert calls == [1]  # the counter sees numpy's own calls
+        calls.clear()
+        for seq in (build_sierpinski_gasket(5), build_dyadic_interval(10)):
+            assert check_compatibility(seq)
+        coarse = with_edge(build_dyadic_interval(8), 7, 0, 100)
+        traced = netforms.trace(coarse.form(8), coarse.inclusions[7]).traced_form
+        fine = with_edge(build_dyadic_interval(7), 6, 2, 40)
+        small = netforms.trace(fine.form(6), fine.inclusions[5]).traced_form
+        for S, F in ((traced, coarse.form(7)), (small, fine.form(5))):  # two patterns, above and below DENSE_N_MAX
+            assert S.csr.nnz != F.csr.nnz and _deviation(S, F) > 0.0
+        assert calls == []
+
+
 class TestCheckBuildsNoOperator:
     @pytest.mark.parametrize("build", [lambda: build_dyadic_interval(8), lambda: build_sierpinski_gasket(4)])
     def test_no_extension_operator_built(self, build, monkeypatch):
@@ -393,3 +419,15 @@ class TestSerialization:
         nets = (Network(2, [(0, 1, 1.0)]), Network(3, [(0, 1, 1.0), (1, 2, 1.0)]))
         with pytest.raises(ValidationError, match="injective"):
             CompatibleSequence(nets, (np.array([0, 0]),))
+
+    @pytest.mark.parametrize("m", [[0, 0], [2, 2], [1, 1]])
+    def test_non_injective_inclusion_message(self, m):
+        nets = (Network(2, [(0, 1, 1.0)]), Network(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+        with pytest.raises(ValidationError, match=r"^inclusion 0 is not injective$"):
+            CompatibleSequence(nets, (np.array(m),))
+
+    @pytest.mark.parametrize("m", [[-1, 0], [0, 3], [-3, -3]])
+    def test_range_is_checked_before_injectivity(self, m):
+        nets = (Network(2, [(0, 1, 1.0)]), Network(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+        with pytest.raises(ValidationError, match=r"^inclusion 0 has an index outside level 1$"):
+            CompatibleSequence(nets, (np.array(m),))

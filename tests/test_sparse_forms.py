@@ -668,6 +668,126 @@ class TestInclusionsAreIndices:
             assert same.inclusions[0].tolist() == [0, 2]
 
 
+# ------------------------------------------ the counted Laplacian and its keys
+
+
+def argsort_laplacian(rows, cols, c, kappa) -> tuple:
+    """Oracle: the CSR arrays of a form by the earlier construction. The
+    entries of both triangles, row-major, get their diagonal placed by a
+    search on their keys, and every zero is dropped at the end."""
+    n = kappa.shape[0]
+    if n <= DENSE_N_MAX:
+        C = np.zeros((n, n))
+        C[rows, cols] = c
+        diag = C.sum(axis=1) + kappa
+    else:
+        diag = np.bincount(rows, c, minlength=n) + kappa
+    at = np.searchsorted(rows * n + cols, np.arange(n) * (n + 1)) + np.arange(n)
+    off = np.ones(rows.size + n, dtype=bool)
+    off[at] = False
+
+    def place(entries, diagonal):
+        out = np.empty(off.size, dtype=entries.dtype)
+        out[off], out[at] = entries, diagonal
+        return out
+
+    k = np.arange(n, dtype=rows.dtype)
+    r, j, v = place(rows, k), place(cols, k), place(-c, diag)
+    keep = v != 0.0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r[keep], minlength=n), out=indptr[1:])
+    return indptr, j[keep].astype(np.int64), v[keep]
+
+
+def argsort_assemble(net: Network) -> tuple:
+    """Oracle: both triangles of a network's edges by one stable argsort of
+    their 2|E| rows, then :func:`argsort_laplacian`."""
+    rows = np.concatenate([net.v, net.u])
+    order = np.argsort(rows, kind="stable")
+    cols, c = np.concatenate([net.u, net.v])[order], np.concatenate([net.c, net.c])[order]
+    return argsort_laplacian(rows[order], cols, c, net.killing)
+
+
+def assert_same_csr(M: csr_array, arrays: tuple) -> None:
+    for got, want in zip((M.indptr, M.indices, M.data), arrays):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+LAPLACIAN_SIZES = (1, 2, 7, 20, 40, DENSE_N_MAX, DENSE_N_MAX + 1, 97, 150, 300, 500)
+
+
+def laplacian_cases(n: int) -> list:
+    """24 random networks of n vertices: with and without edges, isolated
+    vertices and killing, half of them with dyadic numbers."""
+    grid = [(d, i, k) for d in (0.0, 0.5, 1.5, 4.0) for i in (0.0, 0.3) for k in (0.0, 0.4, 1.0)]
+    return [random_network(100 * n + s, n, d, i, k, s % 2 == 0) for s, (d, i, k) in enumerate(grid)]
+
+
+class TestCountedLaplacian:
+    """``_laplacian`` writes a large form's CSR arrays at counted positions; they
+    must be the arrays of the earlier argsort construction bit for bit, dtypes
+    included, with isolated vertices with and without killing and with no
+    edges at all."""
+
+    def test_cases_cover_both_sides_and_the_edge_cases(self):
+        nets = [net for n in LAPLACIAN_SIZES for net in laplacian_cases(n)]
+        assert len(nets) >= 200
+        large = [net for net in nets if net.n > DENSE_N_MAX]
+        assert len(large) >= 100 and len(nets) - len(large) >= 100
+        assert any(net.c.size == 0 for net in large)
+        # an isolated vertex without killing stores no diagonal entry
+        assert any(np.any(np.bincount(np.concatenate([net.u, net.v]), minlength=net.n) + net.killing == 0) for net in large)
+
+    @pytest.mark.parametrize("n", LAPLACIAN_SIZES)
+    def test_assemble_and_recompose_equal_the_argsort_construction(self, n):
+        for net in laplacian_cases(n):
+            A = assemble(net)
+            expected = argsort_assemble(net)
+            if n <= DENSE_N_MAX:  # held dense, with its CSR matrix read off the dense array
+                assert A._sparse is None
+                dense = np.zeros((n, n))
+                dense[np.repeat(np.arange(n), np.diff(expected[0])), expected[1]] = expected[2]
+                assert A.matrix.tobytes() == dense.tobytes()
+            assert_same_csr(A.csr, expected)
+            d = decompose(A)
+            i, j, v = network._entries(d.jump)
+            assert_same_csr(recompose(d).csr, argsort_laplacian(i, j, 2.0 * v, d.kappa))
+            assert_same_csr(recompose(d).csr, expected)  # the roundtrip is bit-exact on the CSR arrays
+
+    def test_recompose_of_a_public_kernel_above_dense_n_max(self):
+        A = assemble(random_network(5, DENSE_N_MAX + 40, 2.0, 0.2, 0.5, False))
+        d = decompose(A)
+        public = JumpKillingDecomposition(d.jump.toarray(), d.kappa)  # a checked copy; scipy 1.17 picks int32 indices
+        assert_same_csr(recompose(public).csr, (A.csr.indptr, A.csr.indices, A.csr.data))
+
+
+class TestDistinct:
+    """``network._distinct`` is ``np.unique`` without indices, by one sort."""
+
+    VALUES = {
+        "empty": [],
+        "single": [7],
+        "all-equal": [3, 3, 3, 3],
+        "negative": [-5, 2, -5, -1, 0, 2],
+        "sorted": list(range(-3, 40)),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("case", VALUES)
+    def test_equals_unique(self, case, dtype):
+        values = np.array(self.VALUES[case], dtype=dtype)
+        for a in (values, np.random.default_rng(0).permutation(values), values[::-1]):
+            got, want = network._distinct(a), np.unique(a)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_shuffled_keys(self):
+        a = np.random.default_rng(0).integers(-1000, 1000, 5000)
+        assert np.array_equal(network._distinct(a), np.unique(a))
+        assert np.array_equal(network._distinct(a.astype(np.int32)), np.unique(a.astype(np.int32)))
+        big = np.array([2**40, -(2**40), 0, 2**40, 2**62])  # int64 keys beyond int32
+        assert np.array_equal(network._distinct(big), np.unique(big))
+
+
 # --------------------------------------------------------- memory regressions
 
 

@@ -574,7 +574,7 @@ class TestSplitTrace:
 
     def test_guard_counts_the_boundary_pair_terms(self, monkeypatch):
         # the center of a star touches all of its 6,000 leaves: 3.6e7 boundary
-        # pairs, 11 arrays of them; a star of at most 3,493 leaves passes
+        # pairs, 9 arrays of them; a star of at most 3,861 leaves passes
         def eliminate(*args):
             raise AssertionError("eliminated a block past the guard")
 
@@ -583,7 +583,7 @@ class TestSplitTrace:
         A = assemble(Network.from_arrays(b + 1, np.zeros(b, dtype=int), np.arange(1, b + 1), np.ones(b)))
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match=r"^the boundary-pair terms of the interior components of shape \(11, 36000000\) "):
+            with pytest.raises(ValidationError, match=r"^the boundary-pair terms of the interior components of shape \(9, 36000000\) "):
                 trace(A, np.arange(1, b + 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -91,7 +91,7 @@ def _scale(m) -> float:
     magnitude is that of its nonzero entries, kept on the form."""
     if isinstance(m, FormMatrix):
         return m._memo("scale", lambda A: _scale(_entries(A)[2]))
-    return max(1.0, float(np.max(np.abs(m), initial=0.0)))
+    return max(1.0, float(np.abs(m).max(initial=0.0)))
 
 
 def _real(x, what: str) -> float:
@@ -192,7 +192,7 @@ def _as_vector(values, n: int, what: str) -> np.ndarray:
     v = _reals(values, what)
     if v.shape != (n,):
         raise ValidationError(f"{what} must be a vector of length {n}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         raise ValidationError(f"{what}[{bad}] = {float(v[bad])!r} is not finite")
     return v
@@ -245,7 +245,14 @@ class _EdgeArrays(NamedTuple):
 
 def _parse_edges(edges, n: int) -> _EdgeArrays:
     """Arrays of an iterable of (u, v, c) triples: endpoints by the integer
-    rule of :func:`_index`, conductances by the number rule of :func:`_real`."""
+    rule of :func:`_index`, conductances by the number rule of :func:`_real`.
+    A list of 3-tuples of Python ints and floats is read a column at a time;
+    other edges, or numbers numpy cannot take, go one by one to name the first bad edge."""
+    if type(edges) is list and edges and set(map(type, edges)) == {tuple} and set(map(len, edges)) == {3}:
+        u, v, c = zip(*edges)
+        if set(map(type, u + v)) == {int} and set(map(type, c)) <= {int, float}:
+            with suppress(OverflowError):  # an endpoint beyond int64 or an int beyond the float range
+                return _EdgeArrays(np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(c, dtype=float))
     us, vs, cs = [], [], []
     for k, e in enumerate(edges):
         try:
@@ -288,7 +295,7 @@ def _check_edges(u: np.ndarray, v: np.ndarray, c: np.ndarray, n: int) -> _EdgeAr
     dup = np.zeros(key.size, dtype=bool)
     dup[order[1:][key[order[1:]] == key[order[:-1]]]] = True
     bad = loop | out | weak | dup
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(bad))
         if loop[k]:
             raise ValidationError(f"edge #{k}: self-loop at vertex {int(u[k])} is not allowed")
@@ -300,7 +307,10 @@ def _check_edges(u: np.ndarray, v: np.ndarray, c: np.ndarray, n: int) -> _EdgeAr
             )
         first = int(np.flatnonzero(key == key[k])[0])
         raise ValidationError(f"edge #{k}: duplicate edge ({int(lo[k])}, {int(hi[k])}), first seen as edge #{first}")
-    return _EdgeArrays(_readonly(lo[order], np.int64), _readonly(hi[order], np.int64), _readonly(c[order]))
+    edges = _EdgeArrays(lo[order], hi[order], c[order])  # fresh arrays, made read-only in place
+    for a in edges:
+        a.setflags(write=False)
+    return edges
 
 
 class Network:
@@ -338,7 +348,7 @@ class Network:
             kap = np.zeros(n)
         else:
             kap = _as_vector(killing, n, "killing")
-            if np.any(kap < 0):
+            if (kap < 0).any():
                 bad = int(np.flatnonzero(kap < 0)[0])
                 raise ValidationError(f"killing[{bad}] = {kap[bad]} must be >= 0")
 
@@ -443,13 +453,20 @@ def _csr_from_entries(rows, cols, vals, shape) -> csr_array:
     return _csr(indptr, cols.astype(np.int64, copy=False), vals.astype(float, copy=False), shape)
 
 
-def _csr_from_dense(m: np.ndarray) -> csr_array:
-    """CSR matrix of the nonzero entries of a dense 2-d array, in one pass
-    over its nonzero mask."""
-    nonzero = m != 0.0
-    indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
-    return _csr(indptr, np.flatnonzero(nonzero) % m.shape[1], m[nonzero], m.shape)
+def _dense_entries(m: np.ndarray):
+    """Row indices, column indices and values of the nonzero entries of a dense 2-d array, row-major,
+    from one pass over it; all three C-contiguous, as ``connected_components`` needs the columns."""
+    m = np.ascontiguousarray(m)
+    k = np.flatnonzero(m)
+    i, j = np.divmod(k, m.shape[1])
+    return i, j, m.ravel()[k]
+
+
+def _csr_from_dense(m: np.ndarray, entries=None) -> csr_array:
+    """CSR matrix of the nonzero entries of a dense 2-d array: of the entries
+    :func:`_dense_entries` reads off it, or has already read (``entries``)."""
+    i, j, a = _dense_entries(m) if entries is None else entries
+    return _csr(np.searchsorted(i, np.arange(m.shape[0] + 1)), j, a, m.shape)
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -470,10 +487,7 @@ def _entries(A):
 
 def _stored_entries(A: "FormMatrix"):
     """The nonzero entries of a form, as :func:`_entries` gives them."""
-    if A._sparse is None:
-        i, j = np.nonzero(A._dense)
-        return i, j, A._dense[i, j]
-    return _entries(A._sparse)
+    return _dense_entries(A._dense) if A._sparse is None else _entries(A._sparse)
 
 
 def _kernel(matrix, what: str) -> csr_array:
@@ -490,10 +504,10 @@ def _kernel(matrix, what: str) -> csr_array:
     M.sum_duplicates()
     M.eliminate_zeros()
     i, j, v = _entries(M)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         x = np.argmax(~np.isfinite(v))
         raise ValidationError(f"{what} entry ({i[x]},{j[x]}) = {float(v[x])!r} is not finite")
-    if np.any(i == j):
+    if (i == j).any():
         raise ValidationError(f"{what} must have zero diagonal")
     if (ij := _asymmetric(M)) is not None:
         raise ValidationError(f"{what} is not symmetric at ({ij[0]},{ij[1]})")
@@ -503,19 +517,20 @@ def _kernel(matrix, what: str) -> csr_array:
 def _check_finite(m) -> None:
     """Raise ValidationError, naming the first row that has one, if a dense
     or CSR form matrix has a non-finite entry."""
-    bad = np.flatnonzero(~np.isfinite(m.data if issparse(m) else m))  # row-major, as the CSR entries are
-    if bad.size:
-        row = np.searchsorted(m.indptr, bad[0], side="right") - 1 if issparse(m) else bad[0] // m.shape[1]
+    values = m.data if issparse(m) else m
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values))[0]  # row-major, as the CSR entries are
+        row = np.searchsorted(m.indptr, bad, side="right") - 1 if issparse(m) else bad // m.shape[1]
         raise ValidationError(f"form matrix contains non-finite entries, the first in row {int(row)}")
 
 
 class FormMatrix:
     """Symmetric matrix realizing a bilinear form f^T A g.
 
-    Built from a dense array, a form keeps that array and derives its CSR
-    matrix ``csr`` on first sparse use, in one pass over the array's nonzero
-    mask; built from a scipy sparse matrix, it keeps the CSR matrix and
-    derives the dense view ``matrix`` on request, after checking it against
+    Built from a dense array, a form keeps that array, reads its nonzero entries
+    off it in one pass and wraps them as its CSR matrix ``csr`` on first sparse use;
+    built from a scipy sparse matrix, it keeps the CSR matrix and derives the
+    dense view ``matrix`` on request, after checking it against
     ``DENSE_BYTES_MAX``. Both are read-only. The matrix-vector products of the
     cross-checks in ``energy_measure`` and ``transfer_form`` read the dense
     array at most ``DENSE_N_MAX`` vertices and the CSR matrix above.
@@ -624,7 +639,7 @@ class FormMatrix:
     def csr(self) -> csr_array:
         """The CSR matrix: canonical (sorted, no stored zeros) and read-only."""
         if self._sparse is None:
-            object.__setattr__(self, "_sparse", _csr_from_dense(self._dense))
+            object.__setattr__(self, "_sparse", _csr_from_dense(self._dense, _entries(self)))
         return self._sparse
 
     def __repr__(self):
@@ -666,9 +681,9 @@ class AtomicMeasure:
         w = _reals(self.weights, "weights")
         if w.ndim != 1:
             raise ValidationError(f"measure weights must be a 1-d vector, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise ValidationError("measure weights contain non-finite entries")
-        if np.any(w < 0):
+        if (w < 0).any():
             bad = int(np.flatnonzero(w < 0)[0])
             raise ValidationError(f"weight[{bad}] = {w[bad]} must be >= 0")
         object.__setattr__(self, "weights", _readonly(w))
@@ -680,7 +695,7 @@ class AtomicMeasure:
 
     @property
     def everywhere_positive(self) -> bool:
-        return bool(np.all(self.weights > 0))
+        return bool((self.weights > 0).all())
 
 
 def assemble(net: Network) -> FormMatrix:
@@ -694,7 +709,8 @@ def assemble(net: Network) -> FormMatrix:
 
 def _row_sums(rows, cols, c, n: int) -> np.ndarray:
     """Row sums of the entries c at (rows, cols), the one diagonal rule of assemble, recompose and
-    decompose: numpy's dense row sums at most ``DENSE_N_MAX`` vertices, else in the entries' order."""
+    decompose: numpy's dense row sums at most ``DENSE_N_MAX`` vertices, else in the entries' order.
+    :func:`_laplacian` applies it in place, a dense form to its own rows of -c (see there)."""
     if n > DENSE_N_MAX:
         return np.bincount(rows, c, minlength=n)
     C = np.zeros((n, n))
@@ -703,17 +719,19 @@ def _row_sums(rows, cols, c, n: int) -> np.ndarray:
 
 
 def _laplacian(u, v, c, kappa) -> FormMatrix:
-    """Form matrix of conductances c on the canonical upper triangle u < v and killing kappa:
-    dense at most ``DENSE_N_MAX`` vertices, else CSR arrays written at counted positions in
-    O(|E|). Row x holds the edges (u, x), its diagonal, then the edges (x, v), summed in that order."""
+    """Form matrix of conductances c on the canonical upper triangle u < v and killing kappa: at most
+    ``DENSE_N_MAX`` vertices one dense array, -c off the diagonal and on it kappa minus the array's row
+    sums, bit for bit :func:`_row_sums` of c plus kappa as rounding is symmetric (``0.0 -`` keeps +0.0);
+    above, CSR arrays at counted positions in O(|E|), row x the edges (u, x), diagonal, edges (x, v)."""
     n = kappa.shape[0]
-    with np.errstate(over="ignore"):  # an overflowing row sum is left to the finiteness check
-        diag = _row_sums(np.concatenate([v, u]), np.concatenate([u, v]), np.concatenate([c, c]), n) + kappa
     if n <= DENSE_N_MAX:
         A = np.zeros((n, n))
         A[u, v] = A[v, u] = -c
-        np.fill_diagonal(A, diag)
+        with np.errstate(over="ignore"):  # an overflowing row sum is left to the finiteness check
+            np.fill_diagonal(A, (0.0 - A.sum(axis=1)) + kappa)
         return FormMatrix._trusted(A)
+    with np.errstate(over="ignore"):
+        diag = np.bincount(np.concatenate([v, u]), np.concatenate([c, c]), minlength=n) + kappa
     x = np.arange(n + 1)
     upper = np.searchsorted(u, x)  # upper entries in the rows before x
     lower = np.cumsum(np.bincount(v, minlength=n))  # lower entries in the rows up to x
@@ -724,7 +742,7 @@ def _laplacian(u, v, c, kappa) -> FormMatrix:
     indices[low], indices[at], indices[up] = u[order], x[:-1], v
     data[low], data[at], data[up] = -c[order], diag, -c
     indptr = np.concatenate([[0], lower + upper[1:] + np.cumsum(diag != 0.0)])
-    if not np.all(diag):  # an isolated vertex without killing stores no diagonal; no -c is 0
+    if not diag.all():  # an isolated vertex without killing stores no diagonal; no -c is 0
         indices, data = indices[data != 0.0], data[data != 0.0]
     return FormMatrix._trusted(_csr(indptr, indices, data, (n, n)))
 
@@ -774,7 +792,7 @@ def _markov(A: FormMatrix, tol: float) -> MarkovReport:
     violations = [
         f"off-diagonal ({x},{y}) = {v!r} exceeds tolerance {tol!r}"
         for x, y, v in zip(i[bad].tolist(), j[bad].tolist(), a[bad].tolist())
-    ]
+    ] if bad.any() else []
     rows = killing_vector(A)
     for x in np.flatnonzero(rows < -tol):
         violations.append(f"row {x} sum = {float(rows[x])!r} is below -{tol!r}")

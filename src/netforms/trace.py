@@ -95,7 +95,7 @@ def _check_subset(subset, n: int) -> np.ndarray:
     if U.size == 0:
         raise ValidationError("subset must be a nonempty 1-d index list")
     out = (U < 0) | (U >= n)
-    if np.any(out):
+    if out.any():
         raise ValidationError(f"vertex {int(U[np.argmax(out)])} out of range for n={n}")
     return U
 
@@ -137,7 +137,7 @@ def _cholesky(M: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     c, info = lapack.dpotrf(M, lower=1, clean=0)
     rcond = 0.0
     if info == 0:
-        rcond, info = lapack.dpocon(c, np.max(np.sum(np.abs(M), axis=0)), uplo="L")  # the 1-norm of M
+        rcond, info = lapack.dpocon(c, lapack.dlange("1", M), uplo="L")  # the 1-norm of M: column sums in order
         rcond = rcond if info == 0 else 0.0
     _guard(rcond, singular)
     return lapack.dpotrs(c, B, lower=1)[0], rcond
@@ -171,7 +171,7 @@ def _split(i, j, pos, inner, n_u: int, n_w: int):
     sel = inner[i] & (i != j)
     r, j = pos[i[sel]], j[sel]  # r is a position in W, ascending; j a vertex
     ij = inner[j]
-    if np.any(ij):  # the entries stay row-major, as pos keeps the order of W
+    if ij.any():  # the entries stay row-major, as pos keeps the order of W
         support = _csr_from_entries(r[ij], pos[j[ij]], np.ones(np.count_nonzero(ij)), (n_w, n_w))
         labels = _labels(support, symmetric=True)  # the form's support, so symmetric
     else:  # isolated vertices, numbered as _labels numbers them
@@ -180,8 +180,8 @@ def _split(i, j, pos, inner, n_u: int, n_w: int):
     size = np.bincount(labels)
     n_boundary = np.bincount(comp, minlength=size.size)
     # a component with b boundary columns adds b^2 keys and terms to _kron's entry sums, which
-    # hold at most 9 arrays of that size at once (8.1 measured on a star traced onto its leaves)
-    _check_dense((9, int(n_boundary @ n_boundary)), "the boundary-pair terms of the interior components")
+    # hold at most 7 arrays of that size at once (6.1 measured on a star traced onto its leaves)
+    _check_dense((7, int(n_boundary @ n_boundary)), "the boundary-pair terms of the interior components")
     members = np.argsort(labels, kind="stable")
     first = np.cumsum(size) - size
     first_col = np.cumsum(n_boundary) - n_boundary
@@ -197,7 +197,7 @@ def _divided(A_ww: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     shapes (k, k) and (k, b) or stacked (m, k, k) and (m, k, b): each vertex
     an exact 1 x 1 block of rcond 1, or 0 when some d is not positive."""
     d = np.diagonal(A_ww, axis1=-2, axis2=-1)
-    rcond = 1.0 if np.all(d > 0.0) else 0.0
+    rcond = 1.0 if (d > 0.0).all() else 0.0
     _guard(rcond, singular)
     return -B / d[..., None], rcond
 
@@ -217,7 +217,7 @@ def _stacked(A_ww: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     except np.linalg.LinAlgError:
         rcond = 0.0
     else:
-        norm1 = np.max(np.sum(np.abs(A_ww), axis=1), axis=1) * np.max(np.sum(np.abs(X[:, :, b:]), axis=1), axis=1)
+        norm1 = np.abs(A_ww).sum(axis=1).max(axis=1) * np.abs(X[:, :, b:]).sum(axis=1).max(axis=1)
         rcond = float(np.min(1.0 / norm1))
     _guard(rcond, singular)
     return -X[:, :, :b], rcond
@@ -238,22 +238,28 @@ def _block(A_cc: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
 def _sparse_block(A: csr_array, Wc: np.ndarray, Uc: np.ndarray, singular: Callable[[], str]):
     """:func:`_block`, with B_c, for a component above ``DENSE_N_MAX`` vertices, on its
     CSR rows. SuperLU pivots on the diagonal: A_cc is positive definite iff the row and
-    column permutations agree and every pivot is positive. ``t=1`` draws no random numbers."""
+    column permutations agree and every pivot is positive. ``t=1`` draws no random numbers. A failed
+    allocation in the factor or its solves raises ValidationError; SuperLU's other errors propagate."""
     rows = A[Wc]
     M = rows[:, Wc].T  # CSC, as SuperLU takes it; M is symmetric
     _check_dense((80 * M.nnz + Wc.size * Uc.size,), "a component's LU workspace (80 floats an entry) and solution")
     try:
         lu = splu(M, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as err:
-        if str(err) != "Factor is exactly singular":
+        definite = np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all()
+        inverse = LinearOperator(M.shape, matvec=lu.solve, rmatvec=lu.solve, dtype=float)  # M is symmetric
+        rcond = 1.0 / (float(onenormest(inverse, t=1)) * float(abs(M).sum(axis=0).max())) if definite else 0.0
+        _guard(rcond, singular)
+        B = rows[:, Uc].toarray()
+        return B, -lu.solve(B), rcond
+    except (RuntimeError, MemoryError, SystemError) as err:
+        if str(err) == "Factor is exactly singular":
+            _guard(0.0, singular)
+        # SuperLU reports the bytes it held at a failed allocation in a C int, which turns negative
+        # above 2 GiB and then reads as "invalid arguments"; the guard's error is a RuntimeError too
+        allocation = isinstance(err, MemoryError) or any(w in str(err).lower() for w in ("alloc", "memory"))
+        if isinstance(err, SingularBlockError) or not (allocation or str(err) == "gstrf was called with invalid arguments"):
             raise
-        _guard(0.0, singular)
-    definite = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)
-    inverse = LinearOperator(M.shape, matvec=lu.solve, rmatvec=lu.solve, dtype=float)  # M is symmetric
-    rcond = 1.0 / (float(onenormest(inverse, t=1)) * float(abs(M).sum(axis=0).max())) if definite else 0.0
-    _guard(rcond, singular)
-    B = rows[:, Uc].toarray()
-    return B, -lu.solve(B), rcond
+        raise ValidationError(f"out of memory eliminating an interior component of {Wc.size} vertices by sparse LU") from None
 
 
 def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], str]):
@@ -298,11 +304,18 @@ def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], st
         rcond = min(rcond, rc)
     # entry sums, A_UU first; each list and array goes once read, which sets the peak _split counts
     n_uu, keys, terms = keys[0].size, np.concatenate(keys), np.concatenate(terms)
-    uniq, at = np.unique(keys, return_inverse=True)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.concatenate([keys[:1] == keys[:1], keys[1:] != keys[:-1]])  # the first of each run of equal keys
+    uniq, at = keys[first], np.empty_like(order)
+    del keys
+    at[order] = np.cumsum(first) - 1  # the inverse: the place of each key in uniq
+    del order, first
     s = np.bincount(at[:n_uu], terms[:n_uu], uniq.size) + np.bincount(at[n_uu:], terms[n_uu:], uniq.size)
-    del keys, at, terms
+    del at, terms
+    s = (s + s[np.searchsorted(uniq, uniq % n_u * n_u + uniq // n_u)]) / 2.0  # the structure is symmetric
     r, c = np.divmod(uniq, n_u)
-    s = (s + s[np.searchsorted(uniq, c * n_u + r)]) / 2.0  # the structure is symmetric
+    del uniq
     return _csr_from_entries(r, c, s, (n_u, n_u)), partial(_extension, blocks, W.size, n_u), rcond
 
 
@@ -394,7 +407,7 @@ def harmonic_extension(tr: TraceResult, f) -> np.ndarray:
 def _require_conservative(A: FormMatrix, op: str) -> None:
     kappa = killing_vector(A)
     # killing-free means zero row sums, so negative ones count as killing too
-    if not np.all(_killing_free(np.abs(kappa), _scale(A))):
+    if not _killing_free(np.abs(kappa), _scale(A)).all():
         i = int(np.argmax(np.abs(kappa)))
         raise UnsupportedRegimeError(
             f"{op} is defined only for killing-free forms; row {i} has killing weight {float(kappa[i])!r}"
@@ -445,10 +458,10 @@ def resistance_matrix(A: FormMatrix) -> np.ndarray:
         )
     _check_dense((5, A.n, A.n), "the dense form, its factor, the identity, the solution and R")
     X, _ = _cholesky(A.matrix[1:, 1:], np.eye(A.n - 1), lambda: "form grounded at vertex 0 is numerically singular")
-    G = np.zeros((A.n, A.n))
-    G[1:, 1:] = X
-    d = np.diag(G)
-    R = d[:, None] + d[None, :] - 2.0 * G
+    d = X.diagonal()
+    R = np.empty((A.n, A.n))
+    np.subtract(d[:, None] + d, 2.0 * X, out=R[1:, 1:])
+    R[0, 0], R[0, 1:], R[1:, 0] = 0.0, d, d  # G is zero on row and column 0
     R = (R + R.T) / 2.0
     np.fill_diagonal(R, 0.0)
     return R

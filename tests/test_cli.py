@@ -235,6 +235,52 @@ def test_star_trace_onto_leaves_is_refused_under_3_gib(tmp_path):
     assert error["type"] == "validation" and error["message"].startswith("the boundary-pair terms")
 
 
+#: A CLI child that limits its own address space to what it holds after
+#: importing netforms plus argv[1] MiB, then runs the command in argv[2:].
+LIMITED_CLI = """
+import resource, sys
+import netforms.cli
+with open("/proc/self/status") as fh:
+    held = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+limit = held + int(sys.argv[1]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(netforms.cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the address space from /proc")
+def test_superlu_out_of_memory_exits_1_on_a_30_cube_grid(tmp_path):
+    # 27,000 vertices: SuperLU factors the interior of 26,998 in about 5 s with 400 MiB
+    # above the child's own footprint. With 195-370 MiB SuperLU cannot expand its
+    # L factor ("Can't expand MemType 0" on stderr, then a MemoryError); with 80-120
+    # and 180-190 it retries ever smaller expansions for minutes, so 230 and 330 are used.
+    m = 30
+    idx = np.arange(m**3).reshape(m, m, m)
+    u = np.concatenate([idx[:-1].ravel(), idx[:, :-1].ravel(), idx[:, :, :-1].ravel()])
+    v = np.concatenate([idx[1:].ravel(), idx[:, 1:].ravel(), idx[:, :, 1:].ravel()])
+    net = tmp_path / "grid30.json"
+    net.write_text(json.dumps(netforms.Network.from_arrays(m**3, u, v, np.ones(u.size)).to_dict()))
+    args = ["resistance", "--pairs", f"0,{m**3 - 1}", "--net", str(net)]
+    procs = [
+        subprocess.Popen([sys.executable, "-c", LIMITED_CLI, str(mib), *args], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, env=child_env())
+        for mib in (230, 330)
+    ]
+    try:
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 1 and out == "", err[-2000:]
+            assert "Traceback" not in err
+            error = json.loads(err.splitlines()[-1])["error"]
+            assert error == {
+                "type": "validation",
+                "message": f"out of memory eliminating an interior component of {m**3 - 2} vertices by sparse LU",
+            }
+    finally:  # a child that stalls inside SuperLU is not left running
+        for proc in procs:
+            proc.kill()
+
+
 def test_gasket8_decompose_and_occupy_under_3_gib(tmp_path):
     # 9,843 vertices: one dense n x n float64 array alone takes 739 MiB. The
     # vertices are renumbered so that the three corners come first.

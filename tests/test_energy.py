@@ -19,7 +19,7 @@ from netforms import (
 )
 from netforms.random_networks import random_connected_network, random_markov_form
 
-from conftest import edge_sum_energy
+from helpers import edge_sum_energy
 
 
 def closed_form_oracle(net: Network, f):

@@ -43,7 +43,7 @@ from netforms import network
 from netforms.cli import _build_parser
 from netforms.random_networks import random_connected_network, random_markov_form
 
-from conftest import edge_sum_energy, networks
+from helpers import edge_sum_energy, networks
 
 
 def quadratic_to_matrix(q, n):

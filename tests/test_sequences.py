@@ -29,7 +29,7 @@ from netforms import (
 from netforms.network import DENSE_N_MAX
 from netforms.sequences import _deviation, sequence_from_dict, sequence_to_dict
 
-from conftest import networks
+from helpers import networks
 
 
 def with_edge(seq, level, u, v, c=1.0):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
@@ -786,6 +787,182 @@ class TestDistinct:
         assert np.array_equal(network._distinct(a.astype(np.int32)), np.unique(a.astype(np.int32)))
         big = np.array([2**40, -(2**40), 0, 2**40, 2**62])  # int64 keys beyond int32
         assert np.array_equal(network._distinct(big), np.unique(big))
+
+
+# ------------------------------------------------ the dense small-form path
+
+
+def two_array_laplacian(u, v, c, kappa) -> np.ndarray:
+    """Oracle: a dense form by the earlier construction, from two n x n arrays:
+    the diagonal is the numpy row sums of the conductance matrix plus kappa."""
+    n = kappa.shape[0]
+    C = np.zeros((n, n))
+    C[v, u] = C[u, v] = c
+    with np.errstate(over="ignore"):
+        diag = C.sum(axis=1) + kappa
+    A = np.zeros((n, n))
+    A[u, v] = A[v, u] = -c
+    np.fill_diagonal(A, diag)
+    return A
+
+
+def dense_cases() -> list:
+    """240 networks of at most DENSE_N_MAX vertices, with isolated vertices
+    and killing, at scales from 1e-310 (subnormal) to 1e300."""
+    scales = (1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300)
+    nets = [net for n in (1, 2, 7, 20, 33, 40, 50, DENSE_N_MAX) for net in laplacian_cases(n)[::5]]
+    return [
+        Network.from_arrays(net.n, net.u, net.v, net.c * scale, net.killing * scale) for scale in scales for net in nets
+    ]
+
+
+class TestDenseLaplacian:
+    """At most DENSE_N_MAX vertices ``_laplacian`` writes one array and reads
+    its diagonal off that array's own rows; the result must be the earlier
+    two-array construction byte for byte."""
+
+    def test_cases_cover_scales_killing_and_isolated_vertices(self):
+        nets = dense_cases()
+        assert len(nets) >= 200 and all(net.n <= DENSE_N_MAX for net in nets)
+        assert any(net.c.size and net.c.min() < 2.3e-308 for net in nets)  # subnormal conductances
+        assert any(net.killing.any() for net in nets) and any(net.c.size == 0 for net in nets)
+        assert any((np.bincount(np.concatenate([net.u, net.v]), minlength=net.n) == 0).any() for net in nets)
+
+    def test_assemble_and_roundtrip_equal_the_two_array_construction(self):
+        for net in dense_cases():
+            A = assemble(net)
+            assert A._sparse is None
+            assert A.matrix.tobytes() == two_array_laplacian(net.u, net.v, net.c, net.killing).tobytes()
+            if net.c.min(initial=1.0) >= np.finfo(float).tiny:  # decompose halves a subnormal inexactly
+                assert recompose(decompose(A)).matrix.tobytes() == A.matrix.tobytes()
+
+    def test_negative_zero_killing_on_a_row_without_edges(self):
+        # a public decomposition may carry -0.0; the earlier sum 0.0 + -0.0 stored +0.0
+        d = JumpKillingDecomposition(np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]), [1.0, -0.0, -0.0])
+        got = recompose(d).matrix
+        want = two_array_laplacian(np.array([0]), np.array([1]), np.array([1.0]), d.kappa)
+        assert got.tobytes() == want.tobytes() and np.signbit(got[2, 2]) == np.signbit(want[2, 2]) == False
+
+    def test_overflowing_row_sum_still_raises(self):
+        net = Network(3, [(0, 1, 1e308), (1, 2, 1e308)])
+        with pytest.raises(ValidationError, match=r"^form matrix contains non-finite entries, the first in row 1$"):
+            assemble(net)
+
+
+class TestDenseEntries:
+    """A dense form's entries come from one pass over its array, and its CSR
+    matrix wraps them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 40, DENSE_N_MAX])
+    def test_csr_of_a_dense_form(self, n):
+        for net in laplacian_cases(n):
+            A = assemble(net)
+            M, ref = A.csr, network._csr_from_dense(A.matrix)
+            assert_same_csr(M, (ref.indptr, ref.indices, ref.data))
+            assert M.indices is network._entries(A)[1] and M.data is network._entries(A)[2]
+            assert M.indices.dtype == M.indptr.dtype == np.int64
+            assert_well_formed(M)
+            i, j, a = network._entries(A)
+            assert all(x.flags.c_contiguous for x in (i, j, a))
+            assert np.array_equal(i, np.nonzero(A.matrix)[0]) and np.array_equal(j, np.nonzero(A.matrix)[1])
+            labels = connected_components(M, directed=True, connection="strong")[1]
+            assert np.array_equal(labels, network._labels(A))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (1, 1), (3, 7)])
+    def test_csr_from_dense_shapes(self, shape):
+        m = np.random.default_rng(1).standard_normal(shape) * (np.random.default_rng(2).random(shape) < 0.5)
+        M = network._csr_from_dense(m)
+        ref = csr_array(m)
+        assert M.shape == shape and M.indptr.tolist() == ref.indptr.tolist()
+        assert M.indices.tolist() == ref.indices.tolist() and M.data.tobytes() == ref.data.tobytes()
+        assert M.indptr.dtype == M.indices.dtype and M.indices.flags.c_contiguous
+        assert_well_formed(M)
+
+    def test_csr_from_dense_of_strided_arrays(self):
+        m = np.random.default_rng(3).standard_normal((9, 6)) * (np.random.default_rng(4).random((9, 6)) < 0.4)
+        for view in (np.asfortranarray(m), m[::2], m[:, 1:], -np.asfortranarray(m)):
+            M = network._csr_from_dense(view)
+            assert np.array_equal(M.toarray(), view) and M.indices.flags.c_contiguous
+            assert_well_formed(M)
+
+
+#: Edge lists read by both paths of ``_parse_edges``: each as a list (the bulk
+#: path, when its entries allow it) and as a generator and a tuple (one by one).
+BULK_EDGES = {
+    "ints-and-floats": [(0, 1, 1.5), (2, 1, 2), (0, 2, 1e-320)],
+    "large-int-conductance": [(0, 1, 2**70 + 12345), (1, 2, 2**53 + 1)],
+    "int-beyond-float": [(0, 1, 1.0), (1, 2, 10**400)],
+    "int-beyond-int64": [(0, 1, 1.0), (2**70, 1, 1.0)],
+    "negative-beyond-int64": [(-(2**64), 1, 1.0)],
+    "negative-and-out-of-range": [(-1, 1, 1.0), (0, 7, 2.0)],
+    "numpy-int-endpoints": [(np.int64(0), 1, 1.0), (1, np.int32(2), 1.0)],
+    "numpy-float-conductance": [(0, 1, np.float64(1.5)), (1, 2, 2.0)],
+    "bool-endpoint": [(0, 1, 1.0), (True, 2, 1.0)],
+    "bool-conductance": [(0, 1, 1.0), (1, 2, True)],
+    "float-endpoint": [(0, 1.0, 1.0)],
+    "string-conductance": [(0, 1, "1.0")],
+    "none-conductance": [(0, 1, None)],
+    "two-tuple": [(0, 1, 1.0), (1, 2)],
+    "four-tuple": [(0, 1, 1.0, 5)],
+    "list-triples": [[0, 1, 1.0], [1, 2, 0.5]],
+    "mixed-triples": [(0, 1, 1.0), [1, 2, 0.5]],
+    "not-a-triple": [(0, 1, 1.0), 7],
+    "empty": [],
+}
+
+
+class TestBulkEdgeParse:
+    @pytest.mark.parametrize("case", BULK_EDGES)
+    def test_bulk_path_equals_the_loop(self, case):
+        edges = BULK_EDGES[case]
+        got = parsed(edges)
+        assert got == parsed(iter(edges)) == parsed(tuple(edges)) == parsed(e for e in edges)
+        if not isinstance(got, str):
+            assert [dtype for dtype, _ in got] == [np.dtype(np.int64), np.dtype(np.int64), np.dtype(float)]
+
+    def test_errors_name_the_first_bad_edge(self):
+        assert parsed(BULK_EDGES["int-beyond-int64"]) == "edge #1: endpoint out of range (u=1180591620717411303424, v=1, n=3)"
+        assert parsed(BULK_EDGES["int-beyond-float"]) == "edge #1: conductance is too large for a float"
+        assert parsed(BULK_EDGES["bool-conductance"]) == "edge #1: conductance must be a real number, got True"
+        assert parsed(BULK_EDGES["two-tuple"]) == "edge #1: expected a (u, v, c) triple, got (1, 2)"
+        assert parsed(BULK_EDGES["empty"]) == [(np.dtype(np.int64), []), (np.dtype(np.int64), []), (np.dtype(float), [])]
+
+    def test_a_list_of_python_numbers_is_read_a_column_at_a_time(self, monkeypatch):
+        calls = []
+        for name in ("_index", "_real"):
+            fn = getattr(network, name)
+            monkeypatch.setattr(network, name, lambda *a, _f=fn, _n=name: calls.append(_n) or _f(*a))
+        parsed(BULK_EDGES["ints-and-floats"])
+        assert calls == []
+        parsed(iter(BULK_EDGES["ints-and-floats"]))
+        assert len(calls) == 9
+
+    def test_checked_edges_are_read_only(self):
+        net = Network(3, [(2, 1, 1.0), (0, 1, 2)])
+        assert [a.tolist() for a in (net.u, net.v, net.c)] == [[0, 1], [1, 2], [2.0, 1.0]]
+        assert not any(a.flags.writeable for a in (net.u, net.v, net.c))
+
+
+class TestCholeskyNorm:
+    """``_cholesky`` takes the 1-norm of its block from LAPACK's ``dlange``,
+    whose column sums run in row order as numpy's axis-0 sums of a C-ordered
+    array do: the two must agree bit for bit on the strided blocks it gets."""
+
+    def test_dlange_equals_the_numpy_norm(self):
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            n, k = int(rng.integers(1, DENSE_N_MAX + 1)), int(rng.integers(0, 8))
+            big = rng.standard_normal((n + k, n + k)) * 10.0 ** rng.integers(-300, 300)
+            big[rng.random(big.shape) < 0.5] = 0.0
+            for M in (big[k:, k:], big[:n, :n], big.take(rng.permutation(n + k), 0)[k:, k:]):
+                assert lapack.dlange("1", M) == np.max(np.sum(np.abs(M), axis=0))
+
+    def test_rcond_unchanged_on_a_trace(self):
+        A = assemble(random_network(6, 30, 2.0, 0.0, 0.5, False))
+        M = A.matrix[5:, 5:]
+        c, _ = lapack.dpotrf(M, lower=1, clean=0)
+        want = lapack.dpocon(c, np.max(np.sum(np.abs(M), axis=0)), uplo="L")[0]
+        assert trace(A, range(5)).rcond == want
 
 
 # --------------------------------------------------------- memory regressions

@@ -574,7 +574,7 @@ class TestSplitTrace:
 
     def test_guard_counts_the_boundary_pair_terms(self, monkeypatch):
         # the center of a star touches all of its 6,000 leaves: 3.6e7 boundary
-        # pairs, 9 arrays of them; a star of at most 3,861 leaves passes
+        # pairs, 7 arrays of them; a star of at most 4,378 leaves passes
         def eliminate(*args):
             raise AssertionError("eliminated a block past the guard")
 
@@ -583,7 +583,7 @@ class TestSplitTrace:
         A = assemble(Network.from_arrays(b + 1, np.zeros(b, dtype=int), np.arange(1, b + 1), np.ones(b)))
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match=r"^the boundary-pair terms of the interior components of shape \(9, 36000000\) "):
+            with pytest.raises(ValidationError, match=r"^the boundary-pair terms of the interior components of shape \(7, 36000000\) "):
                 trace(A, np.arange(1, b + 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -643,13 +643,57 @@ class TestSparseBlock:
 
     def test_other_superlu_failure_is_not_singular(self, monkeypatch):
         def factor(*args, **kwargs):
-            raise RuntimeError("SUPERLU_MALLOC fails for buf in intCalloc()")
+            raise RuntimeError("COLAMD failed")
 
         monkeypatch.setattr(sys.modules["netforms.trace"], "splu", factor)
         n = DENSE_N_MAX + 3
         A = assemble(Network.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
-        with pytest.raises(RuntimeError, match="SUPERLU_MALLOC"):
+        with pytest.raises(RuntimeError, match="COLAMD failed") as info:
             trace(A, [0, n - 1])
+        assert not isinstance(info.value, (ValidationError, SingularBlockError))
+
+    def test_other_system_error_propagates(self, monkeypatch):
+        def factor(*args, **kwargs):
+            raise SystemError("gstrs was called with invalid arguments")
+
+        monkeypatch.setattr(sys.modules["netforms.trace"], "splu", factor)
+        n = DENSE_N_MAX + 3
+        A = assemble(Network.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
+        with pytest.raises(SystemError, match="gstrs"):
+            trace(A, [0, n - 1])
+
+    class _NoRoomForU:
+        """A factor whose U factor cannot be copied out, as numpy's MemoryError after SuperLU."""
+
+        perm_r = perm_c = np.arange(3)
+
+        @property
+        def U(self):
+            raise MemoryError("Unable to allocate 98.6 MiB for an array")
+
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            RuntimeError("SUPERLU_MALLOC fails for buf in intMalloc()"),
+            RuntimeError("malloc fails for local dworkptr[]."),
+            MemoryError(),  # after SuperLU's "Can't expand MemType" line
+            SystemError("gstrf was called with invalid arguments"),  # the same, above 2 GiB held
+            None,  # the factor returns, then its U factor runs out of memory
+        ],
+        ids=["superlu-malloc", "work-malloc", "expand", "expand-above-2-gib", "after-factor"],
+    )
+    def test_memory_failures_are_validation_errors(self, monkeypatch, failure):
+        def factor(*args, **kwargs):
+            if failure is None:
+                return self._NoRoomForU()
+            raise failure
+
+        monkeypatch.setattr(sys.modules["netforms.trace"], "splu", factor)
+        n = DENSE_N_MAX + 3
+        A = assemble(Network.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
+        with pytest.raises(ValidationError) as info:
+            trace(A, [0, n - 1])
+        assert str(info.value) == f"out of memory eliminating an interior component of {n - 2} vertices by sparse LU"
 
 
 def ix_elimination(A, U):

@@ -11,7 +11,11 @@ identically zero (every indicator is in the domain and every function is
 locally constant near each point), so it is carried only as a zero marker.
 
 Recomposition reproduces the input matrix exactly: both directions build the
-diagonal from sums of the same floats in the same fixed order.
+diagonal from sums of the same floats in the same fixed order. The one
+exception is a conductance c below 2^-1021 (about 4.45e-308, where c/2 is
+subnormal) whose last bit is set: J = c/2 rounds, so c = 1.5e-323 recomposes
+to 2e-323, and 5e-324, the smallest subnormal, halves to 0 and its edge is
+dropped.
 """
 
 from __future__ import annotations
@@ -113,7 +117,9 @@ def recompose(d: JumpKillingDecomposition) -> FormMatrix:
 
     The diagonal is (conductance row sum) + kappa, by the same row-sum rule
     that :func:`decompose` subtracts, so a decompose/recompose roundtrip is
-    bit-exact.
+    bit-exact, except where :func:`decompose`'s J = c/2 rounds: a conductance
+    below 2^-1021 with its last bit set (1.5e-323 comes back as 2e-323, and
+    5e-324 halves to 0, so its edge is dropped).
     """
     i, j, v = _entries(d.jump)
     up = i < j  # the kernel is symmetric: its upper triangle, row-major, is canonical

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on validation errors (bad files, bad flags, bad
-queries), 2 on numerical failures (singular solves, infinite resistance,
+queries, memory running out), 2 on numerical failures (singular solves, infinite resistance,
 tolerance breaches). Failures emit a machine-readable JSON object on stderr.
 All floating-point output uses 17-significant-digit round-trippable
 formatting, commands never mutate their inputs, and identical inputs produce
@@ -490,6 +490,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValidationError as e:
         _error_json("validation", e)
+        return 1
+    except MemoryError as e:  # an allocation no guard counts, such as reading a file under an address-space limit
+        _error_json("validation", ValidationError(f"out of memory: {e}" if str(e) else "out of memory"))
         return 1
     except NumericalError as e:
         _error_json("numerical", e)

@@ -54,8 +54,11 @@ class TraceResult:
         The Schur complement A_UU - A_UW A_WW^{-1} A_WU, indexed by U order.
     rcond : float
         Smallest reciprocal condition number over the eliminated interior
-        blocks: LAPACK's or SuperLU's estimate for a factored block, the exact
-        1-norm value for a stacked one, and 1.0 for an empty interior.
+        blocks: LAPACK's estimate for a block factored alone (a small form's
+        whole interior or a lone component), SuperLU's for a component above
+        ``DENSE_N_MAX`` vertices, the exact 1-norm value for a stack of two or
+        more components, and 1.0 for isolated vertices with a positive
+        diagonal and for an empty interior.
     interior : ndarray
         The complement W of U in ascending order.
     extension_operator : csr_array, shape (|W|, |U|)
@@ -160,13 +163,14 @@ def _lookup(i: np.ndarray, j: np.ndarray, a: np.ndarray, n: int):
 
 
 def _split(i, j, pos, inner, n_u: int, n_w: int):
-    """The components of the interior block, grouped by shape.
+    """The components of the interior block, stacked by shape.
 
     ``i``, ``j`` are the stored entries of the form, row-major; ``pos`` maps a
     vertex to its position in U or in W and ``inner`` marks W. Yields, per
-    group of components with ``k`` vertices and ``b`` boundary columns, the
+    stack of components with ``k`` vertices and ``b`` boundary columns, the
     positions in W of their vertices, shape (m, k), and the ascending
-    positions in U of the boundary vertices each one touches, shape (m, b).
+    positions in U of the boundary vertices each one touches, shape (m, b);
+    a component above ``DENSE_N_MAX`` vertices is a stack of its own.
     """
     sel = inner[i] & (i != j)
     r, j = pos[i[sel]], j[sel]  # r is a position in W, ascending; j a vertex
@@ -189,28 +193,24 @@ def _split(i, j, pos, inner, n_u: int, n_w: int):
     for shape in _distinct(shapes):
         k, b = divmod(int(shape), n_u + 1)
         cs = np.flatnonzero(shapes == shape)
-        yield members[first[cs, None] + np.arange(k)], col[first_col[cs, None] + np.arange(b)]
+        w, u = members[first[cs, None] + np.arange(k)], col[first_col[cs, None] + np.arange(b)]
+        yield from zip(w[:, None], u[:, None]) if k > DENSE_N_MAX else [(w, u)]
 
 
-def _divided(A_ww: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
-    """Extension -B/d of isolated vertices, d the diagonal of their block,
-    shapes (k, k) and (k, b) or stacked (m, k, k) and (m, k, b): each vertex
-    an exact 1 x 1 block of rcond 1, or 0 when some d is not positive."""
-    d = np.diagonal(A_ww, axis1=-2, axis2=-1)
-    rcond = 1.0 if (d > 0.0).all() else 0.0
-    _guard(rcond, singular)
-    return -B / d[..., None], rcond
-
-
-def _stacked(A_ww: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
-    """Extensions -A_ww^{-1} B of a stack of small blocks, shapes (m, k, k)
-    and (m, k, b), and the smallest exact 1-norm reciprocal condition.
-
-    A stack of isolated vertices (k = 1) is divided by :func:`_divided`, as a
-    lone one is. For k > 1 one LU solve against [B, I] gives both."""
-    k, b = B.shape[1:]
-    if k == 1:
-        return _divided(A_ww, B, singular)
+def _dense(A_ww: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
+    """Extensions -A_ww^{-1} B of a stack of blocks, shapes (m, k, k) and (m, k, b), and the
+    smallest rcond: with no off-diagonal entry (isolated vertices) the exact -B/d of rcond 1,
+    or 0 when some diagonal d is not positive; one block (m = 1) by :func:`_cholesky`; else
+    the batched Cholesky check and one LU solve against [B, I], with the exact 1-norm rcond."""
+    m, k, b = B.shape
+    d = np.diagonal(A_ww, axis1=1, axis2=2)
+    if np.count_nonzero(A_ww) == np.count_nonzero(d):
+        rcond = 1.0 if (d > 0.0).all() else 0.0
+        _guard(rcond, singular)
+        return -B / d[..., None], rcond
+    if m == 1:
+        X, rcond = _cholesky(A_ww[0], B[0], singular)
+        return -X[None], rcond
     try:
         np.linalg.cholesky(A_ww)  # positive definite, as _cholesky requires
         X = np.linalg.solve(A_ww, np.concatenate([B, np.broadcast_to(np.eye(k), A_ww.shape)], axis=2))
@@ -223,23 +223,12 @@ def _stacked(A_ww: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
     return -X[:, :, :b], rcond
 
 
-def _block(A_cc: np.ndarray, B: np.ndarray, singular: Callable[[], str]):
-    """Eliminate one block c: its extension h_c = -A_cc^{-1} B_c and its rcond.
-
-    A coupled block is factored by :func:`_cholesky`; a diagonal one (isolated
-    vertices) is divided by its entries, by :func:`_divided`.
-    """
-    if np.count_nonzero(A_cc) > np.count_nonzero(np.diagonal(A_cc)):  # an off-diagonal entry
-        X, rcond = _cholesky(A_cc, B, singular)
-        return -X, rcond
-    return _divided(A_cc, B, singular)
-
-
 def _sparse_block(A: csr_array, Wc: np.ndarray, Uc: np.ndarray, singular: Callable[[], str]):
-    """:func:`_block`, with B_c, for a component above ``DENSE_N_MAX`` vertices, on its
-    CSR rows. SuperLU pivots on the diagonal: A_cc is positive definite iff the row and
-    column permutations agree and every pivot is positive. ``t=1`` draws no random numbers. A failed
-    allocation in the factor or its solves raises ValidationError; SuperLU's other errors propagate."""
+    """B_c and h_c = -A_cc^{-1} B_c, each a stack of one as :func:`_dense` returns them, and
+    the rcond of a component above ``DENSE_N_MAX`` vertices, on its CSR rows. SuperLU pivots
+    on the diagonal: A_cc is positive definite iff the row and column permutations agree and
+    every pivot is positive. ``t=1`` draws no random numbers. A failed allocation in the
+    factor or its solves raises ValidationError; SuperLU's other errors propagate."""
     rows = A[Wc]
     M = rows[:, Wc].T  # CSC, as SuperLU takes it; M is symmetric
     _check_dense((80 * M.nnz + Wc.size * Uc.size,), "a component's LU workspace (80 floats an entry) and solution")
@@ -250,7 +239,7 @@ def _sparse_block(A: csr_array, Wc: np.ndarray, Uc: np.ndarray, singular: Callab
         rcond = 1.0 / (float(onenormest(inverse, t=1)) * float(abs(M).sum(axis=0).max())) if definite else 0.0
         _guard(rcond, singular)
         B = rows[:, Uc].toarray()
-        return B, -lu.solve(B), rcond
+        return B[None], -lu.solve(B)[None], rcond
     except (RuntimeError, MemoryError, SystemError) as err:
         if str(err) == "Factor is exactly singular":
             _guard(0.0, singular)
@@ -273,7 +262,6 @@ def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], st
     """
     n, n_u = A.n, U.size
     i, j, a = _entries(A)
-    get = _lookup(i, j, a, n)
     pos = np.empty(n, dtype=np.intp)
     pos[U] = np.arange(n_u)
     pos[W] = np.arange(W.size)
@@ -281,23 +269,14 @@ def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], st
     inner[W] = True
     uu = ~inner[i] & ~inner[j]
     keys, terms = [pos[i[uu]] * n_u + pos[j[uu]]], [a[uu]]
-    blocks, rcond = [], 1.0
+    get, blocks, rcond = _lookup(i, j, a, n), [], 1.0
     for w, u in _split(i, j, pos, inner, n_u, W.size):
         Wg, Ug = W[w], U[u]
-        if w.shape[0] == 1 or w.shape[1] > DENSE_N_MAX:
-            for wc, uc, Wc, Uc in zip(w, u, Wg, Ug):
-                if Wc.size > DENSE_N_MAX:
-                    B, h, rc = _sparse_block(A.csr, Wc, Uc, singular)
-                else:
-                    B = get(Wc[:, None], Uc[None, :])
-                    h, rc = _block(get(Wc[:, None], Wc[None, :]), B, singular)
-                keys.append((uc[:, None] * n_u + uc[None, :]).ravel())
-                terms.append((B.T @ h).ravel())
-                blocks.append((wc, uc, h))
-                rcond = min(rcond, rc)
-            continue
-        B = get(Wg[:, :, None], Ug[:, None, :])
-        h, rc = _stacked(get(Wg[:, :, None], Wg[:, None, :]), B, singular)
+        if w.shape[1] > DENSE_N_MAX:
+            B, h, rc = _sparse_block(A.csr, Wg[0], Ug[0], singular)
+        else:
+            B = get(Wg[:, :, None], Ug[:, None, :])
+            h, rc = _dense(get(Wg[:, :, None], Wg[:, None, :]), B, singular)
         keys.append((u[:, :, None] * n_u + u[:, None, :]).ravel())
         terms.append((np.swapaxes(B, 1, 2) @ h).ravel())
         blocks.append((w, u, h))
@@ -323,7 +302,7 @@ def _extension(blocks, n_w: int, n_u: int) -> csr_array:
     """The extension operator as a CSR matrix from its blocks ``(w, u, h)``, with
     w and u as :func:`_split` yields them. Each row lies in one block, whose
     columns ascend, so a stable sort on the rows makes the order row-major."""
-    parts = [(np.repeat(w, h.shape[-1]), np.repeat(u[..., None, :], h.shape[-2], axis=-2), h) for w, u, h in blocks]
+    parts = [(np.repeat(w, h.shape[2]), np.repeat(u[:, None, :], h.shape[1], axis=1), h) for w, u, h in blocks]
     empty = (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)  # for an empty interior
     rows, cols, vals = (np.concatenate([a.ravel() for a in arrays]) for arrays in zip(*parts, empty))
     order = np.argsort(rows, kind="stable")
@@ -354,14 +333,14 @@ def _eliminate(A: FormMatrix, subset):
         if not W.size:
             return U, W, (S + S.T) / 2.0, partial(_csr_from_dense, np.empty((0, n_u))), 1.0
         try:
-            h, rcond = _block(M[n_u:, n_u:], M[n_u:, :n_u], singular)
+            h, rcond = _dense(M[None, n_u:, n_u:], M[None, n_u:, :n_u], singular)
         except SingularBlockError:
             if _offending_components(A, U):  # singular in any elimination
                 raise
             # the interior's rcond is at most each component's: try them one by one
         else:
-            S += M[:n_u, n_u:] @ h
-            return U, W, (S + S.T) / 2.0, partial(_csr_from_dense, h), rcond
+            S += M[:n_u, n_u:] @ h[0]
+            return U, W, (S + S.T) / 2.0, partial(_csr_from_dense, h[0]), rcond
     return (U, W, *_kron(A, U, W, singular))
 
 
@@ -371,10 +350,12 @@ def trace(A: FormMatrix, subset) -> TraceResult:
     A form of at most ``DENSE_N_MAX`` vertices is eliminated densely, as one
     block, unless that block fails the singularity guard. On a larger one, or
     after such a failure, the interior W is eliminated on the CSR matrix,
-    split into the connected components of its block A_WW. Components of one
-    shape, at most ``DENSE_N_MAX`` vertices with the same number of boundary
-    neighbours, share one batched solve, a lone one is one dense block, and a
+    split into the connected components of its block A_WW. Components of at
+    most ``DENSE_N_MAX`` vertices are eliminated densely, one stack per shape
+    (vertices and boundary neighbours), a lone one as a stack of one; a
     larger one is factored by SuperLU on its CSR rows, with no n_c² array.
+    The one dense rule divides isolated vertices exactly, factors a single
+    block by Cholesky and solves a stack of two or more in one batched LU.
     Each component c adds B_c^T h_c to the traced form, where B_c holds its
     boundary columns and h_c = -A_cc^{-1} B_c is its block of the extension
     operator; the result builds H as one CSR matrix on first read. Every

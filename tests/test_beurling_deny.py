@@ -163,6 +163,27 @@ class TestRecompose:
             A = random_markov_form(rng, n_max=25)
             assert np.array_equal(recompose(decompose(A)).matrix, A.matrix)
 
+    @pytest.mark.parametrize("n", [3, DENSE_N_MAX + 2], ids=["dense", "sparse"])
+    def test_roundtrip_limit_at_tiny_conductances(self, n):
+        # decompose halves each conductance c; below 2**-1021, where c / 2 is
+        # subnormal, the halving rounds when the last bit of c is set
+        tiny = np.finfo(float).tiny
+
+        def roundtrip(c):
+            A = assemble(Network.from_arrays(n, np.arange(n - 1), np.arange(1, n), np.r_[np.ones(n - 2), c]))
+            return A, recompose(decompose(A))
+
+        for c in (1e-323, 1e-300, 3.3e-308, float(np.nextafter(2 * tiny, 1.0)), 2 * tiny):
+            A, B = roundtrip(c)
+            assert B.matrix.tobytes() == A.matrix.tobytes(), c
+        A, B = roundtrip(1.5e-323)  # last bit set: half of it rounds to 1e-323
+        assert B.matrix[n - 2, n - 1] == -2e-323 and B.matrix[n - 1, n - 1] == 2e-323
+        for c in (float(np.nextafter(tiny, 1.0)), float(np.nextafter(2 * tiny, 0.0))):  # normal, half subnormal
+            A, B = roundtrip(c)
+            assert B.matrix[n - 2, n - 1] != -c
+        A, B = roundtrip(5e-324)  # the smallest subnormal halves to 0: its edge is dropped
+        assert B.matrix[n - 2, n - 1] == 0.0 and B.matrix[n - 1, n - 1] == 0.0 and B.csr.nnz == A.csr.nnz - 3
+
     def test_validation(self):
         with pytest.raises(ValidationError, match="symmetric"):
             JumpKillingDecomposition(jump=np.array([[0.0, 1.0], [0.5, 0.0]]), kappa=np.zeros(2))

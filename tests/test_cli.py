@@ -112,6 +112,19 @@ def test_unparsable_json_exit_1(tmp_path, capsys, text):
     assert "malformed JSON" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 3.00 MiB for an array"], ids=["bare", "numpy"])
+def test_out_of_memory_exit_1_without_traceback(path3_file, capsys, monkeypatch, message):
+    def load(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(json, "load", load)
+    assert main(["net", "validate", str(path3_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    expected = f"out of memory: {message}" if message else "out of memory"
+    assert json.loads(captured.err) == {"error": {"type": "validation", "message": expected}}
+
+
 @pytest.mark.parametrize("args", [["check"], ["profile", "--f", "f.csv"]], ids=["check", "profile"])
 def test_seq_missing_file_exit_1(tmp_path, capsys, args):
     assert main(["seq", args[0], str(tmp_path / "missing.json"), *args[1:]]) == 1
@@ -248,6 +261,28 @@ sys.exit(netforms.cli.main(sys.argv[2:]))
 """
 
 
+def grid_file(tmp_path, m):
+    """The network file of an m x m x m unit grid."""
+    idx = np.arange(m**3).reshape(m, m, m)
+    u = np.concatenate([idx[:-1].ravel(), idx[:, :-1].ravel(), idx[:, :, :-1].ravel()])
+    v = np.concatenate([idx[1:].ravel(), idx[:, 1:].ravel(), idx[:, :, 1:].ravel()])
+    net = tmp_path / f"grid{m}.json"
+    net.write_text(json.dumps(netforms.Network.from_arrays(m**3, u, v, np.ones(u.size)).to_dict()))
+    return net
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the address space from /proc")
+def test_reading_a_file_out_of_memory_exits_1(tmp_path):
+    # with 20 MiB above the child's own footprint, json.load of the 3 MB file of
+    # the 30-cube grid runs out of memory (10 of 10 runs)
+    args = ["resistance", "--pairs", "0,1", "--net", str(grid_file(tmp_path, 30))]
+    run = subprocess.run([sys.executable, "-c", LIMITED_CLI, "20", *args], capture_output=True, text=True,
+                         env=child_env(), timeout=120)
+    assert run.returncode == 1 and run.stdout == "", run.stderr[-2000:]
+    assert "Traceback" not in run.stderr and len(run.stderr.splitlines()) == 1
+    assert json.loads(run.stderr) == {"error": {"type": "validation", "message": "out of memory"}}
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the address space from /proc")
 def test_superlu_out_of_memory_exits_1_on_a_30_cube_grid(tmp_path):
     # 27,000 vertices: SuperLU factors the interior of 26,998 in about 5 s with 400 MiB
@@ -255,12 +290,7 @@ def test_superlu_out_of_memory_exits_1_on_a_30_cube_grid(tmp_path):
     # L factor ("Can't expand MemType 0" on stderr, then a MemoryError); with 80-120
     # and 180-190 it retries ever smaller expansions for minutes, so 230 and 330 are used.
     m = 30
-    idx = np.arange(m**3).reshape(m, m, m)
-    u = np.concatenate([idx[:-1].ravel(), idx[:, :-1].ravel(), idx[:, :, :-1].ravel()])
-    v = np.concatenate([idx[1:].ravel(), idx[:, 1:].ravel(), idx[:, :, 1:].ravel()])
-    net = tmp_path / "grid30.json"
-    net.write_text(json.dumps(netforms.Network.from_arrays(m**3, u, v, np.ones(u.size)).to_dict()))
-    args = ["resistance", "--pairs", f"0,{m**3 - 1}", "--net", str(net)]
+    args = ["resistance", "--pairs", f"0,{m**3 - 1}", "--net", str(grid_file(tmp_path, m))]
     procs = [
         subprocess.Popen([sys.executable, "-c", LIMITED_CLI, str(mib), *args], stdout=subprocess.PIPE,
                          stderr=subprocess.PIPE, text=True, env=child_env())

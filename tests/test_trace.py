@@ -20,14 +20,15 @@ from netforms import (
     evaluate,
     harmonic_extension,
     is_markov,
+    killing_vector,
     resistance_matrix,
     sup_formula_value,
     trace,
 )
-from netforms.network import DENSE_N_MAX, SINGULAR_RCOND
+from netforms.network import DENSE_N_MAX, SINGULAR_RCOND, _csr_from_entries, _entries
 from netforms.random_networks import random_connected_network
 from netforms.sequences import build_dyadic_interval, build_sierpinski_gasket
-from netforms.trace import TraceResult, _block
+from netforms.trace import TraceResult, _cholesky, _dense, _sparse_block, _split
 
 
 def top_level(seq, idx):
@@ -462,18 +463,19 @@ def dense_schur(A, U):
     return M[np.ix_(U, U)] - M[np.ix_(U, W)] @ X, -X
 
 
-def split_network(rng, sizes, big, n_boundary, bridges=()):
+def split_network(rng, sizes, big, n_boundary, bridges=(), with_killing=True):
     """Boundary vertices 0..n_boundary-1 on a random tree, then interior
     components: trees of the given sizes and one of ``big`` vertices, each
     tied to the boundary by one to three edges; a fifth of the vertices carry
-    killing. Vertices are shuffled; returns the form and the boundary's
-    positions. ``bridges`` names components (0 is the big one) whose last
-    vertex, killing-free, hangs on the rest by a 1e-20 edge instead."""
+    killing, unless ``with_killing`` is false. Vertices are shuffled; returns
+    the form and the boundary's positions. ``bridges`` names components (0 is
+    the big one) whose last vertex, killing-free, hangs on the rest by a 1e-20
+    edge instead."""
     edges = {}
     for a in range(1, n_boundary):
         edges[(int(rng.integers(0, a)), a)] = float(rng.uniform(0.1, 3.0))
     n = n_boundary + big + sum(sizes)
-    killing = np.where(rng.random(n) < 0.2, rng.uniform(0.0, 1.0, n), 0.0)
+    killing = np.where(rng.random(n) < 0.2, rng.uniform(0.0, 1.0, n), 0.0) * with_killing
     v = n_boundary
     for c, k in enumerate([big, *sizes]):
         for a in range(1, k):
@@ -578,7 +580,7 @@ class TestSplitTrace:
         def eliminate(*args):
             raise AssertionError("eliminated a block past the guard")
 
-        monkeypatch.setattr(sys.modules["netforms.trace"], "_block", eliminate)
+        monkeypatch.setattr(sys.modules["netforms.trace"], "_dense", eliminate)
         b = 6000
         A = assemble(Network.from_arrays(b + 1, np.zeros(b, dtype=int), np.arange(1, b + 1), np.ones(b)))
         tracemalloc.start()
@@ -589,6 +591,95 @@ class TestSplitTrace:
         finally:
             tracemalloc.stop()
         assert peak < 2**22  # one array of the 3.6e7 pairs alone would take 288 MB
+
+
+def lone_kron(A, U):
+    """Oracle: the component-wise trace with a stack of one shape's components
+    through ``_dense`` and every lone component eliminated on its own: a coupled
+    block by ``_cholesky``, a diagonal one by division, one above DENSE_N_MAX
+    vertices by ``_sparse_block``, each with its terms taken as ``B.T @ h``.
+    Returns the traced form as CSR, the extension operator as an array, the
+    smallest rcond and the kinds of elimination met."""
+    n, n_u = A.n, U.size
+    W = np.setdiff1d(np.arange(n), U)
+    i, j, a = _entries(A)
+    pos = np.empty(n, dtype=np.intp)
+    pos[U], pos[W] = np.arange(n_u), np.arange(W.size)
+    inner = np.isin(np.arange(n), W)
+    uu = ~inner[i] & ~inner[j]
+    keys, terms = [pos[i[uu]] * n_u + pos[j[uu]]], [a[uu]]
+    M, H, rcond, kinds = A.matrix, np.zeros((W.size, n_u)), 1.0, set()
+    for w, u in _split(i, j, pos, inner, n_u, W.size):
+        if w.shape[0] > 1:
+            Wg, Ug = W[w], U[u]
+            B = M[Wg[:, :, None], Ug[:, None, :]]
+            h, rc = _dense(M[Wg[:, :, None], Wg[:, None, :]], B, lambda: "singular")
+            keys.append((u[:, :, None] * n_u + u[:, None, :]).ravel())
+            terms.append((np.swapaxes(B, 1, 2) @ h).ravel())
+            H[w[:, :, None], u[:, None, :]] = h
+            rcond = min(rcond, rc)
+            kinds.add("isolated stack" if w.shape[1] == 1 else "stack")
+            continue
+        (wc,), (uc,) = w, u
+        Wc, Uc = W[wc], U[uc]
+        if wc.size > DENSE_N_MAX:
+            B, h, rc = _sparse_block(A.csr, Wc, Uc, lambda: "singular")
+            B, h = B[0], h[0]
+            kinds.add("sparse")
+        else:
+            A_cc, B = M[np.ix_(Wc, Wc)], M[np.ix_(Wc, Uc)]
+            d = np.diagonal(A_cc)
+            if np.count_nonzero(A_cc) > np.count_nonzero(d):
+                X, rc = _cholesky(A_cc, B, lambda: "singular")
+                h = -X
+                kinds.add("lone")
+            else:
+                h, rc = -B / d[:, None], 1.0 if (d > 0.0).all() else 0.0
+                kinds.add("isolated lone")
+        keys.append((uc[:, None] * n_u + uc[None, :]).ravel())
+        terms.append((B.T @ h).ravel())
+        H[np.ix_(wc, uc)] = h
+        rcond = min(rcond, rc)
+    n_uu, keys, terms = keys[0].size, np.concatenate(keys), np.concatenate(terms)
+    uniq, at = np.unique(keys, return_inverse=True)
+    s = np.bincount(at[:n_uu], terms[:n_uu], uniq.size) + np.bincount(at[n_uu:], terms[n_uu:], uniq.size)
+    s = (s + s[np.searchsorted(uniq, uniq % n_u * n_u + uniq // n_u)]) / 2.0
+    r, c = np.divmod(uniq, n_u)
+    return _csr_from_entries(r, c, s, (n_u, n_u)), H, rcond, kinds
+
+
+class TestOneDenseRule:
+    """Every component group goes through one loop body: the result equals, bit
+    for bit, that of eliminating each lone component on its own."""
+
+    @pytest.mark.parametrize("with_killing", [True, False], ids=["killing", "killing-free"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_lone_elimination(self, seed, with_killing):
+        rng = np.random.default_rng(seed)
+        # isolated vertices, stacks of three-vertex trees, lone trees of 20-40
+        # vertices and one SuperLU component
+        sizes = [1] * 12 + [3] * 12 + [20, 30, 40]
+        A, U = split_network(rng, sizes, DENSE_N_MAX + 1 + seed, int(rng.integers(3, 9)), with_killing=with_killing)
+        tr = trace(A, U)
+        S, H, rcond, kinds = lone_kron(A, U)
+        assert kinds >= {"stack", "lone", "sparse"} and kinds & {"isolated stack", "isolated lone"}
+        T = tr.traced_form.csr
+        assert all(x.tobytes() == y.tobytes() for x, y in ((T.indptr, S.indptr), (T.indices, S.indices), (T.data, S.data)))
+        assert tr.extension_operator.toarray().tobytes() == (H + 0.0).tobytes()  # -0.0 is not stored
+        assert tr.rcond == rcond
+        assert (killing_vector(A) > 1e-9).any() == with_killing  # killing-free up to rounding
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lone_isolated_vertex_and_no_sparse_component(self, seed):
+        # one isolated vertex of its own shape, below the SuperLU size
+        rng = np.random.default_rng(100 + seed)
+        A, U = split_network(rng, [1, 5, 5, 5, 5, 6, 7, 9, 11, 13], 12, 1)
+        tr = trace(A, U)
+        S, H, rcond, kinds = lone_kron(A, U)
+        assert "sparse" not in kinds and "isolated lone" in kinds and A.n > DENSE_N_MAX
+        assert tr.traced_form.matrix.tobytes() == S.toarray().tobytes()
+        assert tr.extension_operator.toarray().tobytes() == (H + 0.0).tobytes()
+        assert tr.rcond == rcond
 
 
 class TestSparseBlock:
@@ -698,12 +789,13 @@ class TestSparseBlock:
 
 def ix_elimination(A, U):
     """Oracle: the dense elimination from np.ix_ blocks, through the same
-    _block call as the trace; the traced form and the extension block."""
+    _dense call as the trace; the traced form and the extension block."""
     M = A.matrix
     W = np.setdiff1d(np.arange(A.n), U)
     S = M[np.ix_(U, U)]
     if W.size:
-        h, _ = _block(M[np.ix_(W, W)], M[np.ix_(W, U)], lambda: "singular")
+        h, _ = _dense(M[np.ix_(W, W)][None], M[np.ix_(W, U)][None], lambda: "singular")
+        h = h[0]
         S = S + M[np.ix_(U, W)] @ h
     else:
         h = np.zeros((0, U.size))
@@ -812,11 +904,11 @@ class TestStackedDivision:
         assert tr.extension_operator.toarray().tobytes() == (expected + 0.0).tobytes()  # -0.0 is not stored
         assert tr.rcond == 1.0
 
-        def lone(A_ww, B, singular):  # each stacked vertex through _block on its own
-            hs = [_block(a, b, singular) for a, b in zip(A_ww, B)]
-            return np.stack([h for h, _ in hs]), min(r for _, r in hs)
+        def lone(A_ww, B, singular):  # each stacked vertex through _dense on its own
+            hs = [_dense(a[None], b[None], singular) for a, b in zip(A_ww, B)]
+            return np.concatenate([h for h, _ in hs]), min(r for _, r in hs)
 
-        monkeypatch.setattr(sys.modules["netforms.trace"], "_stacked", lone)
+        monkeypatch.setattr(sys.modules["netforms.trace"], "_dense", lone)
         ref = trace(A, U)
         assert tr.traced_form.csr.data.tobytes() == ref.traced_form.csr.data.tobytes()
         assert tr.traced_form.csr.indices.tobytes() == ref.traced_form.csr.indices.tobytes()

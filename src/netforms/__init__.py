@@ -22,6 +22,7 @@ from .energy import (
 )
 from .errors import (
     DescentError,
+    FactorMemoryError,
     InfiniteResistanceError,
     NetformsError,
     NotInAlgebraError,

@@ -26,8 +26,8 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ValidationError
-from .network import RELTOL, FormMatrix, Network, _as_vector, _csr_from_entries, _entries, _kernel, _laplacian
-from .network import _readonly, _require_markov, _row_sums, _scale
+from .network import RELTOL, FormMatrix, Network, killing_vector, _as_vector, _csr_from_entries, _entries, _kernel
+from .network import _laplacian, _readonly, _require_markov, _scale
 
 __all__ = [
     "JumpKillingDecomposition",
@@ -97,19 +97,18 @@ class JumpKillingDecomposition:
 def decompose(A: FormMatrix) -> JumpKillingDecomposition:
     """Split a Markov form matrix into jump and killing data.
 
-    J(x, y) = -A_xy / 2 on ordered pairs and kappa is the diagonal minus the
-    conductance row sum. Raises a validation error citing the first violated
-    sign condition if the matrix is not Markov.
+    J(x, y) = -A_xy / 2 on ordered pairs and kappa is :func:`killing_vector`,
+    the diagonal minus the conductance row sum. Raises a validation error
+    citing the first violated sign condition if the matrix is not Markov.
     """
     _require_markov(A)
     i, j, a = _entries(A)
     off = i != j
-    rows, cols, c = i[off], j[off], -a[off]
-    kappa = np.bincount(i[~off], a[~off], minlength=A.n) - _row_sums(rows, cols, c, A.n)
-    half = c / 2.0
+    rows, cols, half = i[off], j[off], -a[off] / 2.0
     kept = half != 0.0  # the smallest subnormal conductance halves to zero
     rows, cols, half = rows[kept], cols[kept], half[kept]
-    return JumpKillingDecomposition._trusted(_csr_from_entries(rows, cols, half, (A.n, A.n)), kappa, rows)
+    J = _csr_from_entries(rows, cols, half, (A.n, A.n))
+    return JumpKillingDecomposition._trusted(J, killing_vector(A), rows)
 
 
 def recompose(d: JumpKillingDecomposition) -> FormMatrix:

@@ -25,7 +25,7 @@ import scipy
 from . import acceptance
 from .beurling_deny import decompose
 from .energy import counterexample_demo, energy_measure
-from .errors import NumericalError, ValidationError
+from .errors import FactorMemoryError, NumericalError, ValidationError
 from .gelfand import (
     AlgebraSpec,
     embed,
@@ -43,6 +43,7 @@ from .sequences import (
     energy_profile,
     load_sequence,
     save_sequence,
+    sequence_to_dict,
 )
 from .simulate import build_generator, commute_time, hitting_probability, occupation_check
 from .svg import polyline_plot
@@ -167,8 +168,6 @@ def cmd_seq_build(args):
         save_sequence(seq, args.output)
         print(f"wrote {args.output}: {seq.levels} levels, top size {seq.networks[-1].n}")
     else:
-        from .sequences import sequence_to_dict
-
         _json_out(sequence_to_dict(seq), None)
     return 0
 
@@ -480,7 +479,10 @@ def _build_parser() -> _Parser:
 
 
 def _error_json(kind: str, exc: Exception) -> None:
-    sys.stderr.write(json.dumps({"error": {"type": kind, "message": str(exc)}}) + "\n")
+    """The error object as one JSON line on stderr; after a failed sparse LU factor, on a fresh
+    line, as SuperLU may have left one unended (``malloc fails for local dworkptr[].``)."""
+    fresh = "\n" if isinstance(exc, FactorMemoryError) else ""
+    sys.stderr.write(fresh + json.dumps({"error": {"type": kind, "message": str(exc)}}) + "\n")
 
 
 def main(argv=None) -> int:

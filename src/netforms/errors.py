@@ -15,6 +15,12 @@ class ValidationError(NetformsError, ValueError):
     """Invalid input data, dimensions, or query parameters."""
 
 
+class FactorMemoryError(ValidationError):
+    """A sparse LU factor or its solves ran out of memory. SuperLU may have
+    written part of a line to stderr first, so the CLI starts the JSON error
+    object on a line of its own."""
+
+
 class UnsupportedRegimeError(ValidationError):
     """Operation defined only for conservative (killing-free) forms
     received a form with killing."""

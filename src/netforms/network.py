@@ -79,10 +79,9 @@ PROFILE_RELTOL = 1e-12
 #: passes for n <= 11,585).
 DENSE_BYTES_MAX = 2**30
 
-#: Largest network whose form assemble and recompose build densely, whose row
-#: sums (the diagonal rule and killing_vector) numpy takes (both pinned bit for
-#: bit), that trace eliminates densely (faster than component-wise here), and
-#: whose cross-check products read the dense array.
+#: Largest network whose form assemble and recompose build densely, that trace
+#: eliminates densely (faster than component-wise here), and whose cross-check
+#: products read the dense array. Row sums take one rule at every size.
 DENSE_N_MAX = 64
 
 
@@ -707,31 +706,20 @@ def assemble(net: Network) -> FormMatrix:
     return _laplacian(net.u, net.v, net.c, net.killing)
 
 
-def _row_sums(rows, cols, c, n: int) -> np.ndarray:
-    """Row sums of the entries c at (rows, cols), the one diagonal rule of assemble, recompose and
-    decompose: numpy's dense row sums at most ``DENSE_N_MAX`` vertices, else in the entries' order.
-    :func:`_laplacian` applies it in place, a dense form to its own rows of -c (see there)."""
-    if n > DENSE_N_MAX:
-        return np.bincount(rows, c, minlength=n)
-    C = np.zeros((n, n))
-    C[rows, cols] = c
-    return C.sum(axis=1)
-
-
 def _laplacian(u, v, c, kappa) -> FormMatrix:
-    """Form matrix of conductances c on the canonical upper triangle u < v and killing kappa: at most
-    ``DENSE_N_MAX`` vertices one dense array, -c off the diagonal and on it kappa minus the array's row
-    sums, bit for bit :func:`_row_sums` of c plus kappa as rounding is symmetric (``0.0 -`` keeps +0.0);
-    above, CSR arrays at counted positions in O(|E|), row x the edges (u, x), diagonal, edges (x, v)."""
+    """Form matrix of conductances c on the canonical upper triangle u < v and killing kappa. Row x's
+    diagonal is its conductances summed from 0.0 in ascending column order, as :func:`killing_vector`
+    sums the row, plus kappa_x, so a killing-free network's killing reads exactly 0. At most
+    ``DENSE_N_MAX`` vertices the form is one dense array; above, CSR arrays at counted positions in
+    O(|E|), row x the edges (u, x), diagonal, edges (x, v)."""
     n = kappa.shape[0]
+    with np.errstate(over="ignore"):  # an overflowing row sum is left to the finiteness check
+        diag = np.bincount(np.concatenate([v, u]), np.concatenate([c, c]), minlength=n) + kappa
     if n <= DENSE_N_MAX:
         A = np.zeros((n, n))
         A[u, v] = A[v, u] = -c
-        with np.errstate(over="ignore"):  # an overflowing row sum is left to the finiteness check
-            np.fill_diagonal(A, (0.0 - A.sum(axis=1)) + kappa)
+        np.fill_diagonal(A, diag)
         return FormMatrix._trusted(A)
-    with np.errstate(over="ignore"):
-        diag = np.bincount(np.concatenate([v, u]), np.concatenate([c, c]), minlength=n) + kappa
     x = np.arange(n + 1)
     upper = np.searchsorted(u, x)  # upper entries in the rows before x
     lower = np.cumsum(np.bincount(v, minlength=n))  # lower entries in the rows up to x
@@ -814,23 +802,21 @@ def conductance_matrix(A: FormMatrix) -> np.ndarray:
 
 
 def killing_vector(A: FormMatrix) -> np.ndarray:
-    """Row sums of the form matrix; equals the killing weights up to rounding.
-    The form sums them once and every call returns that one read-only array:
-    copy it before editing it in place.
-
-    As in assemble, a form of at most ``DENSE_N_MAX`` vertices is summed by
-    numpy's row sums of the dense view, and a larger one over its stored
-    entries in ascending column order.
+    """Row sums of the form matrix, at every size its diagonal plus its
+    off-diagonal entries summed in ascending column order, read off its
+    stored entries; they equal the killing weights up to rounding, and are
+    exactly 0 on the form of a network without killing, whose diagonal
+    :func:`assemble` sums in that order. The form sums them once and every
+    call returns that one read-only array: copy it before editing it in place.
     """
     return A._memo("killing", _form_row_sums)
 
 
 def _form_row_sums(A: FormMatrix) -> np.ndarray:
     """The row sums of :func:`killing_vector`."""
-    if A.n <= DENSE_N_MAX:
-        return np.sum(A.matrix, axis=1)
-    i, _, a = _entries(A)
-    return np.bincount(i, a, minlength=A.n)
+    i, j, a = _entries(A)
+    off = i != j
+    return np.bincount(i[~off], a[~off], minlength=A.n) + np.bincount(i[off], a[off], minlength=A.n)
 
 
 def _labels(support, symmetric: bool = False) -> np.ndarray:

@@ -45,7 +45,6 @@ from .network import (
     _readonly,
     _real,
     _require_markov,
-    _row_sums,
     _scale,
     _vertex,
 )
@@ -168,7 +167,7 @@ def build_generator(A: FormMatrix, mu: AtomicMeasure) -> GeneratorSpec:
     flow = (i != j) & (a < 0.0)  # the conductances -a, clamped at 0
     rows, cols, c = i[flow], j[flow], -a[flow]
     k = np.maximum(killing_vector(A), 0.0) / mu.weights
-    lam = _row_sums(rows, cols, c / mu.weights[rows], A.n) + k
+    lam = np.bincount(rows, c / mu.weights[rows], minlength=A.n) + k
     C = _csr_from_entries(rows, cols, c, (A.n, A.n))
     return GeneratorSpec(C, mu.weights, k, lam)
 

@@ -24,6 +24,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .errors import (
+    FactorMemoryError,
     InfiniteResistanceError,
     SingularBlockError,
     UnsupportedRegimeError,
@@ -228,7 +229,7 @@ def _sparse_block(A: csr_array, Wc: np.ndarray, Uc: np.ndarray, singular: Callab
     the rcond of a component above ``DENSE_N_MAX`` vertices, on its CSR rows. SuperLU pivots
     on the diagonal: A_cc is positive definite iff the row and column permutations agree and
     every pivot is positive. ``t=1`` draws no random numbers. A failed allocation in the
-    factor or its solves raises ValidationError; SuperLU's other errors propagate."""
+    factor or its solves raises FactorMemoryError; SuperLU's other errors propagate."""
     rows = A[Wc]
     M = rows[:, Wc].T  # CSC, as SuperLU takes it; M is symmetric
     _check_dense((80 * M.nnz + Wc.size * Uc.size,), "a component's LU workspace (80 floats an entry) and solution")
@@ -248,7 +249,7 @@ def _sparse_block(A: csr_array, Wc: np.ndarray, Uc: np.ndarray, singular: Callab
         allocation = isinstance(err, MemoryError) or any(w in str(err).lower() for w in ("alloc", "memory"))
         if isinstance(err, SingularBlockError) or not (allocation or str(err) == "gstrf was called with invalid arguments"):
             raise
-        raise ValidationError(f"out of memory eliminating an interior component of {Wc.size} vertices by sparse LU") from None
+        raise FactorMemoryError(f"out of memory eliminating an interior component of {Wc.size} vertices by sparse LU") from None
 
 
 def _kron(A: FormMatrix, U: np.ndarray, W: np.ndarray, singular: Callable[[], str]):

@@ -125,6 +125,28 @@ def test_out_of_memory_exit_1_without_traceback(path3_file, capsys, monkeypatch,
     assert json.loads(captured.err) == {"error": {"type": "validation", "message": expected}}
 
 
+def test_superlu_partial_line_leaves_the_json_error_on_the_last_line(tmp_path, capfd, monkeypatch):
+    # SuperLU writes this message with no newline, then the factor fails
+    def factor(*args, **kwargs):
+        os.write(2, b"malloc fails for local dworkptr[].")
+        raise MemoryError()
+
+    monkeypatch.setattr(sys.modules["netforms.trace"], "splu", factor)
+    n = netforms.network.DENSE_N_MAX + 3
+    net = tmp_path / "path.json"
+    net.write_text(json.dumps(netforms.Network(n, [(k, k + 1, 1.0) for k in range(n - 1)]).to_dict()))
+    assert main(["resistance", "--pairs", f"0,{n - 1}", "--net", str(net)]) == 1
+    out, err = capfd.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[0] == "malloc fails for local dworkptr[]."
+    assert json.loads(err.splitlines()[-1]) == {
+        "error": {
+            "type": "validation",
+            "message": f"out of memory eliminating an interior component of {n - 2} vertices by sparse LU",
+        }
+    }
+
+
 @pytest.mark.parametrize("args", [["check"], ["profile", "--f", "f.csv"]], ids=["check", "profile"])
 def test_seq_missing_file_exit_1(tmp_path, capsys, args):
     assert main(["seq", args[0], str(tmp_path / "missing.json"), *args[1:]]) == 1

@@ -38,7 +38,8 @@ def dense_closed_form(A: FormMatrix, f):
     C = -A.matrix.copy()
     np.fill_diagonal(C, 0.0)
     diffs = f[:, None] - f[None, :]
-    return 0.5 * np.sum(C * diffs * diffs, axis=1) + 0.5 * np.sum(A.matrix, axis=1) * f * f
+    kappa = np.diag(A.matrix) - np.cumsum(C, axis=1)[:, -1]  # killing_vector's rule: the diagonal, then left to right
+    return 0.5 * np.sum(C * diffs * diffs, axis=1) + 0.5 * kappa * f * f
 
 
 class TestEnergyMeasure:

@@ -1,8 +1,9 @@
 """Array-backed networks and CSR forms against a dense oracle kept here.
 
-Forms of at most ``DENSE_N_MAX`` vertices are assembled, row-summed and
-traced densely and larger ones on their CSR matrix, so the random networks
-straddle that size.
+Forms of at most ``DENSE_N_MAX`` vertices are assembled and traced densely
+and larger ones on their CSR matrix, so the random networks straddle that
+size. Row sums take one rule at every size: the diagonal plus the
+off-diagonal entries in ascending column order.
 """
 
 import json
@@ -63,11 +64,11 @@ def dense_conductances(net: Network) -> np.ndarray:
 
 
 def row_sums(D: np.ndarray) -> np.ndarray:
-    """Oracle: the documented row-sum order, numpy's row sums up to
-    DENSE_N_MAX vertices and a left-to-right sum above."""
-    if D.shape[0] <= DENSE_N_MAX:
-        return np.sum(D, axis=1)
-    return np.cumsum(D, axis=1)[:, -1]
+    """Oracle: the documented row-sum rule at every size, the diagonal plus
+    the off-diagonal entries summed left to right."""
+    off = D.copy()
+    np.fill_diagonal(off, 0.0)
+    return np.diag(D) + np.cumsum(off, axis=1)[:, -1]
 
 
 def union_find_components(D: np.ndarray) -> list[list[int]]:
@@ -677,12 +678,7 @@ def argsort_laplacian(rows, cols, c, kappa) -> tuple:
     entries of both triangles, row-major, get their diagonal placed by a
     search on their keys, and every zero is dropped at the end."""
     n = kappa.shape[0]
-    if n <= DENSE_N_MAX:
-        C = np.zeros((n, n))
-        C[rows, cols] = c
-        diag = C.sum(axis=1) + kappa
-    else:
-        diag = np.bincount(rows, c, minlength=n) + kappa
+    diag = np.bincount(rows, c, minlength=n) + kappa
     at = np.searchsorted(rows * n + cols, np.arange(n) * (n + 1)) + np.arange(n)
     off = np.ones(rows.size + n, dtype=bool)
     off[at] = False
@@ -751,6 +747,10 @@ class TestCountedLaplacian:
                 assert A.matrix.tobytes() == dense.tobytes()
             assert_same_csr(A.csr, expected)
             d = decompose(A)
+            assert d.kappa.tobytes() == killing_vector(A).tobytes()
+            if not net.killing.any():  # the diagonal and killing_vector sum a row in one order
+                assert not killing_vector(A).any()
+                assert not build_generator(A, AtomicMeasure(np.ones(n))).killing_rates.any()
             i, j, v = network._entries(d.jump)
             assert_same_csr(recompose(d).csr, argsort_laplacian(i, j, 2.0 * v, d.kappa))
             assert_same_csr(recompose(d).csr, expected)  # the roundtrip is bit-exact on the CSR arrays
@@ -760,6 +760,25 @@ class TestCountedLaplacian:
         d = decompose(A)
         public = JumpKillingDecomposition(d.jump.toarray(), d.kappa)  # a checked copy; scipy 1.17 picks int32 indices
         assert_same_csr(recompose(public).csr, (A.csr.indptr, A.csr.indices, A.csr.data))
+
+
+class TestOneRowSumRule:
+    """killing_vector sums a row as assemble sums its diagonal, at every size,
+    so a network without killing reads exactly 0 killing and 0 kill rates."""
+
+    @pytest.mark.parametrize("level", range(2, 7))
+    def test_gasket_tops_read_zero_killing(self, level):
+        A = assemble(build_sierpinski_gasket(level).networks[level])  # 15 to 1,095 vertices
+        mu = AtomicMeasure(np.random.default_rng(level).uniform(0.5, 2.0, A.n))
+        assert not killing_vector(A).any() and not build_generator(A, mu).killing_rates.any()
+        assert decompose(A).kappa.tobytes() == killing_vector(A).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 12, DENSE_N_MAX])
+    def test_small_csr_form_builds_no_dense_view(self, n):
+        dense = assemble(random_network(n, n, 1.5, 0.2, 0.3, False))
+        A = FormMatrix(dense.csr)
+        assert killing_vector(A).tobytes() == killing_vector(dense).tobytes()
+        assert A._dense is None
 
 
 class TestDistinct:
@@ -794,12 +813,12 @@ class TestDistinct:
 
 def two_array_laplacian(u, v, c, kappa) -> np.ndarray:
     """Oracle: a dense form by the earlier construction, from two n x n arrays:
-    the diagonal is the numpy row sums of the conductance matrix plus kappa."""
+    the diagonal is the left-to-right row sums of the conductance matrix plus kappa."""
     n = kappa.shape[0]
     C = np.zeros((n, n))
     C[v, u] = C[u, v] = c
     with np.errstate(over="ignore"):
-        diag = C.sum(axis=1) + kappa
+        diag = np.cumsum(C, axis=1)[:, -1] + kappa
     A = np.zeros((n, n))
     A[u, v] = A[v, u] = -c
     np.fill_diagonal(A, diag)
@@ -817,9 +836,8 @@ def dense_cases() -> list:
 
 
 class TestDenseLaplacian:
-    """At most DENSE_N_MAX vertices ``_laplacian`` writes one array and reads
-    its diagonal off that array's own rows; the result must be the earlier
-    two-array construction byte for byte."""
+    """At most DENSE_N_MAX vertices ``_laplacian`` writes one array; the
+    result must be the earlier two-array construction byte for byte."""
 
     def test_cases_cover_scales_killing_and_isolated_vertices(self):
         nets = dense_cases()

@@ -8,7 +8,7 @@ matrix, so that
             = sum_{x<y} c_xy (f(x) - f(y)) (g(x) - g(y)) + sum_x kappa_x f(x) g(x).
 
 A network holds its edges as arrays and a form holds one CSR matrix (or, when
-small, the dense array it was built from), so every operation on a form costs
+the package builds it small, a dense array), so every operation on a form costs
 O(|E|). Functions on the vertex set are plain 1-d numpy arrays indexed by the
 vertex order of the owning network. All container types are immutable after
 construction and safe to share across threads.
@@ -489,14 +489,15 @@ def _stored_entries(A: "FormMatrix"):
     return _dense_entries(A._dense) if A._sparse is None else _entries(A._sparse)
 
 
-def _kernel(matrix, what: str) -> csr_array:
-    """A square matrix of real numbers, given dense or as any scipy sparse
-    matrix, that is finite, zero on the diagonal and exactly symmetric, as a
-    canonical read-only CSR matrix: the checks of a jump kernel and of a flow
-    matrix, each error naming the first bad entry in row-major order."""
+def _symmetric(matrix, what: str) -> csr_array:
+    """A nonempty square matrix of real numbers, given dense or as any scipy
+    sparse matrix, that is finite and exactly symmetric, as a canonical
+    read-only CSR copy: the one check of every matrix that enters from
+    outside (a form, a jump kernel, a flow matrix), each error naming the
+    first bad entry in row-major order."""
     M = matrix if issparse(matrix) else _reals(matrix, what)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError(f"{what} must be square, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValidationError(f"{what} must be square and nonempty, got shape {M.shape}")
     if M.dtype.kind not in "fiu":  # a sparse matrix passes the number rule as a whole
         raise ValidationError(f"{what} must hold real numbers, got dtype {M.dtype}")
     M = csr_array(M, dtype=float, copy=True)
@@ -506,11 +507,23 @@ def _kernel(matrix, what: str) -> csr_array:
     if not np.isfinite(v).all():
         x = np.argmax(~np.isfinite(v))
         raise ValidationError(f"{what} entry ({i[x]},{j[x]}) = {float(v[x])!r} is not finite")
-    if (i == j).any():
-        raise ValidationError(f"{what} must have zero diagonal")
-    if (ij := _asymmetric(M)) is not None:
-        raise ValidationError(f"{what} is not symmetric at ({ij[0]},{ij[1]})")
+    T = M.tocsc()  # the CSR arrays of the transpose
+    if not all(map(np.array_equal, (M.indptr, M.indices, M.data), (T.indptr, T.indices, T.data))):
+        D = (M - M.T).tocoo()
+        D.eliminate_zeros()
+        x = np.lexsort((D.col, D.row))[0]
+        i, j = int(D.row[x]), int(D.col[x])
+        raise ValidationError(f"{what} is not symmetric at ({i},{j}): {float(M[i, j])!r} != {float(M[j, i])!r}")
     return _csr(M.indptr, M.indices, M.data, M.shape)
+
+
+def _kernel(matrix, what: str) -> csr_array:
+    """A matrix by the check of :func:`_symmetric` that is also zero on the
+    diagonal: a jump kernel or a flow matrix."""
+    M = _symmetric(matrix, what)
+    if M.diagonal().any():
+        raise ValidationError(f"{what} must have zero diagonal")
+    return M
 
 
 def _check_finite(m) -> None:
@@ -526,16 +539,16 @@ def _check_finite(m) -> None:
 class FormMatrix:
     """Symmetric matrix realizing a bilinear form f^T A g.
 
-    Built from a dense array, a form keeps that array, reads its nonzero entries
-    off it in one pass and wraps them as its CSR matrix ``csr`` on first sparse use;
-    built from a scipy sparse matrix, it keeps the CSR matrix and derives the
-    dense view ``matrix`` on request, after checking it against
-    ``DENSE_BYTES_MAX``. Both are read-only. The matrix-vector products of the
-    cross-checks in ``energy_measure`` and ``transfer_form`` read the dense
-    array at most ``DENSE_N_MAX`` vertices and the CSR matrix above.
-    Construction enforces a nonempty square shape of real numbers, exact
-    symmetry and finiteness; whether the matrix additionally satisfies the
-    Markov sign conditions is checked separately by :func:`is_markov`.
+    The public constructor takes a dense array-like or any scipy sparse
+    matrix, checks a copy of it by the package's one check of a matrix from
+    outside (a nonempty square shape of real numbers, finiteness and exact
+    symmetry) and holds it as a canonical read-only CSR matrix ``csr``; zeros,
+    signed or not, are dropped. Whether the matrix additionally satisfies the
+    Markov sign conditions is checked separately by :func:`is_markov`. The
+    dense view ``matrix`` is derived on first read, after checking it against
+    ``DENSE_BYTES_MAX``. The matrix-vector products of the cross-checks in
+    ``energy_measure`` and ``transfer_form`` read the dense view at most
+    ``DENSE_N_MAX`` vertices and the CSR matrix above.
 
     A form derives each of its invariants at most once, on first use, and
     keeps it: the CSR matrix and the dense view, and in one memo table its
@@ -545,10 +558,12 @@ class FormMatrix:
     package builds itself (:func:`assemble`, ``recompose``, ``trace``,
     ``transfer_form``) are symmetric and canonical by construction; they skip
     the symmetry and canonical-form checks and the copy, and keep only the
-    finiteness check, since sums of finite entries can overflow. Every CSR
-    matrix the package makes, theirs and the copy this constructor checks,
-    comes from the one trusted builder ``_csr``, which skips scipy's format
-    check and never receives a caller's arrays.
+    finiteness check, since sums of finite entries can overflow. Only they
+    can be held as a dense array, whose nonzero entries are read off in one
+    pass and wrapped as the CSR matrix on first sparse use. Every CSR matrix
+    the package makes, theirs and the copy this constructor checks, comes
+    from the one trusted builder ``_csr``, which skips scipy's format check
+    and never receives a caller's arrays.
     """
 
     __slots__ = ("_dense", "_sparse", "_memos")
@@ -560,32 +575,7 @@ class FormMatrix:
         """Check and store the matrix: the validation every form built through
         the public constructor pays, kept apart from ``__init__`` so that a
         profiler can time it on its own (``perfbench/spans.py`` wraps it)."""
-        if issparse(matrix):
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
-                raise ValidationError(f"form matrix must be square and nonempty, got shape {matrix.shape}")
-            if matrix.dtype.kind not in "fiu":  # the number rule of _reals, for a whole array
-                raise ValidationError(f"form matrix must hold real numbers, got dtype {matrix.dtype}")
-            M = csr_array(matrix, dtype=float, copy=True)
-            M.sum_duplicates()
-            M.eliminate_zeros()
-            _check_finite(M)
-            if (ij := _asymmetric(M)) is not None:
-                i, j = ij
-                raise ValidationError(
-                    f"form matrix is not symmetric: A[{i},{j}]={float(M[i, j])!r} != A[{j},{i}]={float(M[j, i])!r}"
-                )
-            self._store(None, _csr(M.indptr, M.indices, M.data, M.shape))
-            return
-        m = _reals(matrix, "form matrix")
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValidationError(f"form matrix must be square and nonempty, got shape {m.shape}")
-        _check_finite(m)
-        if not np.array_equal(m, m.T):
-            i, j = np.argwhere(m != m.T)[0]
-            raise ValidationError(
-                f"form matrix is not symmetric: A[{i},{j}]={float(m[i, j])!r} != A[{j},{i}]={float(m[j, i])!r}"
-            )
-        self._store(_readonly(m), None)
+        self._store(None, _symmetric(matrix, "form matrix"))
 
     @classmethod
     def _trusted(cls, matrix) -> "FormMatrix":
@@ -643,18 +633,6 @@ class FormMatrix:
 
     def __repr__(self):
         return f"FormMatrix(n={self.n})"
-
-
-def _asymmetric(M: csr_array) -> tuple[int, int] | None:
-    """The first position (i, j), row-major, where a canonical CSR matrix
-    differs from its transpose, or None if it is symmetric."""
-    T = M.tocsc()  # the CSR arrays of the transpose
-    if np.array_equal(M.indptr, T.indptr) and np.array_equal(M.indices, T.indices) and np.array_equal(M.data, T.data):
-        return None
-    D = (M - M.T).tocoo()
-    D.eliminate_zeros()
-    first = np.lexsort((D.col, D.row))[0]
-    return int(D.row[first]), int(D.col[first])
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,7 @@ from scipy.sparse import csr_array
 
 from .errors import UnsupportedRegimeError, ValidationError
 from .network import (
+    RELTOL,
     AtomicMeasure,
     FormMatrix,
     components,
@@ -61,7 +62,6 @@ __all__ = [
     "occupation_check",
 ]
 
-_MASK64 = (1 << 64) - 1
 #: Trajectories per block; the bits of every estimate depend on it.
 _BLOCK = 4096
 
@@ -84,9 +84,10 @@ class GeneratorSpec:
         lambda_x = sum_y q_xy + k_x.
 
     The constructor also takes ``conductances`` as a dense array-like or as
-    any scipy sparse matrix; it must be finite, >= 0, symmetric and zero on
-    the diagonal, the three vectors finite, one entry per vertex, and mu
-    positive.
+    any scipy sparse matrix; it must be nonempty, finite, >= 0, symmetric and
+    zero on the diagonal, the three vectors finite, one entry per vertex, mu
+    positive, and ``holding`` the sum of the jump and killing rates up to
+    ``RELTOL`` times their magnitude.
     """
 
     conductances: csr_array
@@ -104,6 +105,13 @@ class GeneratorSpec:
         if not np.all(mu > 0.0):
             bad = int(np.argmax(~(mu > 0.0)))
             raise ValidationError(f"mu({bad}) = {float(mu[bad])!r} is not positive")
+        rates = np.bincount(i, c / mu[i], minlength=mu.size) + k  # as build_generator sums them
+        if np.any(off := ~(np.abs(lam - rates) <= RELTOL * _scale(lam))):
+            bad = int(np.argmax(off))
+            raise ValidationError(
+                f"holding[{bad}] = {float(lam[bad])!r} is not the total rate {float(rates[bad])!r} "
+                f"out of vertex {bad}, its jump rates plus its killing rate"
+            )
         object.__setattr__(self, "conductances", C)
         for name, v in (("mu", mu), ("killing_rates", k), ("holding", lam)):
             object.__setattr__(self, name, _readonly(v))
@@ -253,7 +261,7 @@ class _Walk(NamedTuple):
 def _run_block(walk: _Walk, seed: int, b: int, m: int) -> tuple[np.ndarray, int, int]:
     """Values of the m trajectories of block b, their total and their
     longest jump count."""
-    key = np.array([seed & _MASK64, b], dtype=np.uint64)
+    key = np.array([seed, b], dtype=np.uint64)
     g = np.random.Generator(np.random.Philox(key=key))
     cum, tgt, inv_holding = walk.table
     horizon = walk.horizon
@@ -323,6 +331,15 @@ def _estimate(walk: _Walk, n_traj: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return mean, se, jumps, max_jumps
 
 
+def _seed(seed) -> int:
+    """A seed: an integer by the rule of ``_index``, in [0, 2^64), the key
+    range of Philox, so that no two seeds share a stream."""
+    seed = _index(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _count(n_traj) -> int:
     """A trajectory count: an integer by the rule of ``_index``, at least 1."""
     n_traj = _index(n_traj, "n_traj")
@@ -344,7 +361,7 @@ def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int
     horizon = _real(horizon, "horizon")
     if not (horizon > 0 and np.isfinite(horizon)):
         raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
-    n_traj, seed = _count(n_traj), _index(seed, "seed")
+    n_traj, seed = _count(n_traj), _seed(seed)
     n = gen.n
     walk = _Walk(_fold(_jump_table(gen, include_killing=True), [n]), x0, n, True, horizon,
                  lambda final, clock, occ: np.column_stack([occ[:, :n] / horizon, final == n]))
@@ -385,7 +402,7 @@ def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int
     A vertex of x0's component other than a and b with no exits (every jump
     rate out of it underflows to 0) raises ``ValidationError``.
     """
-    n_traj, seed = _count(n_traj), _index(seed, "seed")
+    n_traj, seed = _count(n_traj), _seed(seed)
     a, b, x0 = (_vertex(v, gen.n) for v in (a, b, x0))
     if a == b:
         raise ValidationError("hitting targets must be distinct")
@@ -415,7 +432,7 @@ def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> 
     returns to x; the analytic value is R(x, y) * mu(V). A vertex of x's
     component with no exits raises ``ValidationError``.
     """
-    n_traj, seed = _count(n_traj), _index(seed, "seed")
+    n_traj, seed = _count(n_traj), _seed(seed)
     x, y = _vertex(x, gen.n), _vertex(y, gen.n)
     if x == y:
         return Estimate(0.0, 0.0)

@@ -4,7 +4,8 @@ Whatever a network or sequence file holds, ``net validate`` and ``seq check``
 exit with 0, 1 or 2, a non-zero exit leaves exactly one ``{"error": ...}``
 line on stderr, and no exception escapes ``main``. The files are arbitrary
 JSON values, valid files with one value replaced or removed, and valid files
-cut short or with a few characters spliced in.
+cut short or with a few characters spliced in. The ``sim`` commands keep the
+same contract over arbitrary integer seeds.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ NETWORK = {
     "killing": [0.0, 0.0, 1.0, 0.0],
 }
 SEQUENCE = sequence_to_dict(build_dyadic_interval(2))
+PATH3 = {"vertices": [0, 1, 2], "edges": [{"u": 0, "v": 1, "c": 1.0}, {"u": 1, "v": 2, "c": 1.0}]}
 
 fuzz_settings = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
@@ -81,7 +83,7 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "input.json"
 
 
-def check_contract(argv) -> None:
+def check_contract(argv) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -90,6 +92,7 @@ def check_contract(argv) -> None:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error"}
+    return code
 
 
 @fuzz_settings
@@ -112,3 +115,20 @@ def test_arbitrary_bytes_contract(fuzz_file, data):
     fuzz_file.write_bytes(data)
     check_contract(["net", "validate", str(fuzz_file)])
     check_contract(["seq", "check", str(fuzz_file)])
+
+
+@pytest.fixture(scope="module")
+def path3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sim") / "path3.json"
+    path.write_text(json.dumps(PATH3), encoding="utf-8")
+    return path
+
+
+@settings(fuzz_settings, max_examples=25)
+@given(seed=st.integers() | st.sampled_from([-1, 0, 2**64 - 1, 2**64, 2**64 + 5, 10**30]))
+def test_sim_seed_contract(path3_file, seed):
+    common = ["--net", str(path3_file), "--n", "5", "--seed", str(seed)]
+    for argv in (["sim", "hit", *common, "--targets", "0,2", "--start", "1"],
+                 ["sim", "commute", *common, "--pair", "0,2"],
+                 ["sim", "occupy", *common, "--horizon", "1.0"]):
+        assert check_contract(argv) == (0 if 0 <= seed < 2**64 else 1)  # a seed is never reduced mod 2^64

@@ -13,6 +13,7 @@ from netforms import (
     AtomicMeasure,
     EnergyMeasure,
     FormMatrix,
+    GeneratorSpec,
     JumpKillingDecomposition,
     Network,
     PushforwardMeasure,
@@ -274,6 +275,59 @@ class TestTypes:
     def test_json_round_trip(self, net):
         back = Network.from_dict(json.loads(json.dumps(net.to_dict())))
         assert back == net and hash(back) == hash(net)
+
+
+#: The public constructors of a matrix from outside, by the name their errors
+#: give; the vectors beside the matrix are empty, since the matrix is checked first.
+MATRIX_CONSTRUCTORS = {
+    "form matrix": FormMatrix,
+    "jump kernel": lambda M: JumpKillingDecomposition(M, []),
+    "conductance matrix": lambda M: GeneratorSpec(M, [], [], []),
+}
+
+#: A bad matrix, with the message after the constructor's name when it comes
+#: dense and when it comes sparse: the number rule reads a dense array entry by
+#: entry and a sparse one by its dtype.
+BAD_MATRICES = [
+    pytest.param(np.zeros((2, 3)), " must be square and nonempty, got shape (2, 3)", None, id="non-square"),
+    # a 0-vertex form or generator would fail inside numpy, not by ValidationError
+    pytest.param(np.zeros((0, 0)), " must be square and nonempty, got shape (0, 0)", None, id="empty"),
+    pytest.param(
+        np.array([[0.0, 1j], [1j, 0.0]]),
+        "[0, 0] must be a real number, got 0j",
+        " must hold real numbers, got dtype complex128",
+        id="complex",
+    ),
+    pytest.param(np.array([[0.0, np.inf], [np.inf, 0.0]]), " entry (0,1) = inf is not finite", None, id="non-finite"),
+    pytest.param(np.array([[0.0, 2.0], [1.0, 0.0]]), " is not symmetric at (0,1): 2.0 != 1.0", None, id="asymmetric"),
+]
+
+
+class TestOneMatrixCheck:
+    """FormMatrix, jump kernels and flow matrices pass one check, with one
+    message per defect."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("matrix, dense_message, sparse_message", BAD_MATRICES)
+    def test_one_message_per_defect(self, matrix, dense_message, sparse_message, sparse):
+        message = (sparse_message or dense_message) if sparse else dense_message
+        for what, construct in MATRIX_CONSTRUCTORS.items():
+            with pytest.raises(ValidationError) as err:
+                construct(csr_array(matrix) if sparse else matrix)
+            assert str(err.value) == what + message
+
+    def test_dense_and_sparse_input_hold_one_csr_matrix(self):
+        rng = np.random.default_rng(25)
+        D = rng.uniform(-1.0, 1.0, (40, 40)) * (rng.random((40, 40)) < 0.2)
+        D = D + D.T
+        D[3, 5] = D[5, 3] = -0.0  # dropped, as any zero
+        forms = FormMatrix(D), FormMatrix(csr_array(D)), FormMatrix(D.tolist())
+        assert all(A._dense is None for A in forms)  # a public form is held as CSR
+        for A in forms[1:]:
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(A.csr, name), getattr(forms[0].csr, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert forms[0].matrix.tobytes() == (D + 0.0).tobytes()  # -0.0 reads +0.0
 
 
 def bfs_components(m):

@@ -144,6 +144,19 @@ class TestHandBuiltSpec:
         with pytest.raises(ValidationError, match="zero diagonal"):
             GeneratorSpec(loop, np.ones(2), np.zeros(2), np.ones(2))
 
+    def test_holding_must_match_the_rates(self):
+        # a holding vector the rates do not add up to would scale the
+        # killing-free check's tolerance and drop the killing silently
+        g = build_generator(assemble(Network(3, [(0, 1, 1.0), (1, 2, 1.0)], killing=[0.0, 0.5, 0.0])), uniform_measure(3))
+        with pytest.raises(ValidationError, match=r"holding\[0\] = 10000000000.0 is not the total rate 1.0 out of vertex 0"):
+            GeneratorSpec(g.conductances, g.mu, g.killing_rates, np.full(3, 1e10))
+        with pytest.raises(ValidationError, match=r"holding\[1\] = 2.0 is not the total rate 2.5 out of vertex 1"):
+            GeneratorSpec(g.conductances, g.mu, g.killing_rates, [1.0, 2.0, 1.0])
+        h = GeneratorSpec(g.conductances, g.mu, g.killing_rates, g.holding)  # build_generator's own sum passes
+        assert h.holding.tobytes() == g.holding.tobytes()
+        with pytest.raises(UnsupportedRegimeError, match="killing-free"):
+            hitting_probability(h, 0, 2, 1, 100, seed=1)
+
     @pytest.mark.parametrize(
         "C, mu, message",
         [
@@ -211,6 +224,23 @@ class TestSimulate:
             simulate(gen, 0, horizon, 5, seed=1)
         with pytest.raises(ValidationError, match="horizon"):
             occupation_check(gen, horizon, 5, seed=1)
+
+    def test_seeds_outside_the_key_range_raise(self, path3):
+        # a seed is a Philox key in [0, 2^64): -1 is not 2^64 - 1, and 2^64 + 5 is not 5
+        gen = build_generator(path3, uniform_measure(3))
+        for seed in (-1, 2**64, 5 + 2**64, 5 - 2**64):
+            for call in (
+                lambda: simulate(gen, 0, 1.0, 5, seed=seed),
+                lambda: hitting_probability(gen, 0, 2, 1, 5, seed=seed),
+                lambda: commute_time(gen, 0, 2, 5, seed=seed),
+                lambda: occupation_check(gen, 1.0, 5, seed=seed),
+            ):
+                with pytest.raises(ValidationError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+                    call()
+        top = 2**64 - 1
+        a = commute_time(gen, 0, 2, 50, seed=np.uint64(top))
+        b = commute_time(gen, 0, 2, 50, seed=top)
+        assert (a.value, a.stderr, a.jumps) == (b.value, b.stderr, b.jumps)
 
     def test_n_traj_checked_before_early_returns(self, path3):
         gen = build_generator(path3, uniform_measure(3))

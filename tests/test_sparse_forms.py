@@ -197,7 +197,7 @@ class TestCsrForms:
     def test_dense_and_sparse_construction_agree(self):
         net = random_network(3, 90, 1.5, 0.1, 0.3, False)
         A = assemble(net)
-        B = FormMatrix(A.matrix)  # dense-backed, CSR derived on first use
+        B = FormMatrix(A.matrix)  # a checked copy of the dense view, held as CSR
         assert A.csr.has_canonical_format and A.csr.nnz == np.count_nonzero(A.matrix)
         assert np.array_equal(B.csr.toarray(), A.csr.toarray())
         assert FormMatrix(A.csr).matrix.tobytes() == A.matrix.tobytes()
@@ -212,9 +212,9 @@ class TestCsrForms:
             A.matrix = np.zeros((70, 70))
 
     def test_sparse_validation(self):
-        with pytest.raises(ValidationError, match=r"not symmetric: A\[0,1\]=2.0 != A\[1,0\]=0.0"):
+        with pytest.raises(ValidationError, match=r"form matrix is not symmetric at \(0,1\): 2.0 != 0.0"):
             FormMatrix(csr_array(np.array([[1.0, 2.0], [0.0, 1.0]])))
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(ValidationError, match=r"form matrix entry \(0,0\) = inf is not finite"):
             FormMatrix(csr_array(np.array([[np.inf, 0.0], [0.0, 1.0]])))
         with pytest.raises(ValidationError, match="square"):
             FormMatrix(csr_array(np.zeros((2, 3))))
@@ -277,7 +277,10 @@ class TestCsrForms:
         rng = np.random.default_rng(n_top)
         U = rng.permutation(seq.inclusions[-1])
         tr = trace(A, U)
-        dense = trace(FormMatrix(A.matrix), U)  # dense-backed, so eliminated from the same CSR
+        # the quotient by a separating embedding is A itself, held dense, so eliminated from the same CSR
+        held_dense = transfer_form(A, embed(AlgebraSpec(range(A.n), [np.arange(A.n, dtype=float)])))
+        assert held_dense._sparse is None and held_dense.matrix.tobytes() == A.matrix.tobytes()
+        dense = trace(held_dense, U)
         M = A.matrix
         W = tr.complement()
         H = -np.linalg.solve(M[np.ix_(W, W)], M[np.ix_(W, U)])

@@ -3,7 +3,8 @@
 When each level is the trace of the next, energies of restrictions are
 non-decreasing and converge to the limit energy. The dyadic interval is
 compatible exactly (series law); the gasket needs the 5/3 conductance
-renormalization, which a numerical search recovers.
+renormalization, which one level-1 trace recovers (the trace is homogeneous
+of degree 1 in the conductances).
 """
 
 import numpy as np
@@ -37,7 +38,7 @@ print("\nrandom f profile is non-decreasing:", bool(np.all(np.diff(prof) >= -1e-
 g = build_sierpinski_gasket(4)
 grep = check_compatibility(g)
 print("\ngasket levels 0..4 compatible:", bool(grep), " max deviation:", grep.deviations.max())
-print("numerically calibrated factor:", calibrate_gasket_factor(), "(standard value 5/3)")
+print("factor calibrated by one level-1 trace:", calibrate_gasket_factor(), "(standard value 5/3)")
 
 bad = check_compatibility(build_sierpinski_gasket(2, factor=1.6))
 print("wrong factor 1.6 detected:", not bool(bad), " deviation:", bad.deviations.max())

@@ -27,7 +27,7 @@ from scipy.sparse import csr_array
 
 from .errors import ValidationError
 from .network import RELTOL, FormMatrix, Network, killing_vector, _as_vector, _csr_from_entries, _entries, _kernel
-from .network import _laplacian, _readonly, _require_markov, _scale
+from .network import _laplacian, _readonly, _real, _require_markov, _scale
 
 __all__ = [
     "JumpKillingDecomposition",
@@ -41,7 +41,8 @@ __all__ = [
 class JumpKillingDecomposition:
     """Jump kernel (on ordered pairs) as a canonical read-only CSR matrix,
     killing vector, and zero local marker. The constructor also takes the
-    kernel as a dense array-like or as any scipy sparse matrix.
+    kernel as a dense array-like or as any scipy sparse matrix; a nonzero
+    ``local_part`` raises ``ValidationError``.
 
     The signs of J and kappa are checked up to ``RELTOL`` times the magnitude
     of the recomposed form, max(1, 2 max|J|, max_x |2 sum_y J_xy + kappa_x|):
@@ -53,6 +54,8 @@ class JumpKillingDecomposition:
     local_part: float = 0.0
 
     def __post_init__(self):
+        if _real(self.local_part, "local_part") != 0.0:
+            raise ValidationError(f"local_part = {self.local_part!r} must be 0: a finite form has no local part")
         J = _kernel(self.jump, "jump kernel")
         k = _as_vector(self.kappa, J.shape[0], "kappa")
         self._store(J, k, _entries(J)[0])

@@ -399,7 +399,7 @@ def _build_parser() -> _Parser:
     b.add_argument("kind", choices=["dyadic", "gasket"])
     b.add_argument("--levels", type=int, required=True)
     b.add_argument("--factor", type=float, default=None, help="gasket renormalization factor")
-    b.add_argument("--calibrate", action="store_true", help="search the gasket factor numerically")
+    b.add_argument("--calibrate", action="store_true", help="compute the gasket factor from one level-1 trace")
     b.add_argument("--output")
     b.set_defaults(func=cmd_seq_build)
     c = seq.add_parser("check", help="check trace compatibility")

@@ -242,16 +242,23 @@ class _EdgeArrays(NamedTuple):
     c: np.ndarray
 
 
+def _columns(u, v, c) -> _EdgeArrays | None:
+    """Arrays of three edge columns if the endpoints are all Python ints and
+    the conductances all Python ints or floats, that numpy can take; else None."""
+    if set(map(type, u)) | set(map(type, v)) == {int} and set(map(type, c)) <= {int, float}:
+        with suppress(OverflowError):  # an endpoint beyond int64 or an int beyond the float range
+            return _EdgeArrays(np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(c, dtype=float))
+    return None
+
+
 def _parse_edges(edges, n: int) -> _EdgeArrays:
     """Arrays of an iterable of (u, v, c) triples: endpoints by the integer
     rule of :func:`_index`, conductances by the number rule of :func:`_real`.
     A list of 3-tuples of Python ints and floats is read a column at a time;
     other edges, or numbers numpy cannot take, go one by one to name the first bad edge."""
     if type(edges) is list and edges and set(map(type, edges)) == {tuple} and set(map(len, edges)) == {3}:
-        u, v, c = zip(*edges)
-        if set(map(type, u + v)) == {int} and set(map(type, c)) <= {int, float}:
-            with suppress(OverflowError):  # an endpoint beyond int64 or an int beyond the float range
-                return _EdgeArrays(np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(c, dtype=float))
+        if (columns := _columns(*zip(*edges))) is not None:
+            return columns
     us, vs, cs = [], [], []
     for k, e in enumerate(edges):
         try:
@@ -413,6 +420,13 @@ class Network:
         the constructor's, so JSON booleans and strings are not numbers."""
         _json_object(d, "network", "vertices", "edges")
         labels = tuple(map(_label, d["vertices"]))
+        edges = d["edges"]
+        if type(edges) is list and edges and set(map(type, edges)) == {dict}:
+            # a column at a time, with no tuple per edge: the garbage collector
+            # would walk every object of a large loaded file for them
+            with suppress(KeyError):  # an edge without one of the keys goes to the loop, which names it
+                if (columns := _columns(*([e[key] for e in edges] for key in "uvc"))) is not None:
+                    return cls(labels, columns, d.get("killing"))
         edges = []
         for k, e in enumerate(d["edges"]):
             if not isinstance(e, dict) or not {"u", "v", "c"} <= set(e):

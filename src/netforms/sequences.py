@@ -232,9 +232,9 @@ def build_sierpinski_gasket(levels: int, factor: float | None = None, calibrate:
 
     Level 0 is the unit triangle; each refinement replaces a cell by three
     half-size cells and multiplies every conductance by the renormalization
-    factor (5/3 by default). With ``calibrate=True`` the factor is found by a
-    numerical search instead of being hard-coded; the search makes the
-    level-1 trace onto the corners match the unit triangle.
+    factor (5/3 by default). With ``calibrate=True`` the factor is computed
+    instead of being hard-coded, by :func:`calibrate_gasket_factor`, so that
+    the level-1 trace onto the corners matches the unit triangle.
     """
     levels = _index(levels, "levels")
     if levels < 0:
@@ -265,21 +265,15 @@ def build_sierpinski_gasket(levels: int, factor: float | None = None, calibrate:
     return CompatibleSequence(tuple(nets), tuple(incs))
 
 
-def _corner_trace_conductance(rho: float) -> float:
-    """Conductance between two corners of a once-refined triangle with edge
-    conductances rho, traced onto the three corners."""
-    seq = build_sierpinski_gasket(1, factor=rho)
-    corners = seq.inclusions[0]
-    traced = trace(seq.form(1), corners).traced_form.matrix
-    return float(-traced[0, 1])
-
-
 def calibrate_gasket_factor() -> float:
-    """Numerically search the per-level conductance factor that makes the
-    level-1 gasket trace onto its corners reproduce the unit triangle."""
-    from scipy.optimize import brentq  # imported here: it costs a cold start about 0.2 s
-
-    return float(brentq(lambda r: _corner_trace_conductance(r) - 1.0, 1.0, 3.0, xtol=1e-12))
+    """The per-level conductance factor that makes the level-1 gasket trace
+    onto its corners reproduce the unit triangle, computed rather than
+    hard-coded. The trace is homogeneous of degree 1 in the conductances, so
+    the traced corner conductance at factor rho is rho times that at factor
+    1, and the factor is 1 over the latter: one trace."""
+    seq = build_sierpinski_gasket(1, factor=1.0)
+    traced = trace(seq.form(1), seq.inclusions[0]).traced_form.matrix
+    return 1.0 / float(-traced[0, 1])
 
 
 def sequence_to_dict(seq: CompatibleSequence) -> dict:

@@ -13,12 +13,16 @@ the live trajectories of a block with one vector of variates and then drops
 the ones that finished. A trajectory is one state index: a query's phases
 (out to y and back to x, for a commute) are folded into the jump table, so
 state s = p * (n + 1) + x is vertex x in phase p, and a trajectory finishes
-on entering a state past the table. Block b draws from its own
-counter-based stream, numpy Philox keyed by (seed, b), so its values depend
-only on (seed, b, block length). Each block is reduced to its count, sum and
-sum of squared deviations, and the blocks are combined in index order (the
-pairwise update of Chan, Golub and LeVeque), so results are a pure function
-of (generator, query, seed, n_traj) and memory does not grow with n_traj.
+on entering a state past the table. Only a walk with a time horizon draws
+holding times; in one without (hitting, commute) the clock adds their means,
+E[T | jumps], unbiased and of no larger variance (conditional Monte Carlo:
+Asmussen and Glynn, Stochastic Simulation, 2007, V.4). Block b draws from
+its own counter-based stream, numpy Philox keyed by (seed, b), so its values
+depend only on (seed, b, block length). Each block is reduced to its count,
+sum and sum of squared deviations, and the blocks are combined in index
+order (the pairwise update of Chan, Golub and LeVeque), so results are a
+pure function of (generator, query, seed, n_traj) and memory does not grow
+with n_traj.
 """
 
 from __future__ import annotations
@@ -86,8 +90,8 @@ class GeneratorSpec:
     The constructor also takes ``conductances`` as a dense array-like or as
     any scipy sparse matrix; it must be nonempty, finite, >= 0, symmetric and
     zero on the diagonal, the three vectors finite, one entry per vertex, mu
-    positive, and ``holding`` the sum of the jump and killing rates up to
-    ``RELTOL`` times their magnitude.
+    positive, each killing rate >= -``RELTOL`` * max(1, max holding), and
+    ``holding`` the sum of the jump and killing rates up to that tolerance.
     """
 
     conductances: csr_array
@@ -105,6 +109,9 @@ class GeneratorSpec:
         if not np.all(mu > 0.0):
             bad = int(np.argmax(~(mu > 0.0)))
             raise ValidationError(f"mu({bad}) = {float(mu[bad])!r} is not positive")
+        if np.any(neg := k < -RELTOL * _scale(lam)):  # as JumpKillingDecomposition refuses a negative kappa
+            bad = int(np.argmax(neg))
+            raise ValidationError(f"killing_rates[{bad}] = {float(k[bad])!r} is negative at vertex {bad}")
         rates = np.bincount(i, c / mu[i], minlength=mu.size) + k  # as build_generator sums them
         if np.any(off := ~(np.abs(lam - rates) <= RELTOL * _scale(lam))):
             bad = int(np.argmax(off))
@@ -244,16 +251,15 @@ class _Walk(NamedTuple):
     states of ``table``, a jump table folded over the phases by
     :func:`_fold`, until it reaches a state past the table's width. With
     ``horizon`` set it also ends at that time (or in a state without exits)
-    and its occupation time of each state is recorded. Holding times are
-    drawn only when ``timed``. ``values`` maps the block's final vertices
-    (s mod (n + 1)), clocks and occupation times to one row of values per
-    trajectory.
+    and its occupation time of each state is recorded; holding times are
+    drawn only then, else the clock adds their means. ``values`` maps the
+    block's final vertices (s mod (n + 1)), clocks and occupation times to
+    one row of values per trajectory.
     """
 
     table: _JumpTable
     x0: int
     n: int
-    timed: bool
     horizon: float | None
     values: Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]
 
@@ -261,8 +267,7 @@ class _Walk(NamedTuple):
 def _run_block(walk: _Walk, seed: int, b: int, m: int) -> tuple[np.ndarray, int, int]:
     """Values of the m trajectories of block b, their total and their
     longest jump count."""
-    key = np.array([seed, b], dtype=np.uint64)
-    g = np.random.Generator(np.random.Philox(key=key))
+    g = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
     cum, tgt, inv_holding = walk.table
     horizon = walk.horizon
     end = cum.shape[1]
@@ -275,12 +280,9 @@ def _run_block(walk: _Walk, seed: int, b: int, m: int) -> tuple[np.ndarray, int,
     jumps = max_jumps = steps = 0
     while live.size:
         steps += 1
-        if walk.timed:
-            dt = g.standard_exponential(live.size) * inv_holding.take(s)
-            if horizon is not None:
-                out = ~(t + dt < horizon)  # past the horizon, or no exits
-                occ[live, s] += np.where(out, horizon - t, dt)
-            t += dt
+        dt = inv_holding.take(s)  # without a horizon the clock adds the mean holding time
+        if horizon is not None:
+            dt *= g.standard_exponential(live.size)
         u = g.random(live.size)
         k = (cum.take(s, axis=1) <= u).sum(axis=0)
         if horizon is None:
@@ -288,9 +290,12 @@ def _run_block(walk: _Walk, seed: int, b: int, m: int) -> tuple[np.ndarray, int,
             moved = live.size
             done = s >= end
         else:
+            out = ~(t + dt < horizon)  # past the horizon, or no exits
+            occ[live, s] += np.where(out, horizon - t, dt)
             s = np.where(out, s, tgt[k, s])
             moved = live.size - int(np.count_nonzero(out))
             done = out | (s >= end)
+        t += dt
         jumps += moved
         if moved:
             max_jumps = steps
@@ -363,18 +368,10 @@ def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int
         raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
     n_traj, seed = _count(n_traj), _seed(seed)
     n = gen.n
-    walk = _Walk(_fold(_jump_table(gen, include_killing=True), [n]), x0, n, True, horizon,
+    walk = _Walk(_fold(_jump_table(gen, include_killing=True), [n]), x0, n, horizon,
                  lambda final, clock, occ: np.column_stack([occ[:, :n] / horizon, final == n]))
     mean, se, jumps, max_jumps = _estimate(walk, n_traj, seed)
-    return SimResult(
-        n_trajectories=n_traj,
-        occupation=mean[:n],
-        occupation_se=se[:n],
-        killed_fraction=float(mean[n]),
-        killed_fraction_se=float(se[n]),
-        jumps=jumps,
-        max_jumps=max_jumps,
-    )
+    return SimResult(n_traj, mean[:n], se[:n], float(mean[n]), float(se[n]), jumps, max_jumps)
 
 
 def _require_killing_free(gen: GeneratorSpec, op: str) -> None:
@@ -382,16 +379,21 @@ def _require_killing_free(gen: GeneratorSpec, op: str) -> None:
         raise UnsupportedRegimeError(f"{op} requires a killing-free chain")
 
 
-def _require_exits(table: _JumpTable, walked: np.ndarray, x0: int) -> None:
-    """Refuse a walk from x0 that may step from a vertex without exits (one
-    whose every jump rate underflows to 0): it would never leave, so no
-    hitting event could be estimated."""
+def _horizon_free(gen: GeneratorSpec, x0: int, ends: tuple, walked: np.ndarray, values,
+                  n_traj: int, seed: int) -> Estimate:
+    """Estimate of the one value per trajectory of a walk from x0 through
+    the phases ``ends``, with no horizon, on the killing-free jump table. A
+    walk that may step from a vertex of ``walked`` without exits (one whose
+    every jump rate underflows to 0) is refused: it would never leave."""
+    table = _jump_table(gen, include_killing=False)
     stuck = np.flatnonzero(walked & np.isinf(table.inv_holding[:-1]))
     if stuck.size:
         raise ValidationError(
             f"vertex {stuck[0]} has holding rate 0 (every jump rate out of it underflows to 0): "
             f"a walk from {x0} that enters it never leaves"
         )
+    mean, se, jumps, max_jumps = _estimate(_Walk(_fold(table, *ends), x0, gen.n, None, values), n_traj, seed)
+    return Estimate(float(mean[0]), float(se[0]), jumps, max_jumps)
 
 
 def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int, seed: int) -> Estimate:
@@ -417,20 +419,18 @@ def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int
 
     walked = labels == labels[x0]
     walked[[a, b]] = False  # the walk stops there
-    table = _jump_table(gen, include_killing=False)
-    _require_exits(table, walked, x0)
-    walk = _Walk(_fold(table, [a, b]), x0, gen.n, False, None,
-                 lambda final, clock, occ: (final == a)[:, None].astype(float))
-    mean, se, jumps, max_jumps = _estimate(walk, n_traj, seed)
-    return Estimate(float(mean[0]), float(se[0]), jumps, max_jumps)
+    return _horizon_free(gen, x0, ([a, b],), walked, lambda final, clock, occ: (final == a)[:, None].astype(float),
+                         n_traj, seed)
 
 
 def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> Estimate:
     """Estimate the commute time E_x T_y + E_y T_x of a killing-free chain.
 
     Each trajectory runs from x until it hits y and then continues until it
-    returns to x; the analytic value is R(x, y) * mu(V). A vertex of x's
-    component with no exits raises ``ValidationError``.
+    returns to x; the analytic value is R(x, y) * mu(V). A trajectory reads
+    its duration's mean given its jumps, the sum of 1 / lambda over the states
+    it leaves, so ``stderr`` is that of this conditional estimator. A vertex
+    of x's component with no exits raises ``ValidationError``.
     """
     n_traj, seed = _count(n_traj), _seed(seed)
     x, y = _vertex(x, gen.n), _vertex(y, gen.n)
@@ -440,13 +440,8 @@ def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> 
     labels = _labels(gen.conductances, symmetric=True)
     if labels[y] != labels[x]:
         raise ValidationError(f"vertex {y} is not reachable from {x}")
-
-    table = _jump_table(gen, include_killing=False)
-    _require_exits(table, labels == labels[x], x)
-    walk = _Walk(_fold(table, [y], [x]), x, gen.n, True, None,
-                 lambda final, clock, occ: clock[:, None])
-    mean, se, jumps, max_jumps = _estimate(walk, n_traj, seed)
-    return Estimate(float(mean[0]), float(se[0]), jumps, max_jumps)
+    return _horizon_free(gen, x, ([y], [x]), labels == labels[x], lambda final, clock, occ: clock[:, None],
+                         n_traj, seed)
 
 
 def occupation_check(gen: GeneratorSpec, horizon: float, n_traj: int, seed: int, x0: int = 0) -> OccupationResult:

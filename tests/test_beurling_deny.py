@@ -141,6 +141,14 @@ class TestDecompose:
     def test_local_part_identically_zero(self, unit_edge):
         assert decompose(unit_edge).local_part == 0.0
 
+    def test_nonzero_local_part_is_refused(self):
+        J = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValidationError, match=r"local_part = 3.0 must be 0: a finite form has no local part"):
+            JumpKillingDecomposition(J, np.zeros(2), local_part=3.0)
+        with pytest.raises(ValidationError, match="local_part must be a real number"):
+            JumpKillingDecomposition(J, np.zeros(2), local_part="0")
+        assert JumpKillingDecomposition(J, np.zeros(2), local_part=0).local_part == 0.0
+
 
 class TestRecompose:
     def test_roundtrip_killing_example(self):

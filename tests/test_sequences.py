@@ -300,7 +300,7 @@ class TestGasket:
         assert abs(calibrate_gasket_factor() - 5.0 / 3.0) <= 1e-6
 
     def test_cold_start_leaves_out_scipy_optimize(self):
-        # the root finder is imported by the calibration alone: it costs a cold start about 0.2 s
+        # the calibration is one trace and needs no root finder, whose import costs a cold start about 0.2 s
         src = str(Path(netforms.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = (

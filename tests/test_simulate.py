@@ -157,6 +157,16 @@ class TestHandBuiltSpec:
         with pytest.raises(UnsupportedRegimeError, match="killing-free"):
             hitting_probability(h, 0, 2, 1, 100, seed=1)
 
+    def test_negative_killing_rate_is_refused(self):
+        # _jump_table keeps only positive killing rates, so a negative one
+        # would simulate as a conservative chain
+        g = build_generator(assemble(Network(3, [(0, 1, 1.0), (1, 2, 1.0)])), uniform_measure(3))
+        with pytest.raises(ValidationError, match=r"killing_rates\[1\] = -0.5 is negative at vertex 1"):
+            GeneratorSpec(g.conductances, g.mu, [0.0, -0.5, 0.0], g.holding - [0.0, 0.5, 0.0])
+        # within RELTOL of the holding scale it reads as zero, as is_markov's tolerance does
+        h = GeneratorSpec(g.conductances, g.mu, [0.0, -1e-15, 0.0], g.holding)
+        assert simulate(h, 1, 2.0, 50, seed=3).killed_fraction == 0.0
+
     @pytest.mark.parametrize(
         "C, mu, message",
         [
@@ -314,6 +324,25 @@ class TestCommute:
         gen = build_generator(unit_edge, AtomicMeasure([m1, m2]))
         est = commute_time(gen, 0, 1, 20000, seed=14)
         assert abs(est.value - (m1 + m2)) <= 0.05 * (m1 + m2)
+
+    def test_unit_edge_clock_is_the_mean_holding_times(self, unit_edge):
+        # every trajectory leaves 0 once and 1 once, and the clock adds the
+        # mean holding times 1/lambda_0 = 2 and 1/lambda_1 = 1, so the
+        # conditional estimator has no variance left
+        gen = build_generator(unit_edge, AtomicMeasure([2.0, 1.0]))
+        est = commute_time(gen, 0, 1, 5000, seed=14)
+        assert (est.value, est.stderr, est.jumps, est.max_jumps) == (3.0, 0.0, 10000, 2)
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_gasket_corners_match_resistance_times_mass(self, level):
+        # commute time identity E_a T_b + E_b T_a = R(a, b) mu(V) (Chandra et al., STOC 1989)
+        seq = build_sierpinski_gasket(level)
+        A = seq.form(level)
+        a, b = seq.positions_at_top(0)[:2].tolist()
+        gen = build_generator(A, uniform_measure(A.n))
+        est = commute_time(gen, a, b, 2000, seed=70 + level)
+        analytic = effective_resistance(A, a, b) * A.n
+        assert abs(est.value - analytic) <= 4.0 * est.stderr
 
     def test_path_endpoints(self, path3):
         gen = build_generator(path3, uniform_measure(3))
@@ -552,7 +581,7 @@ class TestPinnedBits:
         net, c, mu = _gasket2()
         e = commute_time(build_generator(assemble(net), mu), c[0], c[1], self.N, seed=19)
         assert (e.value.hex(), e.stderr.hex(), e.jumps, e.max_jumps) == (
-            "0x1.4ae26a4e356e4p+4", "0x1.2c0e4b63ab276p+0", 15382, 363)
+            "0x1.4256d5cfaacd8p+4", "0x1.f3c7adb27e04ap-1", 15040, 329)
 
     def test_simulate_killed_gasket2(self, small_blocks):
         net, _, mu = _gasket2(kill=1.0)

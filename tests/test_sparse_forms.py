@@ -615,6 +615,16 @@ def parsed(edges, n: int = 3):
         return str(e)
 
 
+def loaded(edges):
+    """The edge arrays of a network, or its error message: a network with
+    three vertices and these JSON edge objects, or the one ``edges()`` builds."""
+    try:
+        net = edges() if callable(edges) else Network.from_dict({"vertices": [0, 1, 2], "edges": edges})
+        return [(a.dtype, a.tolist()) for a in (net.u, net.v, net.c)]
+    except ValidationError as e:
+        return str(e)
+
+
 class TestParseEdges:
     """Edges are read one by one, a list as an iterator of it, and the
     first bad edge is named."""
@@ -957,6 +967,24 @@ class TestBulkEdgeParse:
         assert calls == []
         parsed(iter(BULK_EDGES["ints-and-floats"]))
         assert len(calls) == 9
+
+    @pytest.mark.parametrize("case", [c for c, edges in BULK_EDGES.items() if {type(e) for e in edges} <= {tuple, list}])
+    def test_json_edge_objects_load_as_the_loop_reads_them(self, case):
+        triples = [e for e in BULK_EDGES[case] if len(e) == 3]
+        objects = [{"u": u, "v": v, "c": c} for u, v, c in triples]
+        assert loaded(objects) == loaded(lambda: Network(3, iter(triples)))
+
+    def test_json_edge_objects_are_read_a_column_at_a_time(self, monkeypatch):
+        want = loaded(lambda: Network(3, BULK_EDGES["ints-and-floats"]))
+        calls = []
+        for name in ("_index", "_real", "_parse_edges"):  # no edge list of tuples is built
+            fn = getattr(network, name)
+            monkeypatch.setattr(network, name, lambda *a, _f=fn, _n=name: calls.append(_n) or _f(*a))
+        objects = [{"u": u, "v": v, "c": c} for u, v, c in BULK_EDGES["ints-and-floats"]]
+        assert loaded(objects) == want
+        assert calls == []
+        # an edge without one of the keys is named, as the loop names it
+        assert loaded(objects[:1] + [{"u": 1, "v": 2}]) == "edge #1: expected an object with keys u, v, c"
 
     def test_checked_edges_are_read_only(self):
         net = Network(3, [(2, 1, 1.0), (0, 1, 2)])

@@ -26,8 +26,8 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import ValidationError
-from .network import RELTOL, FormMatrix, Network, killing_vector, _as_vector, _csr_from_entries, _entries, _kernel
-from .network import _laplacian, _readonly, _real, _require_markov, _scale
+from .network import RELTOL, FormMatrix, Network, killing_vector, _as_vector, _csr_from_entries, _entries
+from .network import _laplacian, _readonly, _real, _require_markov, _scale, _symmetric
 
 __all__ = [
     "JumpKillingDecomposition",
@@ -56,7 +56,9 @@ class JumpKillingDecomposition:
     def __post_init__(self):
         if _real(self.local_part, "local_part") != 0.0:
             raise ValidationError(f"local_part = {self.local_part!r} must be 0: a finite form has no local part")
-        J = _kernel(self.jump, "jump kernel")
+        J = _symmetric(self.jump, "jump kernel")
+        if J.diagonal().any():
+            raise ValidationError("jump kernel must have zero diagonal")
         k = _as_vector(self.kappa, J.shape[0], "kappa")
         self._store(J, k, _entries(J)[0])
 

@@ -507,8 +507,8 @@ def _symmetric(matrix, what: str) -> csr_array:
     """A nonempty square matrix of real numbers, given dense or as any scipy
     sparse matrix, that is finite and exactly symmetric, as a canonical
     read-only CSR copy: the one check of every matrix that enters from
-    outside (a form, a jump kernel, a flow matrix), each error naming the
-    first bad entry in row-major order."""
+    outside (a form or a jump kernel), each error naming the first bad entry
+    in row-major order."""
     M = matrix if issparse(matrix) else _reals(matrix, what)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
         raise ValidationError(f"{what} must be square and nonempty, got shape {M.shape}")
@@ -529,15 +529,6 @@ def _symmetric(matrix, what: str) -> csr_array:
         i, j = int(D.row[x]), int(D.col[x])
         raise ValidationError(f"{what} is not symmetric at ({i},{j}): {float(M[i, j])!r} != {float(M[j, i])!r}")
     return _csr(M.indptr, M.indices, M.data, M.shape)
-
-
-def _kernel(matrix, what: str) -> csr_array:
-    """A matrix by the check of :func:`_symmetric` that is also zero on the
-    diagonal: a jump kernel or a flow matrix."""
-    M = _symmetric(matrix, what)
-    if M.diagonal().any():
-        raise ValidationError(f"{what} must have zero diagonal")
-    return M
 
 
 def _check_finite(m) -> None:

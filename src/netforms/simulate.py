@@ -35,19 +35,15 @@ from scipy.sparse import csr_array
 
 from .errors import UnsupportedRegimeError, ValidationError
 from .network import (
-    RELTOL,
     AtomicMeasure,
     FormMatrix,
     components,
     killing_vector,
-    _as_vector,
     _csr_from_entries,
     _entries,
     _index,
-    _kernel,
     _labels,
     _killing_free,
-    _readonly,
     _real,
     _require_markov,
     _scale,
@@ -70,28 +66,25 @@ __all__ = [
 _BLOCK = 4096
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GeneratorSpec:
-    """Jump/killing rates of the mu-symmetric chain of a form.
+    """Jump/killing rates of the mu-symmetric chain of a form, as
+    :func:`build_generator` gives them: its only constructor, so calling the
+    class or ``dataclasses.replace`` on a spec raises ``TypeError``. Every
+    array is read-only.
 
     Attributes
     ----------
     conductances : csr_array
-        The flow matrix, canonical and read-only, with no diagonal: entry
-        (x, y) > 0 is the flow mu(x) q_xy == mu(y) q_yx, stored once so
-        detailed balance is exact; the jump rate is q_xy = c_xy / mu(x).
+        The flow matrix, canonical, with no diagonal: entry (x, y) > 0 is the
+        flow mu(x) q_xy == mu(y) q_yx, stored once so detailed balance is
+        exact; the jump rate is q_xy = c_xy / mu(x).
     mu : ndarray
         Everywhere-positive vertex masses.
     killing_rates : ndarray
         k_x = kappa_x / mu(x).
     holding : ndarray
-        lambda_x = sum_y q_xy + k_x.
-
-    The constructor also takes ``conductances`` as a dense array-like or as
-    any scipy sparse matrix; it must be nonempty, finite, >= 0, symmetric and
-    zero on the diagonal, the three vectors finite, one entry per vertex, mu
-    positive, each killing rate >= -``RELTOL`` * max(1, max holding), and
-    ``holding`` the sum of the jump and killing rates up to that tolerance.
+        lambda_x = sum_y q_xy + k_x, finite.
     """
 
     conductances: csr_array
@@ -99,29 +92,8 @@ class GeneratorSpec:
     killing_rates: np.ndarray
     holding: np.ndarray
 
-    def __post_init__(self):
-        C = _kernel(self.conductances, "conductance matrix")
-        i, j, c = _entries(C)
-        if np.any(c < 0.0):
-            x = np.argmax(c < 0.0)
-            raise ValidationError(f"conductance matrix entry ({i[x]},{j[x]}) = {float(c[x])!r} is negative")
-        mu, k, lam = (_as_vector(getattr(self, name), C.shape[0], name) for name in ("mu", "killing_rates", "holding"))
-        if not np.all(mu > 0.0):
-            bad = int(np.argmax(~(mu > 0.0)))
-            raise ValidationError(f"mu({bad}) = {float(mu[bad])!r} is not positive")
-        if np.any(neg := k < -RELTOL * _scale(lam)):  # as JumpKillingDecomposition refuses a negative kappa
-            bad = int(np.argmax(neg))
-            raise ValidationError(f"killing_rates[{bad}] = {float(k[bad])!r} is negative at vertex {bad}")
-        rates = np.bincount(i, c / mu[i], minlength=mu.size) + k  # as build_generator sums them
-        if np.any(off := ~(np.abs(lam - rates) <= RELTOL * _scale(lam))):
-            bad = int(np.argmax(off))
-            raise ValidationError(
-                f"holding[{bad}] = {float(lam[bad])!r} is not the total rate {float(rates[bad])!r} "
-                f"out of vertex {bad}, its jump rates plus its killing rate"
-            )
-        object.__setattr__(self, "conductances", C)
-        for name, v in (("mu", mu), ("killing_rates", k), ("holding", lam)):
-            object.__setattr__(self, name, _readonly(v))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a GeneratorSpec comes only from build_generator(A, mu)")
 
     @property
     def n(self) -> int:
@@ -168,23 +140,34 @@ class OccupationResult:
 
 
 def build_generator(A: FormMatrix, mu: AtomicMeasure) -> GeneratorSpec:
-    """Rates of the mu-symmetric continuous-time chain of a Markov form."""
+    """Rates of the mu-symmetric continuous-time chain of a Markov form: the
+    only constructor of :class:`GeneratorSpec`. To simulate given rates, build
+    the form diag(sum_y c_xy + k_x mu(x)) - C and call this with mu. A mu(x)
+    so small that a rate out of x overflows raises ``ValidationError``."""
     _require_markov(A)
     if mu.n != A.n:
         raise ValidationError(f"measure has {mu.n} atoms but the form has {A.n} vertices")
+    w = mu.weights
     if not mu.everywhere_positive:
-        bad = int(np.flatnonzero(mu.weights <= 0)[0])
+        bad = int(np.flatnonzero(w <= 0)[0])
         raise ValidationError(
-            f"mu({bad}) = {float(mu.weights[bad])!r} is not positive; the symmetric process "
+            f"mu({bad}) = {float(w[bad])!r} is not positive; the symmetric process "
             "requires every point to have positive measure"
         )
     i, j, a = _entries(A)
     flow = (i != j) & (a < 0.0)  # the conductances -a, clamped at 0
     rows, cols, c = i[flow], j[flow], -a[flow]
-    k = np.maximum(killing_vector(A), 0.0) / mu.weights
-    lam = np.bincount(rows, c / mu.weights[rows], minlength=A.n) + k
-    C = _csr_from_entries(rows, cols, c, (A.n, A.n))
-    return GeneratorSpec(C, mu.weights, k, lam)
+    with np.errstate(over="ignore"):  # the rates are >= 0, so a finite lambda bounds them all
+        k = np.maximum(killing_vector(A), 0.0) / w
+        lam = np.bincount(rows, c / w[rows], minlength=A.n) + k
+    if not np.isfinite(lam).all():
+        bad = int(np.flatnonzero(~np.isfinite(lam))[0])
+        raise ValidationError(f"mu({bad}) = {float(w[bad])!r} is too small: the rates out of vertex {bad} overflow")
+    k.setflags(write=False)
+    lam.setflags(write=False)
+    gen = object.__new__(GeneratorSpec)
+    vars(gen).update(conductances=_csr_from_entries(rows, cols, c, (A.n, A.n)), mu=w, killing_rates=k, holding=lam)
+    return gen
 
 
 class _JumpTable(NamedTuple):
@@ -434,9 +417,9 @@ def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> 
     """
     n_traj, seed = _count(n_traj), _seed(seed)
     x, y = _vertex(x, gen.n), _vertex(y, gen.n)
+    _require_killing_free(gen, "commute time")
     if x == y:
         return Estimate(0.0, 0.0)
-    _require_killing_free(gen, "commute time")
     labels = _labels(gen.conductances, symmetric=True)
     if labels[y] != labels[x]:
         raise ValidationError(f"vertex {y} is not reachable from {x}")

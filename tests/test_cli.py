@@ -606,6 +606,29 @@ def test_sim_n_outside_range_exit_1(path3_file, capsys, query, n):
     assert err["type"] == "validation" and "--n" in err["message"]
 
 
+@pytest.mark.parametrize("query", [["hit", "--targets", "0,2", "--start", "1"], ["commute", "--pair", "0,2"],
+                                   ["occupy", "--horizon", "5"]], ids=["hit", "commute", "occupy"])
+def test_sim_overflowing_rates_exit_1_one_json_line(path3_file, tmp_path, query):
+    # 1 / 1e-320 overflows; the child shows warnings, so any would reach stderr
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps([1.0, 1e-320, 1.0]))
+    run = subprocess.run([sys.executable, "-m", "netforms", "sim", query[0], "--net", str(path3_file), "--mu", str(mu),
+                          "--seed", "1", "--n", "5", *query[1:]],
+                         capture_output=True, text=True, env={**child_env(), "PYTHONWARNINGS": "default"}, timeout=300)
+    assert run.returncode == 1 and run.stdout == "", run.stderr[-2000:]
+    assert len(run.stderr.splitlines()) == 1, run.stderr[-2000:]
+    error = json.loads(run.stderr)["error"]
+    assert error == {"type": "validation", "message": "mu(1) = 1e-320 is too small: the rates out of vertex 1 overflow"}
+
+
+def test_sim_commute_same_vertex_with_killing_exit_1(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({**_PATH3, "killing": [0.0, 0.5, 0.0]}))
+    assert main(["sim", "commute", "--net", str(net), "--seed", "1", "--n", "10", "--pair", "0,0"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "validation", "message": "commute time requires a killing-free chain"}
+
+
 def test_sim_commute_and_occupy(path3_file, capsys):
     assert main(["sim", "commute", "--net", str(path3_file), "--seed", "3", "--n", "2000",
                  "--pair", "0,2"]) == 0

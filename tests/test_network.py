@@ -13,7 +13,6 @@ from netforms import (
     AtomicMeasure,
     EnergyMeasure,
     FormMatrix,
-    GeneratorSpec,
     JumpKillingDecomposition,
     Network,
     PushforwardMeasure,
@@ -282,7 +281,6 @@ class TestTypes:
 MATRIX_CONSTRUCTORS = {
     "form matrix": FormMatrix,
     "jump kernel": lambda M: JumpKillingDecomposition(M, []),
-    "conductance matrix": lambda M: GeneratorSpec(M, [], [], []),
 }
 
 #: A bad matrix, with the message after the constructor's name when it comes
@@ -304,8 +302,8 @@ BAD_MATRICES = [
 
 
 class TestOneMatrixCheck:
-    """FormMatrix, jump kernels and flow matrices pass one check, with one
-    message per defect."""
+    """FormMatrix and jump kernels pass one check, with one message per
+    defect."""
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("matrix, dense_message, sparse_message", BAD_MATRICES)

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import csr_array
 
 from netforms import (
     AtomicMeasure,
@@ -23,7 +24,6 @@ from netforms import (
     simulate,
     trace,
 )
-from netforms import network
 from netforms.random_networks import random_connected_network
 
 # the package re-exports the function ``simulate`` under the module's name
@@ -52,8 +52,45 @@ class TestBuildGenerator:
         assert np.allclose(gen.killing_rates, [1.0, 0.0], atol=1e-12)
 
     def test_zero_mass_rejected_citing_positivity(self, unit_edge):
-        with pytest.raises(ValidationError, match="positive measure"):
+        with pytest.raises(ValidationError, match=r"^mu\(1\) = 0.0 is not positive; the symmetric process requires "
+                                                  "every point to have positive measure$"):
             build_generator(unit_edge, AtomicMeasure([1.0, 0.0]))
+
+    def test_measure_of_the_wrong_length_rejected(self, path3):
+        with pytest.raises(ValidationError, match=r"^measure has 2 atoms but the form has 3 vertices$"):
+            build_generator(path3, uniform_measure(2))
+
+    def test_overflowing_rates_raise_naming_the_vertex(self, path3):
+        # 1 / 1e-320 overflows: the jump rates out of vertex 1, and the killing rate of a lone killed vertex
+        with pytest.raises(ValidationError, match=r"^mu\(1\) = 1e-320 is too small: the rates out of vertex 1 overflow$"):
+            build_generator(path3, AtomicMeasure([1.0, 1e-320, 1.0]))
+        with pytest.raises(ValidationError, match=r"^mu\(0\) = 1e-320 is too small: the rates out of vertex 0 overflow$"):
+            build_generator(assemble(Network(1, [], killing=[1.0])), AtomicMeasure([1e-320]))
+
+    def test_build_generator_is_the_only_constructor(self, path3):
+        gen = build_generator(path3, uniform_measure(3))
+        for call in (
+            lambda: GeneratorSpec(),
+            lambda: GeneratorSpec(gen.conductances, gen.mu, gen.killing_rates, gen.holding),
+            lambda: GeneratorSpec(conductances=gen.conductances),
+            lambda: dataclasses.replace(gen),
+            lambda: dataclasses.replace(gen, holding=2.0 * gen.holding),
+        ):
+            with pytest.raises(TypeError, match="build_generator"):
+                call()
+
+    def test_fields_pinned_on_random_killing_networks(self):
+        # forms of 2 to 90 vertices, so both sides of DENSE_N_MAX; the index
+        # arrays are hashed by value, as int64
+        rng = np.random.default_rng(27)
+        arrays = []
+        for _ in range(50):
+            net = random_connected_network(rng, n_max=90, with_killing=True)
+            gen = build_generator(assemble(net), AtomicMeasure(rng.uniform(0.1, 5.0, net.n)))
+            C = gen.conductances
+            arrays += [C.indptr.astype(np.int64), C.indices.astype(np.int64), C.data, gen.mu, gen.killing_rates,
+                       gen.holding]
+        assert _sha256(*arrays) == "bcecd6b5ff7ed9979ab82834b39a37dfa3b390637a7ceb3230867b89a8c6ac84"
 
     def test_detailed_balance_exact_by_construction(self):
         rng = np.random.default_rng(60)
@@ -90,102 +127,6 @@ class TestBuildGenerator:
         finally:
             tracemalloc.stop()
         assert gen.n == 1095 and peak < 8 * A.n ** 2 // 16
-
-
-class TestHandBuiltSpec:
-    """The public constructor takes the flow matrix dense or as any scipy
-    sparse matrix and stores it as build_generator does."""
-
-    def test_dense_flow_matrix_simulates_as_built(self):
-        rng = np.random.default_rng(62)
-        net = random_connected_network(rng, n_max=12, with_killing=True)
-        g = build_generator(assemble(net), AtomicMeasure(rng.uniform(0.5, 2.0, net.n)))
-        for C in (g.conductances.toarray(), g.conductances.toarray().tolist(), coo_array(g.conductances)):
-            h = GeneratorSpec(C, g.mu, g.killing_rates, g.holding)
-            for a, b in ((g.conductances.indptr, h.conductances.indptr), (g.conductances.indices, h.conductances.indices)):
-                assert np.array_equal(a, b)
-            assert g.conductances.data.tobytes() == h.conductances.data.tobytes()
-            assert not h.conductances.data.flags.writeable and h.conductances.has_canonical_format
-            a, b = simulate(g, 0, 3.0, 300, seed=8), simulate(h, 0, 3.0, 300, seed=8)
-            for field in ("occupation", "occupation_se", "killed_fraction", "killed_fraction_se", "jumps", "max_jumps"):
-                assert np.asarray(getattr(a, field)).tobytes() == np.asarray(getattr(b, field)).tobytes()
-
-    def test_flow_matrix_is_copied_and_checked(self):
-        rng = np.random.default_rng(63)
-        net = random_connected_network(rng, n_max=12, with_killing=True)
-        g = build_generator(assemble(net), AtomicMeasure(rng.uniform(0.5, 2.0, net.n)))
-        C = g.conductances
-        # a read-only view of a writable array is copied: writing through its
-        # base after the checks leaves the spec as it was checked
-        base = C.data.copy()
-        view = base.view()
-        view.setflags(write=False)
-        h = GeneratorSpec(network._csr(C.indptr, C.indices, view, C.shape), g.mu, g.killing_rates, g.holding)
-        base[0] = -1.0
-        assert h.conductances.data.tobytes() == C.data.tobytes()
-        # a read-only canonical, writable or non-canonical input is copied,
-        # then made canonical and read-only
-        messy = csr_array((np.r_[C.data, 0.0], np.r_[C.indices, 0], np.r_[C.indptr[:-1], C.indptr[-1] + 1]), shape=C.shape)
-        for D in (C, C.copy(), messy):
-            h = GeneratorSpec(D, g.mu, g.killing_rates, g.holding).conductances
-            assert h is not D and h.data is not D.data and not h.data.flags.writeable and h.has_canonical_format
-            assert h.data.tobytes() == C.data.tobytes() and np.array_equal(h.indices, C.indices)
-        # a read-only canonical input still passes every check
-        # a kept input still passes every check
-        for data, message in (
-            (-C.data, r"entry \(\d+,\d+\) = -[\d.e-]+ is negative"),
-            (np.where(np.arange(C.nnz) == 0, np.nan, C.data), r"is not finite"),
-            (np.where(np.arange(C.nnz) == 0, 2.0 * C.data, C.data), r"is not symmetric at"),
-        ):
-            bad = network._csr(C.indptr, C.indices, data, C.shape)
-            with pytest.raises(ValidationError, match=message):
-                GeneratorSpec(bad, g.mu, g.killing_rates, g.holding)
-        loop = network._csr(np.array([0, 1, 1]), np.array([0]), np.array([1.0]), (2, 2))
-        with pytest.raises(ValidationError, match="zero diagonal"):
-            GeneratorSpec(loop, np.ones(2), np.zeros(2), np.ones(2))
-
-    def test_holding_must_match_the_rates(self):
-        # a holding vector the rates do not add up to would scale the
-        # killing-free check's tolerance and drop the killing silently
-        g = build_generator(assemble(Network(3, [(0, 1, 1.0), (1, 2, 1.0)], killing=[0.0, 0.5, 0.0])), uniform_measure(3))
-        with pytest.raises(ValidationError, match=r"holding\[0\] = 10000000000.0 is not the total rate 1.0 out of vertex 0"):
-            GeneratorSpec(g.conductances, g.mu, g.killing_rates, np.full(3, 1e10))
-        with pytest.raises(ValidationError, match=r"holding\[1\] = 2.0 is not the total rate 2.5 out of vertex 1"):
-            GeneratorSpec(g.conductances, g.mu, g.killing_rates, [1.0, 2.0, 1.0])
-        h = GeneratorSpec(g.conductances, g.mu, g.killing_rates, g.holding)  # build_generator's own sum passes
-        assert h.holding.tobytes() == g.holding.tobytes()
-        with pytest.raises(UnsupportedRegimeError, match="killing-free"):
-            hitting_probability(h, 0, 2, 1, 100, seed=1)
-
-    def test_negative_killing_rate_is_refused(self):
-        # _jump_table keeps only positive killing rates, so a negative one
-        # would simulate as a conservative chain
-        g = build_generator(assemble(Network(3, [(0, 1, 1.0), (1, 2, 1.0)])), uniform_measure(3))
-        with pytest.raises(ValidationError, match=r"killing_rates\[1\] = -0.5 is negative at vertex 1"):
-            GeneratorSpec(g.conductances, g.mu, [0.0, -0.5, 0.0], g.holding - [0.0, 0.5, 0.0])
-        # within RELTOL of the holding scale it reads as zero, as is_markov's tolerance does
-        h = GeneratorSpec(g.conductances, g.mu, [0.0, -1e-15, 0.0], g.holding)
-        assert simulate(h, 1, 2.0, 50, seed=3).killed_fraction == 0.0
-
-    @pytest.mark.parametrize(
-        "C, mu, message",
-        [
-            (np.zeros((2, 3)), np.ones(2), r"conductance matrix must be square"),
-            ([[0.0, 1.0], [2.0, 0.0]], np.ones(2), r"conductance matrix is not symmetric at \(0,1\)"),
-            ([[0.0, -1.0], [-1.0, 0.0]], np.ones(2), r"conductance matrix entry \(0,1\) = -1.0 is negative"),
-            ([[1.0, 0.0], [0.0, 0.0]], np.ones(2), r"conductance matrix must have zero diagonal"),
-            ([[0.0, np.inf], [np.inf, 0.0]], np.ones(2), r"conductance matrix entry \(0,1\) = inf is not finite"),
-            ([[0.0, "1"], ["1", 0.0]], np.ones(2), r"conductance matrix\[0, 1\] must be a real number"),
-            (None, np.ones(2), r"conductance matrix must be a real number"),
-            (csr_array(np.eye(2, dtype=bool)), np.ones(2), r"conductance matrix must hold real numbers"),
-            (np.zeros((2, 2)), np.ones(3), r"mu must be a vector of length 2"),
-            (np.zeros((2, 2)), [1.0, np.nan], r"mu\[1\] = nan is not finite"),
-            (np.zeros((2, 2)), [1.0, 0.0], r"mu\(1\) = 0.0 is not positive"),
-        ],
-    )
-    def test_bad_input_raises_validation_error(self, C, mu, message):
-        with pytest.raises(ValidationError, match=message):
-            GeneratorSpec(C, mu, np.zeros(2), np.ones(2))
 
 
 class TestSimulate:
@@ -354,6 +295,13 @@ class TestCommute:
         gen = build_generator(path3, uniform_measure(3))
         est = commute_time(gen, 1, 1, 10, seed=16)
         assert est.value == 0.0 and est.stderr == 0.0
+
+    def test_killing_refused_before_the_same_vertex_shortcut(self):
+        A = assemble(Network(3, [(0, 1, 1.0), (1, 2, 1.0)], killing=[0.0, 0.5, 0.0]))
+        gen = build_generator(A, uniform_measure(3))
+        for x in range(3):
+            with pytest.raises(UnsupportedRegimeError, match="commute time requires a killing-free chain"):
+                commute_time(gen, x, x, 10, seed=1)
 
     def test_same_seed_bit_identical_new_seed_differs(self, path3):
         gen = build_generator(path3, uniform_measure(3))

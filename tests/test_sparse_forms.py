@@ -22,7 +22,6 @@ from netforms import (
     AtomicMeasure,
     CompatibleSequence,
     FormMatrix,
-    GeneratorSpec,
     JumpKillingDecomposition,
     Network,
     ValidationError,
@@ -337,7 +336,6 @@ class TestReturnedCsrWellFormed:
         assert_well_formed(JumpKillingDecomposition(d.jump.toarray(), d.kappa).jump)
         g = build_generator(A, AtomicMeasure(np.linspace(1.0, 3.0, n)))
         assert_well_formed(g.conductances)
-        assert_well_formed(GeneratorSpec(g.conductances.toarray(), g.mu, g.killing_rates, g.holding).conductances)
 
     @pytest.mark.parametrize(
         "n, subset",
@@ -397,15 +395,12 @@ class TestCallerInputIsCopied:
 
     @staticmethod
     def build(kind, C):
-        n = C.shape[0]
         if kind == "form":
             return FormMatrix(C).csr
-        if kind == "decomposition":
-            return JumpKillingDecomposition(C, np.zeros(n)).jump
-        return GeneratorSpec(C, np.ones(n), np.zeros(n), np.asarray(C.sum(axis=1))).conductances
+        return JumpKillingDecomposition(C, np.zeros(C.shape[0])).jump
 
     @pytest.mark.parametrize("readonly", [False, True], ids=["writable", "read-only"])
-    @pytest.mark.parametrize("kind", ["form", "decomposition", "generator"])
+    @pytest.mark.parametrize("kind", ["form", "decomposition"])
     def test_result_shares_no_memory_with_the_caller(self, kind, readonly):
         A = path_form(12)
         C = A.csr if kind == "form" else decompose(A).jump

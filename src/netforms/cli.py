@@ -35,7 +35,7 @@ from .gelfand import (
     vanishes_nowhere,
 )
 from .network import COMPAT_RELTOL, AtomicMeasure, Network, assemble, form_to_csv, is_markov
-from .network import _json_object, _matrix_csv, _read_json, _writing
+from .network import _integer, _json_object, _matrix_csv, _read_json, _writing
 from .sequences import (
     build_dyadic_interval,
     build_sierpinski_gasket,
@@ -286,8 +286,7 @@ def cmd_demo_counterexample(args):
 
 
 def cmd_sim(args):
-    if not 1 <= args.n <= MAX_SIM_TRAJECTORIES:
-        raise ValidationError(f"--n must be between 1 and {MAX_SIM_TRAJECTORIES}, got {args.n}")
+    _integer(args.n, "--n", 1, MAX_SIM_TRAJECTORIES)
     net = _load_network(args.net)
     A = assemble(net)
     mu = _load_measure(args.mu, net.n) if args.mu else AtomicMeasure(np.ones(net.n))

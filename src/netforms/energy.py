@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gelfand import EmbeddingResult
 from .network import CLAMP_RELTOL, IDENTITY_RELTOL, FormMatrix, evaluate, killing_vector
-from .network import _as_vector, _check_product, _entries, _index, _readonly, _reals, _require_markov, _scale
+from .network import _as_vector, _check_product, _entries, _integer, _readonly, _reals, _require_markov, _scale
 from .sequences import MAX_DYADIC_LEVELS, build_dyadic_interval
 
 __all__ = [
@@ -126,6 +126,11 @@ def counterexample_demo(n_max: int, points=(0.0, 0.5, 1.0), n_min: int | None = 
     interval sequence. The energy column is constantly 1 while the mass of the
     fixed set S halves per level: the discrete shadow of energy escaping every
     countable point set in the limit.
+
+    Every point must be a vertex of the coarsest level ``n_min``, which defaults
+    to the finest level of a point: every float is a dyadic rational, and s is
+    a vertex of level n exactly when the denominator of ``s.as_integer_ratio()``
+    divides 2^n. The levels are integers, 0 <= n_min <= n_max <= MAX_DYADIC_LEVELS.
     """
     pts = _reals(points, "points")
     if pts.ndim != 1:
@@ -136,25 +141,12 @@ def counterexample_demo(n_max: int, points=(0.0, 0.5, 1.0), n_min: int | None = 
     for s in pts:
         if not (0.0 <= s <= 1.0):
             raise ValidationError(f"point {s} lies outside [0, 1]")
-    if n_min is None:
-        n_min = 0
-        for s in pts:
-            level = 0
-            while s * 2**level != round(s * 2**level):
-                level += 1
-                if level > MAX_DYADIC_LEVELS:
-                    raise ValidationError(
-                        f"point {s} is not a dyadic point of any level <= {MAX_DYADIC_LEVELS}"
-                    )
-            n_min = max(n_min, level)
-    n_min, n_max = _index(n_min, "n_min"), _index(n_max, "n_max")
-    if n_max < n_min:
-        raise ValidationError(f"n_max = {n_max} is below the coarsest level {n_min}")
-    for s in pts:
-        if s * 2**n_min != round(s * 2**n_min):
-            raise ValidationError(
-                f"point {s} is not contained in the coarsest level {n_min}"
-            )
+    s = max(pts, key=lambda p: p.as_integer_ratio()[1])  # the first point of the finest level
+    level = s.as_integer_ratio()[1].bit_length() - 1
+    n_min = _integer(min(level, MAX_DYADIC_LEVELS) if n_min is None else n_min, "n_min", 0, MAX_DYADIC_LEVELS)
+    if level > n_min:
+        raise ValidationError(f"point {s} is not a dyadic point of the coarsest level {n_min}")
+    n_max = _integer(n_max, "n_max", n_min, MAX_DYADIC_LEVELS)
 
     seq = build_dyadic_interval(n_max)
     rows = np.zeros((n_max - n_min + 1, 3))

@@ -20,8 +20,8 @@ from scipy.sparse import coo_array
 
 from .errors import DescentError, NotInAlgebraError, ValidationError
 from .network import RELTOL, AtomicMeasure, FormMatrix
-from .network import _as_vector, _check_dense, _check_product, _entries, _groups, _labels, _readonly, _real, _reals
-from .network import _scale
+from .network import _as_vector, _check_dense, _check_product, _entries, _groups, _labels, _positive, _readonly
+from .network import _reals, _scale, _tolerance
 
 __all__ = [
     "AlgebraSpec",
@@ -141,14 +141,12 @@ class PushforwardMeasure:
 def embed(spec: AlgebraSpec, tol: float = 0.0) -> EmbeddingResult:
     """Map each point to its tuple of generator values and group equal images.
 
-    With ``tol > 0`` the classes are the transitive closure of "images differ
-    by at most ``tol`` in sup norm"; the default is exact equality. Either way
-    classes are numbered in the order of their smallest member.
+    With a finite ``tol > 0`` the classes are the transitive closure of "images
+    differ by at most ``tol`` in sup norm"; the default is exact equality.
+    Either way classes are numbered in the order of their smallest member.
     """
     images = spec.generators.T.copy()
-    tol = _real(tol, "tolerance")
-    if not tol >= 0:  # also rejects nan
-        raise ValidationError(f"tolerance must be >= 0, got {tol!r}")
+    tol = _tolerance(tol, "tolerance")
     if tol == 0.0:
         # one key per image: the bytes of its row, with -0.0 made 0.0 so that
         # bytes are equal exactly when the (finite) values are
@@ -297,9 +295,7 @@ def spectrum_closure_estimate(spec: AlgebraSpec, epsilon: float) -> ClosureEstim
     LIMIT_POINT_MIN_IMAGES images and no single image lies within epsilon/2
     of all of them, i.e. the nearby mass does not collapse to one image.
     """
-    epsilon = _real(epsilon, "epsilon")
-    if not 0 < epsilon < np.inf:
-        raise ValidationError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    epsilon = _positive(epsilon, "epsilon")
     images = embed(spec).images
     n = images.shape[0]
     net_idx: list[int] = []

@@ -127,14 +127,6 @@ def _reals(values, what: str) -> np.ndarray:
     return a.astype(float)
 
 
-def _tolerance(tol) -> float:
-    """A tolerance: a finite number >= 0, by the rule of :func:`_real`."""
-    with suppress(ValidationError):
-        if 0.0 <= (t := _real(tol, "tol")) < math.inf:
-            return t
-    raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
-
-
 def _check_dense(shape, what: str) -> None:
     """Raise ValidationError if a float64 array of ``shape`` exceeds DENSE_BYTES_MAX."""
     nbytes = 8 * math.prod(shape)
@@ -205,6 +197,31 @@ def _index(v, what: str = "vertex index") -> int:
         except TypeError:
             pass
     raise ValidationError(f"{what} must be an integer, got {v!r}")
+
+
+# One range rule per kind of scalar: the number rule's message, then one naming the range.
+def _tolerance(tol, what: str = "tol") -> float:
+    """A tolerance: a finite number >= 0, by the rule of :func:`_real`."""
+    t = _real(tol, what)
+    if not 0.0 <= t < math.inf:
+        raise ValidationError(f"{what} must be a finite number >= 0, got {t!r}")
+    return t
+
+
+def _positive(x, what: str) -> float:
+    """A scale: a finite number > 0, by the rule of :func:`_real`."""
+    s = _real(x, what)
+    if not 0.0 < s < math.inf:
+        raise ValidationError(f"{what} must be a finite number > 0, got {s!r}")
+    return s
+
+
+def _integer(v, what: str, lo: int, hi: int) -> int:
+    """An integer in [lo, hi], by the integer rule of :func:`_index`."""
+    i = _index(v, what)
+    if not lo <= i <= hi:
+        raise ValidationError(f"{what} must be an integer in [{lo}, {hi}], got {i}")
+    return i
 
 
 def _indices(values, what: str) -> np.ndarray:
@@ -663,13 +680,15 @@ class AtomicMeasure:
         w = _reals(self.weights, "weights")
         if w.ndim != 1:
             raise ValidationError(f"measure weights must be a 1-d vector, got shape {w.shape}")
-        if not np.isfinite(w).all():
-            raise ValidationError("measure weights contain non-finite entries")
         if (w < 0).any():
             bad = int(np.flatnonzero(w < 0)[0])
             raise ValidationError(f"weight[{bad}] = {w[bad]} must be >= 0")
+        with np.errstate(over="ignore"):
+            total = float(np.sum(w))
+        if not math.isfinite(total):  # a weight is not finite, or the sum overflows
+            raise ValidationError(f"measure weights and their total must be finite, got a total of {total!r}")
         object.__setattr__(self, "weights", _readonly(w))
-        object.__setattr__(self, "total", float(np.sum(w)))
+        object.__setattr__(self, "total", total)
 
     @property
     def n(self) -> int:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .network import COMPAT_RELTOL, PROFILE_RELTOL, FormMatrix, Network, assemble, evaluate
-from .network import _as_vector, _distinct, _entries, _index, _indices, _json_object, _read_json, _real, _scale
-from .network import _tolerance, _writing
+from .network import _as_vector, _distinct, _entries, _indices, _integer, _json_object, _positive, _read_json
+from .network import _scale, _tolerance, _writing
 from .trace import trace
 
 __all__ = [
@@ -52,7 +52,8 @@ class CompatibleSequence:
     ``inclusions[n][i]`` is the index in level n+1 of vertex i of level n;
     its entries follow the integer rule of vertex indices, so a float
     inclusion raises rather than being truncated. Form matrices are
-    assembled lazily and cached.
+    assembled lazily and cached. A ``level`` is an integer in [0, levels - 1]
+    (-1 is not the top level, True not level 1), or ValidationError is raised.
     """
 
     networks: tuple
@@ -86,12 +87,14 @@ class CompatibleSequence:
         return len(self.networks)
 
     def form(self, level: int) -> FormMatrix:
+        level = _integer(level, "level", 0, self.levels - 1)
         if level not in self._forms:
             self._forms[level] = assemble(self.networks[level])
         return self._forms[level]
 
     def positions_at_top(self, level: int) -> np.ndarray:
         """Indices of level-``level`` vertices inside the top-level network."""
+        level = _integer(level, "level", 0, self.levels - 1)
         idx = np.arange(self.networks[level].n)
         for m in self.inclusions[level:]:
             idx = m[idx]
@@ -184,11 +187,7 @@ def build_dyadic_interval(levels: int) -> CompatibleSequence:
     Compatibility is exact by the series law: two conductances 2^(n+1) in
     series trace to 2^n.
     """
-    levels = _index(levels, "levels")
-    if levels < 0:
-        raise ValidationError("levels must be >= 0")
-    if levels > MAX_DYADIC_LEVELS:
-        raise ValidationError(f"levels = {levels} exceeds the size guard {MAX_DYADIC_LEVELS}")
+    levels = _integer(levels, "levels", 0, MAX_DYADIC_LEVELS)
     nets = []
     incs = []
     for n in range(levels + 1):
@@ -236,18 +235,14 @@ def build_sierpinski_gasket(levels: int, factor: float | None = None, calibrate:
     instead of being hard-coded, by :func:`calibrate_gasket_factor`, so that
     the level-1 trace onto the corners matches the unit triangle.
     """
-    levels = _index(levels, "levels")
-    if levels < 0:
-        raise ValidationError("levels must be >= 0")
-    if levels > MAX_GASKET_LEVELS:
-        raise ValidationError(f"levels = {levels} exceeds the size guard {MAX_GASKET_LEVELS}")
+    levels = _integer(levels, "levels", 0, MAX_GASKET_LEVELS)
     if calibrate:
         if factor is not None:
             raise ValidationError("pass either a factor or calibrate=True, not both")
         factor = calibrate_gasket_factor()
-    rho = GASKET_FACTOR if factor is None else _real(factor, "factor")
-    if rho <= 0:
-        raise ValidationError("renormalization factor must be positive")
+    rho = GASKET_FACTOR if factor is None else _positive(factor, "factor")
+    with np.errstate(over="ignore"):  # the conductances rho^n are monotone in n: the top level bounds them all
+        _positive(np.float64(rho) ** levels, f"factor ** levels = {rho!r} ** {levels}")
 
     nets = []
     incs = []

@@ -41,10 +41,10 @@ from .network import (
     killing_vector,
     _csr_from_entries,
     _entries,
-    _index,
+    _integer,
     _labels,
     _killing_free,
-    _real,
+    _positive,
     _require_markov,
     _scale,
     _vertex,
@@ -319,21 +319,10 @@ def _estimate(walk: _Walk, n_traj: int, seed: int) -> tuple[np.ndarray, np.ndarr
     return mean, se, jumps, max_jumps
 
 
-def _seed(seed) -> int:
-    """A seed: an integer by the rule of ``_index``, in [0, 2^64), the key
-    range of Philox, so that no two seeds share a stream."""
-    seed = _index(seed, "seed")
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
-
-
-def _count(n_traj) -> int:
-    """A trajectory count: an integer by the rule of ``_index``, at least 1."""
-    n_traj = _index(n_traj, "n_traj")
-    if n_traj < 1:
-        raise ValidationError("n_traj must be >= 1")
-    return n_traj
+def _count_and_seed(n_traj, seed) -> tuple[int, int]:
+    """A trajectory count >= 1 and a seed within the key range of Philox, [0, 2^64): block b of
+    a run is keyed by (seed, b), so that no two seeds and no two blocks share a stream."""
+    return _integer(n_traj, "n_traj", 1, _BLOCK * 2**64), _integer(seed, "seed", 0, 2**64 - 1)
 
 
 def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int) -> SimResult:
@@ -346,10 +335,8 @@ def simulate(gen: GeneratorSpec, x0: int, horizon: float, n_traj: int, seed: int
     cemetery and is not credited to any state.
     """
     x0 = _vertex(x0, gen.n)
-    horizon = _real(horizon, "horizon")
-    if not (horizon > 0 and np.isfinite(horizon)):
-        raise ValidationError(f"horizon must be finite and > 0, got {horizon!r}")
-    n_traj, seed = _count(n_traj), _seed(seed)
+    horizon = _positive(horizon, "horizon")
+    n_traj, seed = _count_and_seed(n_traj, seed)
     n = gen.n
     walk = _Walk(_fold(_jump_table(gen, include_killing=True), [n]), x0, n, horizon,
                  lambda final, clock, occ: np.column_stack([occ[:, :n] / horizon, final == n]))
@@ -387,7 +374,7 @@ def hitting_probability(gen: GeneratorSpec, a: int, b: int, x0: int, n_traj: int
     A vertex of x0's component other than a and b with no exits (every jump
     rate out of it underflows to 0) raises ``ValidationError``.
     """
-    n_traj, seed = _count(n_traj), _seed(seed)
+    n_traj, seed = _count_and_seed(n_traj, seed)
     a, b, x0 = (_vertex(v, gen.n) for v in (a, b, x0))
     if a == b:
         raise ValidationError("hitting targets must be distinct")
@@ -415,7 +402,7 @@ def commute_time(gen: GeneratorSpec, x: int, y: int, n_traj: int, seed: int) -> 
     it leaves, so ``stderr`` is that of this conditional estimator. A vertex
     of x's component with no exits raises ``ValidationError``.
     """
-    n_traj, seed = _count(n_traj), _seed(seed)
+    n_traj, seed = _count_and_seed(n_traj, seed)
     x, y = _vertex(x, gen.n), _vertex(y, gen.n)
     _require_killing_free(gen, "commute time")
     if x == y:

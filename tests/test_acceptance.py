@@ -57,5 +57,5 @@ def test_criterion_8_isometry_and_injection():
 
 def test_criterion_9_process_identities():
     # hitting within 4 SE of harmonic values and commute within 5% of R mu(V)
-    # at 10^5 trajectories on path-3 / triangle / gasket-2; worker-count determinism
+    # at 10^5 trajectories on path-3 / triangle / gasket-2; same-seed determinism
     _check(acceptance.criterion_process(n_traj=100000, commute_rtol=0.05))

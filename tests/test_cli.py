@@ -433,7 +433,7 @@ def test_seq_build_above_dyadic_guard_exit_1(tmp_path, capsys):
     assert main(["seq", "build", "dyadic", "--levels", "21", "--output", str(seq)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "validation"
-    assert "size guard 20" in err["error"]["message"]
+    assert err["error"]["message"] == "levels must be an integer in [0, 20], got 21"
     assert not seq.exists()
 
 
@@ -670,3 +670,51 @@ def test_reproduce_all_negative_control(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     failed = [r["name"] for r in report if not r["passed"]]
     assert failed == ["compatibility and monotonicity"]
+
+
+def _one_error_line(captured) -> dict:
+    """The error object of a failed command, which must be stderr's only line."""
+    assert captured.out == "" and len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    return json.loads(captured.err)["error"]
+
+
+def test_demo_counterexample_negative_min_level_exit_1(tmp_path, capsys):
+    # -2 is not a level: before the range rule it read rows -2 and -1 off levels 2 and 3
+    out = tmp_path / "ce"
+    assert main(["demo", "counterexample", "--levels", "3", "--set", "0", "--min-level", "-2", "--outdir", str(out)]) == 1
+    error = _one_error_line(capsys.readouterr())
+    assert error == {"type": "validation", "message": "n_min must be an integer in [0, 20], got -2"}
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("levels, factor", [("2", "1e200"), ("3", "1e-200"), ("2", "nan")],
+                         ids=["overflows", "underflows", "nan"])
+def test_seq_build_gasket_factor_out_of_range_exit_1(tmp_path, capsys, levels, factor):
+    seq = tmp_path / "seq.json"
+    assert main(["seq", "build", "gasket", "--levels", levels, "--factor", factor, "--output", str(seq)]) == 1
+    error = _one_error_line(capsys.readouterr())
+    assert error["type"] == "validation" and error["message"].startswith("factor")
+    assert not seq.exists()
+
+
+def test_reproduce_all_overflowing_gasket_factor_exit_1(tmp_path, capsys):
+    assert main(["reproduce-all", "--quick", "--gasket-factor", "1e200", "--outdir", str(tmp_path / "rep")]) == 1
+    error = _one_error_line(capsys.readouterr())
+    assert error == {"type": "validation",
+                     "message": "factor ** levels = 1e+200 ** 4 must be a finite number > 0, got inf"}
+
+
+@pytest.mark.parametrize("command", [["sim", "occupy", "--horizon", "1"], ["sim", "commute", "--pair", "0,1"],
+                                     ["gelfand", "pushforward"]], ids=["occupy", "commute", "pushforward"])
+def test_measure_whose_total_overflows_exit_1(tmp_path, capsys, command):
+    # each weight is finite, their sum is not; the suite turns numpy's overflow warning into an error
+    mu = tmp_path / "mu.json"
+    mu.write_text(json.dumps([1e308, 1e308]))
+    net = tmp_path / "edge.json"
+    net.write_text(json.dumps({"vertices": [0, 1], "edges": [{"u": 0, "v": 1, "c": 1.0}]}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"points": [0, 1], "generators": [[0.0, 1.0]]}))
+    where = ["--spec", str(spec)] if command[0] == "gelfand" else ["--net", str(net), "--seed", "1", "--n", "5"]
+    assert main([*command, *where, "--mu", str(mu)]) == 1
+    error = _one_error_line(capsys.readouterr())
+    assert error == {"type": "validation", "message": "measure weights and their total must be finite, got a total of inf"}

@@ -5,13 +5,16 @@ exit with 0, 1 or 2, a non-zero exit leaves exactly one ``{"error": ...}``
 line on stderr, and no exception escapes ``main``. The files are arbitrary
 JSON values, valid files with one value replaced or removed, and valid files
 cut short or with a few characters spliced in. The ``sim`` commands keep the
-same contract over arbitrary integer seeds.
+same contract over arbitrary integer seeds, and every command that takes a
+level, a factor, a tolerance or a scale keeps it over arbitrary values of
+those flags.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -132,3 +135,37 @@ def test_sim_seed_contract(path3_file, seed):
                  ["sim", "commute", *common, "--pair", "0,2"],
                  ["sim", "occupy", *common, "--horizon", "1.0"]):
         assert check_contract(argv) == (0 if 0 <= seed < 2**64 else 1)  # a seed is never reduced mod 2^64
+
+
+def _flag(top=math.inf):
+    """A flag value from ``scalars``, or a small count that most flags take, without the
+    finite numbers above ``top``, which would only make a run long. None leaves the flag out."""
+    return (st.integers(0, 4) | scalars).filter(lambda x: not (isinstance(x, (int, float)) and top < x < math.inf))
+
+
+def _opt(flag, x) -> list:
+    return [] if x is None else [f"{flag}={x}"]
+
+
+@pytest.fixture(scope="module")
+def scalar_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("scalars")
+    for name, doc in (("seq.json", SEQUENCE), ("path3.json", PATH3),
+                      ("spec.json", {"points": [0, 1, 2], "generators": [[0.0, 0.5, 0.5000001]]})):
+        (d / name).write_text(json.dumps(doc), encoding="utf-8")
+    return d
+
+
+@fuzz_settings
+@given(levels=_flag(4), min_level=_flag(), factor=_flag(), tol=_flag(), tolerance=_flag(), epsilon=_flag(),
+       horizon=_flag(10))  # a walk on the 3-vertex path makes about one jump per unit of time
+def test_scalar_flags_contract(scalar_inputs, levels, min_level, factor, tol, tolerance, epsilon, horizon):
+    d = scalar_inputs
+    spec = ["--spec", str(d / "spec.json")]
+    for argv in (["seq", "build", "gasket", *_opt("--levels", levels), *_opt("--factor", factor), "--output", str(d / "out.json")],
+                 ["demo", "counterexample", *_opt("--levels", levels), *_opt("--min-level", min_level), "--outdir", str(d / "ce")],
+                 ["seq", "check", str(d / "seq.json"), *_opt("--tol", tol)],
+                 ["gelfand", "embed", *spec, *_opt("--tolerance", tolerance)],
+                 ["gelfand", "closure", *spec, *_opt("--epsilon", epsilon)],
+                 ["sim", "occupy", "--net", str(d / "path3.json"), "--seed", "1", "--n", "5", *_opt("--horizon", horizon)]):
+        check_contract(argv)

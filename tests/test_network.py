@@ -24,6 +24,7 @@ from netforms import (
     check_compatibility,
     commute_time,
     components,
+    counterexample_demo,
     embed,
     energy_measure,
     energy_measure_identity,
@@ -243,6 +244,15 @@ class TestTypes:
         with pytest.raises(ValidationError, match=r"weight\[1\]"):
             AtomicMeasure([0.5, -0.1])
 
+    @pytest.mark.parametrize("weights, total", [([1e308, 1e308], "inf"), ([1.0, np.inf], "inf"), ([np.nan, 1.0], "nan")],
+                             ids=["sum-overflows", "inf", "nan"])
+    def test_atomic_measure_rejects_a_total_that_is_not_finite(self, weights, total):
+        # a warning would fail the suite, so this also checks that the sum warns of nothing
+        message = f"measure weights and their total must be finite, got a total of {total}"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            AtomicMeasure(weights)
+        assert AtomicMeasure([1e308, 7e307]).total == 1.7e308
+
     def test_immutability(self, unit_edge):
         with pytest.raises(ValueError):
             unit_edge.matrix[0, 0] = 5.0
@@ -423,6 +433,7 @@ _P3 = assemble(Network(3, [(0, 1, 1.0), (1, 2, 1.0)]))
 _SPEC = AlgebraSpec(range(3), [[0.0, 0.5, 1.0]])
 _MU = AtomicMeasure(np.ones(3))
 _GEN = build_generator(_P3, _MU)
+_SEQ = build_dyadic_interval(2)  # levels 0, 1, 2
 
 #: Entry points that take an array: (id, the name the error gives, a call
 #: with ``x`` as one entry of that array, the array built by ``wrap``).
@@ -445,6 +456,8 @@ ARRAY_ENTRIES = [
 #: Entry points that take a real number: (id, name, call).
 SCALAR_ENTRIES = [
     ("edge", "conductance", lambda x: Network(2, [(0, 1, x)]).c),
+    ("markov", "tol", lambda x: is_markov(_P3, tol=x).tol),
+    ("compatibility", "tol", lambda x: check_compatibility(_SEQ, tol=x).tol),
     ("embed", "tolerance", lambda x: embed(_SPEC, tol=x).class_of),  # tol=True must not read as 1: one class
     ("horizon", "horizon", lambda x: simulate(_GEN, 0, x, 5, seed=1).occupation),
     ("closure", "epsilon", lambda x: spectrum_closure_estimate(_SPEC, x).counts),
@@ -458,17 +471,42 @@ INTEGER_ENTRIES = [
     ("commute", "n_traj", lambda x: commute_time(_GEN, 0, 2, x, seed=1).value),
     ("occupy", "n_traj", lambda x: occupation_check(_GEN, 1.0, x, seed=1).occupation),
     ("seed", "seed", lambda x: simulate(_GEN, 0, 1.0, 5, seed=x).occupation),
+    ("dyadic", "levels", lambda x: build_dyadic_interval(x).networks[-1].c),
+    ("gasket_levels", "levels", lambda x: build_sierpinski_gasket(x).networks[-1].c),
+    ("n_min", "n_min", lambda x: counterexample_demo(4, n_min=x)),
+    ("n_max", "n_max", lambda x: counterexample_demo(x)),
+    ("form", "level", lambda x: _SEQ.form(x).matrix),
+    ("positions_at_top", "level", lambda x: _SEQ.positions_at_top(x)),
+    ("restrict", "level", lambda x: _SEQ.restrict(np.arange(5.0), x)),  # restrict(f, True) must not read level 1
 ]
+
+#: Scales: a finite number > 0, so 0 is out of range too.
+SCALES = ("conductance", "horizon", "epsilon", "factor")
+
+#: The first integer outside each integer entry's range, above or below.
+INTEGER_EDGE = {"simulate": 0, "hit": 0, "commute": 0, "occupy": 0, "seed": 2**64, "dyadic": 21, "gasket_levels": 9,
+                "n_min": 21, "n_max": 21, "form": 3, "positions_at_top": 3, "restrict": 3}
+
+#: Numbers outside the range of each scalar entry: (id, name, call, x).
+OUT_OF_RANGE = (
+    [pytest.param(name, call, x, id=f"{cid}-{xid}") for cid, name, call in SCALAR_ENTRIES
+     for xid, x in [("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf), ("-1", -1), ("10**400", 10**400)]
+     + ([("0", 0.0)] if name in SCALES else [])]
+    + [pytest.param(name, call, x, id=f"{cid}-{xid}") for cid, name, call in INTEGER_ENTRIES
+       for xid, x in [("-1", -1), ("edge", INTEGER_EDGE[cid]), ("10**400", 10**400)]]
+)
 
 NON_NUMBERS = [("None", None), ("str", "1.5"), ("bool", True), ("np_bool", np.True_), ("bytes", b"2"), ("object", object())]
 RAGGED = ("ragged", [1.0, 2.0])  # as one entry, it makes the array ragged
+INTEGER_NAMES = {name for _, name, _ in INTEGER_ENTRIES} | {"vertices"}
 
 RULE_CASES = (
     [pytest.param(name, lambda x, call=call: call(x, list), x, id=f"{cid}-{xid}")
      for cid, name, call in ARRAY_ENTRIES for xid, x in NON_NUMBERS + [RAGGED]]
     + [pytest.param(name, call, x, id=f"{cid}-{xid}")
        for cid, name, call in SCALAR_ENTRIES + INTEGER_ENTRIES for xid, x in NON_NUMBERS
-       if not (name == "factor" and x is None)]  # factor=None is the default factor
+       if not (cid in ("gasket", "markov", "n_min") and x is None)]  # None is the default factor, tol or n_min
+    + [pytest.param(name, call, 2.0, id=f"{cid}-float") for cid, name, call in INTEGER_ENTRIES]  # 2.0 is not 2
     # a vertex count is an integer by the same rule; anything else must be an iterable of labels
     + [pytest.param("vertices", Network, x, id=f"network-{xid}") for xid, x in [("bool", True), ("float", 2.0), ("None", None)]]
 )
@@ -480,8 +518,13 @@ class TestNumberRule:
 
     @pytest.mark.parametrize("name, call, x", RULE_CASES)
     def test_non_numbers_raise_naming_the_argument(self, name, call, x):
-        rule = "must be an integer" if name in ("n_traj", "seed", "vertices") else "real number"
+        rule = "must be an integer" if name in INTEGER_NAMES else "real number"
         with pytest.raises(ValidationError, match=rf"^(edge #0: )?{re.escape(name)}\b.*{rule}"):
+            call(x)
+
+    @pytest.mark.parametrize("name, call, x", OUT_OF_RANGE)
+    def test_numbers_out_of_range_raise_naming_the_argument(self, name, call, x):
+        with pytest.raises(ValidationError, match=rf"^(edge #0: )?{re.escape(name)}\b"):
             call(x)
 
     @pytest.mark.parametrize("wrap", [list, np.array])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,7 +98,7 @@ class TestDyadic:
 
     def test_size_guard(self):
         for levels in (21, 22):
-            with pytest.raises(ValidationError, match="size guard"):
+            with pytest.raises(ValidationError, match=rf"^levels must be an integer in \[0, 20\], got {levels}$"):
                 build_dyadic_interval(levels)
 
     def test_levels_must_be_an_integer(self):
@@ -317,7 +318,7 @@ class TestGasket:
         assert check_compatibility(seq, tol=1e-9)
 
     def test_size_guard(self):
-        with pytest.raises(ValidationError, match="size guard"):
+        with pytest.raises(ValidationError, match=r"^levels must be an integer in \[0, 8\], got 9$"):
             build_sierpinski_gasket(9)
 
     def test_levels_must_be_an_integer(self):
@@ -329,6 +330,18 @@ class TestGasket:
     def test_vertex_counts(self):
         for n, count in ((0, 3), (1, 6), (2, 15), (3, 42)):
             assert build_sierpinski_gasket(n).networks[-1].n == count
+
+    @pytest.mark.parametrize("levels, factor", [(2, 1e200), (3, 1e-200), (8, 1e39), (8, 1e-41)],
+                             ids=["overflows", "underflows", "overflows-at-8", "underflows-at-8"])
+    def test_factor_whose_top_conductance_leaves_the_floats_raises(self, levels, factor):
+        # factor ** levels is the largest (factor > 1) or smallest (factor < 1) conductance
+        message = f"factor ** levels = {factor!r} ** {levels} must be a finite number > 0, got "
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            build_sierpinski_gasket(levels, factor=factor)
+
+    def test_factor_whose_top_conductance_is_a_float_passes(self):
+        assert build_sierpinski_gasket(2, factor=1e150).networks[2].c[0] == 1e150**2
+        assert build_sierpinski_gasket(2, factor=1e-160).networks[2].c[0] == 1e-160**2  # subnormal, still > 0
 
 
 @st.composite

@@ -186,7 +186,7 @@ class TestSimulate:
                 lambda: commute_time(gen, 0, 2, 5, seed=seed),
                 lambda: occupation_check(gen, 1.0, 5, seed=seed),
             ):
-                with pytest.raises(ValidationError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+                with pytest.raises(ValidationError, match=rf"^seed must be an integer in \[0, {2**64 - 1}\], got {seed}$"):
                     call()
         top = 2**64 - 1
         a = commute_time(gen, 0, 2, 50, seed=np.uint64(top))
